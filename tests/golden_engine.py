@@ -31,6 +31,7 @@ from repro.analysis.calibration import LANAI_4_3_SYSTEM
 from repro.analysis.experiments import measure_barrier
 from repro.cluster.builder import build_cluster
 from repro.cluster.runner import run_on_group
+from repro.core import host_allreduce, host_barrier, host_bcast, host_reduce
 from repro.core.barrier import barrier
 from repro.faults.plan import FaultPlan, LinkFlap, LossRule
 from repro.sim.engine import PRIORITY_HIGH, PRIORITY_LOW, Simulator
@@ -178,11 +179,69 @@ def faulted_barrier() -> str:
     return _digest(("final", cluster.sim.now, cluster.sim.events_executed))
 
 
+# ----------------------------------------------------------------------
+# Workload 5: every host algorithm + NIC PE/dissemination at ragged sizes.
+# ----------------------------------------------------------------------
+def host_algorithms(repetitions: int = 2) -> str:
+    """Host barriers (PE, dissemination, GB), host data collectives and
+    NIC PE/dissemination barriers: each run's per-rank exit times,
+    returned values, final ``sim.now`` and ``events_executed``.
+
+    The sizes are deliberately non-powers-of-two (5, 6) next to 8, so the
+    PE proxy/extra steps and unequal tree depths are covered.
+    """
+    def run(n: int, step) -> tuple:
+        cluster = build_cluster(LANAI_4_3_SYSTEM.cluster_config(n))
+
+        def program(ctx):
+            out = []
+            for rep in range(repetitions):
+                value = yield from step(ctx, rep)
+                out.append((ctx.now, value))
+            return out
+
+        results = run_on_group(cluster, program, max_events=5_000_000)
+        return results, cluster.sim.now, cluster.sim.events_executed
+
+    def host(algorithm, dimension=None):
+        def step(ctx, rep):
+            yield from host_barrier(
+                ctx.port, ctx.group, ctx.rank, algorithm=algorithm, dimension=dimension
+            )
+        return step
+
+    def nic(algorithm):
+        def step(ctx, rep):
+            yield from barrier(ctx.port, ctx.group, ctx.rank, algorithm=algorithm)
+        return step
+
+    def collective(fn, **kwargs):
+        def step(ctx, rep):
+            value = (ctx.rank + 1) * (rep + 2)
+            result = yield from fn(ctx.port, ctx.group, ctx.rank, value, dimension=2, **kwargs)
+            return result
+        return step
+
+    rows = []
+    for n in (5, 6, 8):
+        for algorithm in ("pe", "dissemination"):
+            rows.append(("host", algorithm, n, run(n, host(algorithm))))
+    for dimension in (1, 2, 3):
+        rows.append(("host", "gb", dimension, run(8, host("gb", dimension))))
+    rows.append(("host", "reduce", run(6, collective(host_reduce, op="sum"))))
+    rows.append(("host", "bcast", run(6, collective(host_bcast))))
+    rows.append(("host", "allreduce", run(6, collective(host_allreduce, op="max"))))
+    for algorithm in ("pe", "dissemination"):
+        rows.append(("nic", algorithm, run(6, nic(algorithm))))
+    return _digest(rows)
+
+
 WORKLOADS = {
     "engine_storm": engine_storm,
     "traced_barrier_pe16": traced_barrier,
     "untraced_measurements": untraced_measurements,
     "faulted_barrier_gb8": faulted_barrier,
+    "host_algorithms": host_algorithms,
 }
 
 

@@ -9,8 +9,9 @@ behaviour and must be fixed, not re-recorded (see golden_engine's
 docstring for the only legitimate regeneration case).
 
 Covers tracing ON (traced_barrier_pe16), tracing OFF
-(untraced_measurements), pure scheduler semantics (engine_storm) and
-the retransmit-timer paths (faulted_barrier_gb8).
+(untraced_measurements), pure scheduler semantics (engine_storm), the
+retransmit-timer paths (faulted_barrier_gb8) and every host algorithm
+plus NIC PE/dissemination at ragged sizes (host_algorithms).
 """
 
 from __future__ import annotations
