@@ -16,7 +16,7 @@ from repro.analysis.calibration import LANAI_4_3_SYSTEM
 from repro.cluster.builder import build_cluster
 from repro.cluster.runner import run_on_group
 from repro.core.collectives import allreduce, bcast, reduce
-from repro.core.host_collectives import host_allreduce, host_bcast, host_reduce
+from repro.core.host_barrier import host_allreduce, host_bcast, host_reduce
 from repro.sim.primitives import Timeout
 
 

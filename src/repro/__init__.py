@@ -26,8 +26,12 @@ paper's figures.
 from repro.cluster.builder import Cluster, ClusterConfig, build_cluster
 from repro.core.barrier import BarrierHandle, barrier, fuzzy_barrier
 from repro.core.collectives import allreduce, bcast, reduce
-from repro.core.host_barrier import host_barrier
-from repro.core.host_collectives import host_allreduce, host_bcast, host_reduce
+from repro.core.host_barrier import (
+    host_allreduce,
+    host_barrier,
+    host_bcast,
+    host_reduce,
+)
 from repro.core.topology_calc import BarrierPlan, gb_plan, pe_plan
 from repro.gm.constants import BarrierReliability
 from repro.host.cpu import HostParams

@@ -13,35 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.core.topology_calc import (
-    BarrierPlan,
-    dissemination_plan,
-    gb_plan,
-    pe_plan,
-)
+from repro.core.topology_calc import make_plan
 from repro.gm.api import GmPort
 from repro.gm.events import BarrierCompletedEvent
 
 Endpoint = Tuple[int, int]
-
-
-def make_plan(
-    group: Sequence[Endpoint],
-    rank: int,
-    algorithm: str = "pe",
-    dimension: Optional[int] = None,
-) -> BarrierPlan:
-    """Compute this rank's barrier plan (host-side, Section 5.1)."""
-    if algorithm == "pe":
-        return pe_plan(group, rank)
-    if algorithm == "dissemination":
-        return dissemination_plan(group, rank)
-    if algorithm == "gb":
-        if dimension is None:
-            # A reasonable default fan-out; benches sweep it explicitly.
-            dimension = 2 if len(group) > 2 else 1
-        return gb_plan(group, rank, dimension)
-    raise ValueError(f"unknown barrier algorithm {algorithm!r}")
 
 
 def barrier(

@@ -17,12 +17,6 @@ from repro.gm.events import CollectiveCompletedEvent
 Endpoint = Tuple[int, int]
 
 
-def _default_dimension(group_size: int, dimension: Optional[int]) -> int:
-    if dimension is not None:
-        return dimension
-    return 2 if group_size > 2 else 1
-
-
 def _run_collective(
     port: GmPort,
     group: Sequence[Endpoint],
@@ -37,7 +31,7 @@ def _run_collective(
     if len(group) == 1:
         # Degenerate group: the result is the local value.
         return value
-    plan = gb_plan(group, rank, _default_dimension(len(group), dimension))
+    plan = gb_plan(group, rank, dimension)
     yield from port.provide_barrier_buffer()
     token = yield from port.collective_send_with_callback(
         kind, plan, value=value, op=op, payload_bytes=payload_bytes

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Optional
 
+from repro.core.schedule import REDUCE_OPS
 from repro.gm.constants import BarrierReliability
 from repro.gm.events import CollectiveCompletedEvent
 from repro.gm.port import NicPort
@@ -38,24 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Size of the completion notification DMAed to the host (the result
 #: value rides along, so the payload size adds to this).
 COMPLETION_DMA_BYTES = 16
-
-#: The reduction operators supported by the firmware.
-REDUCTION_OPS = {
-    "sum": lambda a, b: a + b,
-    "prod": lambda a, b: a * b,
-    "min": min,
-    "max": max,
-}
-
-
-def combine(op: str, a, b):
-    """Apply reduction operator ``op``; None acts as the identity."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return REDUCTION_OPS[op](a, b)
-
 
 class NicCollectiveEngine:
     """Collective firmware state shared by the MCP machines of one NIC."""
@@ -153,8 +136,8 @@ class NicCollectiveEngine:
             if slot is not None and slot["kind"] == "reduce":
                 del nic.connection(child[0]).coll_unexpected[child[1]]
                 token.reduce_pending.discard(child)
-                token.accumulator = combine(
-                    token.op, token.accumulator, slot["value"]
+                token.accumulator = REDUCE_OPS[token.op](
+                    token.accumulator, slot["value"]
                 )
                 yield from self.cpu("coll_combine")
                 if token.phase != "reduce" or not self._token_live(port, token):
@@ -248,7 +231,7 @@ class NicCollectiveEngine:
         if token is not None and packet.ptype is PacketType.COLL_REDUCE:
             if token.phase == "reduce" and src in token.reduce_pending:
                 token.reduce_pending.discard(src)
-                token.accumulator = combine(token.op, token.accumulator, value)
+                token.accumulator = REDUCE_OPS[token.op](token.accumulator, value)
                 all_in = not token.reduce_pending
                 if all_in:
                     token.phase = "reduce_done"

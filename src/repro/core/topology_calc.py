@@ -1,25 +1,34 @@
-"""Host-side barrier plan computation.
+"""Host-side barrier plan computation: schedules lowered for the NIC.
 
 The paper keeps the combinatorics on the host (Section 5.1): "The host at
 a particular node needs to inform the NIC only of the children and parent
-of the node, rather than all the nodes in the barrier."  These functions
-compute, for one participant, exactly that neighborhood:
+of the node, rather than all the nodes in the barrier."  A
+:class:`BarrierPlan` is exactly that neighborhood for one participant,
+obtained by *lowering* the rank's compiled schedule
+(:mod:`repro.core.schedule`) into what the NIC firmware runs:
 
-* :func:`pe_schedule` -- the ordered list of partners for the
-  pairwise-exchange (PE) algorithm used by MPICH;
-* :func:`gb_tree` -- parent and children in the fixed-dimension
-  gather-and-broadcast (GB) tree.
+* PE and dissemination become a list of :class:`~repro.gm.tokens.PeStep`
+  entries.  Each round contributes its sends, then its receives, as
+  send-only and recv-only steps; a send-only step followed immediately
+  by a recv-only step to the same peer fuses into one exchange step
+  (wire-equivalent, and one firmware pass instead of two).  That single
+  rule yields PE's pairwise exchanges, the extra rank's fused
+  notify-then-wait, and the dissemination rounds whose send and receive
+  peers coincide.
+* GB becomes the parent and ordered children of the tree's gather phase.
 
-Both take the barrier *group* as an ordered list of endpoints
+Plans take the barrier *group* as an ordered list of endpoints
 ``(node_id, port_id)``; a participant's rank is its index in that list.
 All participants must pass the same list (standard collective contract).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.schedule import Schedule, compile_barrier
 from repro.gm.tokens import PeStep
 
 Endpoint = Tuple[int, int]
@@ -60,196 +69,65 @@ def _validate_group(group: Sequence[Endpoint], rank: int) -> None:
         raise ValueError(f"rank {rank} out of range for group of {len(group)}")
 
 
-# ---------------------------------------------------------------------------
-# Pairwise exchange (PE) -- the MPICH dissemination-by-doubling pattern
-# ---------------------------------------------------------------------------
-def pe_schedule(group_size: int, rank: int) -> List[dict]:
-    """The PE step sequence for ``rank`` in a group of ``group_size``.
-
-    Returns a list of step dicts.  For power-of-two groups each step is
-    ``{"kind": "exchange", "peer": r}`` with ``peer = rank ^ 2**k``
-    (Section 5.1: nodes pair up, exchange, groups merge, repeat).
-
-    Non-power-of-two groups use the standard MPICH extension: with
-    ``m = 2**floor(log2(n))``, the ``n - m`` *extra* ranks (>= m) first
-    notify their proxy (``rank - m``) and wait for its release; ranks
-    < m that have an extra partner absorb that notification, run the
-    power-of-two exchange among themselves, then release the extra.
-    """
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
-    if not 0 <= rank < group_size:
-        raise ValueError("rank out of range")
-    if group_size == 1:
-        return []
-
-    m = 1
-    while m * 2 <= group_size:
-        m *= 2
-
-    steps: List[dict] = []
-    if rank >= m:
-        # Extra rank: notify proxy, then wait for its release.
-        proxy = rank - m
-        steps.append({"kind": "send", "peer": proxy})
-        steps.append({"kind": "recv", "peer": proxy})
-        return steps
-
-    extra = rank + m if rank + m < group_size else None
-    if extra is not None:
-        steps.append({"kind": "recv", "peer": extra})
-    k = 1
-    while k < m:
-        steps.append({"kind": "exchange", "peer": rank ^ k})
-        k *= 2
-    if extra is not None:
-        steps.append({"kind": "send", "peer": extra})
-    return steps
-
-
-def pe_plan(group: Sequence[Endpoint], rank: int) -> BarrierPlan:
-    """PE plan for ``rank``: the step list for the NIC PE engine.
-
-    Power-of-two groups get pure exchanges (send + await-receive per
-    step, the structure the paper describes).  Non-power-of-two groups
-    additionally get the MPICH notify/release steps as send-only and
-    recv-only entries; consecutive send+recv with the same peer (the
-    extra rank's notify-then-wait) fuse into one exchange step, which is
-    wire-equivalent and saves a firmware pass.
-    """
-    _validate_group(group, rank)
+def _lower(schedule: Schedule, group: Sequence[Endpoint], rank: int) -> BarrierPlan:
     n = len(group)
-    schedule = pe_schedule(n, rank)
+    if schedule.kind == "barrier":  # the GB tree
+        gather = [op for ops in schedule.rounds for op in ops if op.tag == "gather"]
+        return BarrierPlan(
+            algorithm="gb",
+            rank=rank,
+            group_size=n,
+            parent=next((group[op.peer] for op in gather if op.kind == "send"), None),
+            children=tuple(group[op.peer] for op in gather if op.kind == "recv"),
+        )
     steps: List[PeStep] = []
-    for s in schedule:
-        peer = group[s["peer"]]
-        if s["kind"] == "exchange":
-            steps.append(PeStep(peer, send=True, recv=True))
-        elif s["kind"] == "send":
-            steps.append(PeStep(peer, send=True, recv=False))
-        else:
-            steps.append(PeStep(peer, send=False, recv=True))
-    # Fuse the extra rank's notify(send) + wait(recv) with the same peer:
-    # sending then awaiting that peer is exactly one engine exchange step.
-    fused: List[PeStep] = []
-    for step in steps:
-        if (
-            fused
-            and fused[-1].peer == step.peer
-            and fused[-1].send
-            and not fused[-1].recv
-            and step.recv
-            and not step.send
-        ):
-            fused[-1] = PeStep(step.peer, send=True, recv=True)
-        else:
-            fused.append(step)
-    return BarrierPlan(algorithm="pe", rank=rank, group_size=n, steps=tuple(fused))
-
-
-# ---------------------------------------------------------------------------
-# Dissemination barrier (Hensgen/Finkel/Manber) -- our algorithmic extension
-# ---------------------------------------------------------------------------
-def dissemination_schedule(group_size: int, rank: int) -> List[dict]:
-    """The dissemination-barrier rounds for ``rank``.
-
-    Round ``k`` sends a notification to ``(rank + 2^k) mod n`` and awaits
-    one from ``(rank - 2^k) mod n``; after ``ceil(log2 n)`` rounds every
-    rank has transitively heard from every other.  Unlike PE it needs no
-    proxy steps for non-power-of-two sizes -- the classic reason MPI
-    implementations prefer it there.
-    """
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
-    if not 0 <= rank < group_size:
-        raise ValueError("rank out of range")
-    steps: List[dict] = []
-    distance = 1
-    while distance < group_size:
-        steps.append({
-            "kind": "round",
-            "send_to": (rank + distance) % group_size,
-            "recv_from": (rank - distance) % group_size,
-        })
-        distance *= 2
-    return steps
-
-
-def dissemination_plan(group: Sequence[Endpoint], rank: int) -> BarrierPlan:
-    """Dissemination plan as engine steps (send-only + recv-only pairs).
-
-    Runs on the same NIC PE engine: each round becomes a send-only step
-    to the +2^k peer followed by a recv-only step parked on the -2^k
-    peer.  The plan's ``algorithm`` is therefore "pe" at the token level.
-    """
-    _validate_group(group, rank)
-    n = len(group)
-    steps: List[PeStep] = []
-    for r in dissemination_schedule(n, rank):
-        send_peer = group[r["send_to"]]
-        recv_peer = group[r["recv_from"]]
-        if send_peer == recv_peer:
-            steps.append(PeStep(send_peer, send=True, recv=True))
-        else:
-            steps.append(PeStep(send_peer, send=True, recv=False))
-            steps.append(PeStep(recv_peer, send=False, recv=True))
+    for ops in schedule.rounds:
+        sends = [op for op in ops if op.kind == "send"]
+        for op in sends + [op for op in ops if op.kind == "recv"]:
+            peer = group[op.peer]
+            if op.kind == "recv" and steps and steps[-1] == PeStep(peer, recv=False):
+                steps[-1] = PeStep(peer)  # fuse send-then-recv into an exchange
+            else:
+                steps.append(PeStep(peer, send=op.kind == "send", recv=op.kind == "recv"))
     return BarrierPlan(algorithm="pe", rank=rank, group_size=n, steps=tuple(steps))
 
 
-# ---------------------------------------------------------------------------
-# Gather-and-broadcast (GB) -- fixed-dimension tree
-# ---------------------------------------------------------------------------
-def gb_tree(
-    group_size: int, rank: int, dimension: int
-) -> Tuple[Optional[int], List[int]]:
-    """Parent and children ranks in a ``dimension``-ary heap-shaped tree.
-
-    Dimension ``d`` means each node has up to ``d`` children: node ``i``'s
-    children are ``d*i + 1 .. d*i + d`` (the classic array heap layout),
-    the root is rank 0.  ``dimension = 1`` degenerates to a chain,
-    ``dimension = group_size - 1`` to a flat star -- the two extremes the
-    paper sweeps between to find the best tree per system size.
-    """
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
-    if not 0 <= rank < group_size:
-        raise ValueError("rank out of range")
-    if group_size > 1 and not 1 <= dimension <= group_size - 1:
-        raise ValueError(
-            f"dimension must be in 1..{group_size - 1}, got {dimension}"
-        )
-    if group_size == 1:
-        return None, []
-    parent = None if rank == 0 else (rank - 1) // dimension
-    first = dimension * rank + 1
-    children = [c for c in range(first, first + dimension) if c < group_size]
-    return parent, children
+def make_plan(
+    group: Sequence[Endpoint],
+    rank: int,
+    algorithm: str = "pe",
+    dimension: Optional[int] = None,
+) -> BarrierPlan:
+    """This rank's barrier plan for ``algorithm`` ("pe", "dissemination",
+    "gb"); ``dimension`` picks the GB tree's fan-out (``None``: binary)."""
+    return _cached_plan(tuple(group), rank, algorithm, dimension)
 
 
-def gb_plan(group: Sequence[Endpoint], rank: int, dimension: int) -> BarrierPlan:
-    """GB plan for ``rank``: parent/children endpoints in the d-ary tree."""
+@lru_cache(maxsize=None)
+def _cached_plan(
+    group: Tuple[Endpoint, ...], rank: int, algorithm: str, dimension: Optional[int]
+) -> BarrierPlan:
+    # Plans are immutable, and every barrier call asks for the same one.
     _validate_group(group, rank)
-    n = len(group)
-    if n == 1:
-        return BarrierPlan(algorithm="gb", rank=rank, group_size=1)
-    parent, children = gb_tree(n, rank, dimension)
-    return BarrierPlan(
-        algorithm="gb",
-        rank=rank,
-        group_size=n,
-        parent=None if parent is None else group[parent],
-        children=tuple(group[c] for c in children),
-    )
+    return _lower(compile_barrier(len(group), rank, algorithm, dimension), group, rank)
 
 
-def gb_tree_height(group_size: int, dimension: int) -> int:
-    """Height of the d-ary tree (root = level 0); for latency models."""
-    if group_size <= 1:
-        return 0
-    height = 0
-    # Deepest node is rank group_size - 1; walk to the root.
-    rank = group_size - 1
-    while rank != 0:
-        rank = (rank - 1) // dimension
-        height += 1
-    return height
+def pe_plan(group: Sequence[Endpoint], rank: int) -> BarrierPlan:
+    """PE plan: pure exchanges for power-of-two groups, plus the MPICH
+    notify/release steps (recv-only/send-only at a proxy, one fused
+    exchange at an extra rank) otherwise."""
+    return make_plan(group, rank, "pe")
+
+
+def dissemination_plan(group: Sequence[Endpoint], rank: int) -> BarrierPlan:
+    """Dissemination plan, run by the NIC PE engine (``algorithm`` "pe"):
+    each round is a send-only step to the +2^k peer and a recv-only step
+    on the -2^k peer, fused when the two coincide."""
+    return make_plan(group, rank, "dissemination")
+
+
+def gb_plan(
+    group: Sequence[Endpoint], rank: int, dimension: Optional[int]
+) -> BarrierPlan:
+    """GB plan: parent/children endpoints in the ``dimension``-ary tree."""
+    return make_plan(group, rank, "gb", dimension)

@@ -280,7 +280,10 @@ class CollectiveSendToken:
         if self.kind not in ("reduce", "allreduce", "bcast"):
             raise ValueError(f"unknown collective kind {self.kind!r}")
         if self.kind in ("reduce", "allreduce"):
-            if self.op not in ("sum", "prod", "min", "max"):
+            # Imported here: repro.core's package init imports this module.
+            from repro.core.schedule import REDUCE_OPS
+
+            if self.op not in REDUCE_OPS:
                 raise ValueError(f"unknown reduction op {self.op!r}")
             self.reduce_pending = set(self.children)
             self.accumulator = self.value

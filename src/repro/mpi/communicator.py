@@ -15,8 +15,12 @@ from repro.core.barrier import barrier as nic_barrier
 from repro.core.collectives import allreduce as nic_allreduce
 from repro.core.collectives import bcast as nic_bcast
 from repro.core.collectives import reduce as nic_reduce
-from repro.core.host_barrier import host_barrier
-from repro.core.host_collectives import host_allreduce, host_bcast, host_reduce
+from repro.core.host_barrier import (
+    host_allreduce,
+    host_barrier,
+    host_bcast,
+    host_reduce,
+)
 from repro.gm.api import GmPort
 from repro.gm.events import PeerFailure, RecvEvent
 from repro.mpi.nbc.engine import ProgressEngine

@@ -1,12 +1,14 @@
 """Non-blocking scheduled collectives (the libNBC idiom over GM).
 
-The subsystem splits a collective into three cleanly separated layers:
+The subsystem runs schedules of the package-wide IR in three cleanly
+separated layers:
 
-* :mod:`repro.mpi.nbc.schedule` -- the compiled, data-independent IR:
-  rounds of send/recv/reduce/copy :class:`~repro.mpi.nbc.schedule.Op`
-  primitives with implicit round barriers, produced by per-collective
-  compilers (dissemination Ibarrier, binomial Ibcast, recursive-doubling
-  Iallreduce);
+* :mod:`repro.core.schedule` -- the compiled, data-independent IR:
+  rounds of send/recv/reduce/copy :class:`~repro.core.schedule.Op`
+  primitives with implicit round barriers.  Its ``COMPILERS`` table maps
+  each non-blocking kind to a shared compiler (dissemination Ibarrier,
+  binomial Ibcast, recursive-doubling Iallreduce), the same compilers
+  the blocking barriers and collectives run;
 * :mod:`repro.mpi.nbc.cache` -- the per-communicator
   :class:`~repro.mpi.nbc.cache.ScheduleCache`, keyed by the canonical
   schedule signature, with hit/miss/compile metrics and epoch-bumping
@@ -22,9 +24,7 @@ User entry points are on the communicator itself:
 ``iallreduce``.  See ``docs/nbc.md`` for the design narrative.
 """
 
-from repro.mpi.nbc.cache import CacheStats, ScheduleCache
-from repro.mpi.nbc.engine import ProgressEngine, Request, waitall
-from repro.mpi.nbc.schedule import (
+from repro.core.schedule import (
     COMPILERS,
     Op,
     Schedule,
@@ -33,6 +33,8 @@ from repro.mpi.nbc.schedule import (
     compile_ibcast,
     schedule_signature,
 )
+from repro.mpi.nbc.cache import CacheStats, ScheduleCache
+from repro.mpi.nbc.engine import ProgressEngine, Request, waitall
 
 __all__ = [
     "CacheStats",

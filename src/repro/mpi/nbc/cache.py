@@ -5,8 +5,8 @@ call rates (millions of collectives over long-lived communicators) it is
 pure waste: the schedule depends only on ``(kind, size, rank, op,
 root)`` -- never on payload values or call count.  A
 :class:`ScheduleCache` therefore memoizes compiled
-:class:`~repro.mpi.nbc.schedule.Schedule` objects per communicator,
-keyed by the canonical :func:`~repro.mpi.nbc.schedule.schedule_signature`,
+:class:`~repro.core.schedule.Schedule` objects per communicator,
+keyed by the canonical :func:`~repro.core.schedule.schedule_signature`,
 exactly the ``NBC_CACHE_SCHEDULE`` design of libNBC.
 
 Observability: hits, misses and compiles are counted both locally (the
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.mpi.nbc.schedule import Schedule
+from repro.core.schedule import Schedule
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """The NBC progress engine: advance outstanding schedules as messages land.
 
 One :class:`ProgressEngine` per communicator.  Starting a collective
-compiles (or cache-hits) a :class:`~repro.mpi.nbc.schedule.Schedule`,
+compiles (or cache-hits) a :class:`~repro.core.schedule.Schedule`,
 allocates a per-communicator sequence number and returns a
 :class:`Request` immediately; the schedule's rounds then advance inside
 the caller's ``request.test()`` / ``request.wait()`` calls as the
@@ -41,13 +41,13 @@ from typing import Any, Deque, Dict, List, Optional, TYPE_CHECKING
 from collections import deque
 
 from repro.gm.events import RecvEvent, SentEvent
-from repro.mpi.nbc.cache import ScheduleCache
-from repro.mpi.nbc.schedule import (
+from repro.core.schedule import (
     COMPILERS,
-    REDUCE_OPS,
     Schedule,
+    run_local_ops,
     schedule_signature,
 )
+from repro.mpi.nbc.cache import ScheduleCache
 from repro.sim.tracing import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -201,20 +201,20 @@ class ProgressEngine:
         comm = self.comm
         size, rank = comm.size, comm.rank
         if kind == "ibarrier":
-            signature = schedule_signature(kind, size, rank)
-            compiler = lambda: COMPILERS[kind](size, rank)
+            shape: Dict[str, Any] = {}
             buffers: Dict[str, Any] = {}
         elif kind == "ibcast":
-            signature = schedule_signature(kind, size, rank, root=root)
-            compiler = lambda: COMPILERS[kind](size, rank, root=root)
+            shape = {"root": root}
             buffers = {"val": value if rank == root else None}
         elif kind == "iallreduce":
-            signature = schedule_signature(kind, size, rank, op=op)
-            compiler = lambda: COMPILERS[kind](size, rank, op=op)
+            shape = {"op": op}
             buffers = {"acc": value}
         else:
             raise ValueError(f"unknown non-blocking collective {kind!r}")
-        schedule = self.cache.get_or_compile(signature, compiler)
+        schedule = self.cache.get_or_compile(
+            schedule_signature(kind, size, rank, **shape),
+            lambda: COMPILERS[kind](size, rank, **shape),
+        )
 
         seq = self._next_seq
         self._next_seq += 1
@@ -358,24 +358,14 @@ class ProgressEngine:
                     self._fill(state, src_rank, value)
             if state.waiting:
                 return
-            self._apply_local_ops(state)
+            run_local_ops(ops, state.buffers)
 
     def _maybe_advance(self, state: _Outstanding):
         """Advance past the current round if its receives all landed."""
         if state.waiting:
             return
-        self._apply_local_ops(state)
+        run_local_ops(state.schedule.rounds[state.round_idx], state.buffers)
         yield from self._begin_round(state)
-
-    def _apply_local_ops(self, state: _Outstanding) -> None:
-        """Run the completed round's reduce/copy ops, in op order."""
-        for op in state.schedule.rounds[state.round_idx]:
-            if op.kind == "reduce":
-                state.buffers[op.dst] = REDUCE_OPS[op.op](
-                    state.buffers[op.dst], state.buffers[op.src]
-                )
-            elif op.kind == "copy":
-                state.buffers[op.dst] = state.buffers[op.src]
 
     def _finish(self, state: _Outstanding) -> None:
         """Mark the request complete and release its progress state."""

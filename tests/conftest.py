@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import subprocess
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -12,6 +15,42 @@ from repro.core.barrier import barrier as nic_barrier_op
 from repro.core.host_barrier import host_barrier as host_barrier_op
 from repro.sim.engine import Simulator
 from repro.sim.primitives import Timeout
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracked_file_digests() -> Optional[Dict[str, Optional[str]]]:
+    """sha256 of every git-tracked file (None when not a git checkout)."""
+    try:
+        listing = subprocess.run(
+            ["git", "ls-files", "-z"], cwd=REPO_ROOT,
+            capture_output=True, check=True,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    digests: Dict[str, Optional[str]] = {}
+    for name in listing.decode().split("\0"):
+        if name:
+            path = REPO_ROOT / name
+            digests[name] = (
+                hashlib.sha256(path.read_bytes()).hexdigest()
+                if path.is_file() else None
+            )
+    return digests
+
+
+@pytest.fixture(scope="session", autouse=True)
+def tracked_files_unchanged():
+    """The suite is hermetic: fail the session if any tracked file was
+    modified (tests write under ``tmp_path`` only)."""
+    before = _tracked_file_digests()
+    yield
+    if before is None:
+        return
+    after = _tracked_file_digests() or {}
+    changed = sorted(name for name in before if after.get(name) != before[name])
+    assert not changed, f"the test session modified tracked files: {changed}"
 
 
 @pytest.fixture

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.runner import run_on_group
 from repro.core.collectives import allreduce, bcast, reduce
-from repro.core.host_collectives import host_allreduce, host_bcast, host_reduce
-from repro.core.nic_collectives import REDUCTION_OPS, combine
+from repro.core.host_barrier import host_allreduce, host_bcast, host_reduce
+from repro.core.schedule import REDUCE_OPS
 from repro.sim.primitives import Timeout
 
 
@@ -37,23 +37,23 @@ def run_collective(fn, n, values, skews=None, reps=1, config=None, **kwargs):
 def reference_reduce(values, op):
     acc = None
     for v in values:
-        acc = combine(op, acc, v)
+        acc = REDUCE_OPS[op](acc, v)
     return acc
 
 
 class TestCombine:
     def test_ops(self):
-        assert combine("sum", 2, 3) == 5
-        assert combine("prod", 2, 3) == 6
-        assert combine("min", 2, 3) == 2
-        assert combine("max", 2, 3) == 3
+        assert REDUCE_OPS["sum"](2, 3) == 5
+        assert REDUCE_OPS["prod"](2, 3) == 6
+        assert REDUCE_OPS["min"](2, 3) == 2
+        assert REDUCE_OPS["max"](2, 3) == 3
 
     def test_identity(self):
-        assert combine("sum", None, 7) == 7
-        assert combine("max", 7, None) == 7
+        assert REDUCE_OPS["sum"](None, 7) == 7
+        assert REDUCE_OPS["max"](7, None) == 7
 
     def test_all_ops_registered(self):
-        assert set(REDUCTION_OPS) == {"sum", "prod", "min", "max"}
+        assert set(REDUCE_OPS) == {"sum", "prod", "min", "max"}
 
 
 class TestNicAllreduce:
@@ -177,6 +177,20 @@ class TestHostBaselines:
             return max(done)
 
         assert timed(allreduce) < timed(host_allreduce)
+
+    @pytest.mark.parametrize("fn", [host_reduce, host_allreduce])
+    def test_unknown_op_fails_before_any_gm_call(self, fn):
+        """A bad operator is rejected at compile time on every rank --
+        leaves, which never combine anything, included -- before the
+        generator reaches its first GM call."""
+        cluster = build_cluster(ClusterConfig(num_nodes=4))
+        group = [(node, 2) for node in range(4)]
+        ports = [cluster.open_port(node, 2) for node, _ in group]
+        for rank, port in enumerate(ports):
+            call = fn(port, group, rank, value=1, op="avg", dimension=2)
+            with pytest.raises(ValueError, match="unknown reduce operator"):
+                next(call)
+        assert cluster.sim.events_executed == 0
 
 
 class TestApiContract:

@@ -6,38 +6,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.topology_calc import dissemination_plan, dissemination_schedule
+from repro.core.schedule import compile_dissemination
+from repro.core.topology_calc import dissemination_plan
 from tests.conftest import assert_barrier_safety, run_barriers
+
+
+def rounds_of(n, rank):
+    """Each round as {kind: peer} (one send and one recv per round)."""
+    return [
+        {op.kind: op.peer for op in ops}
+        for ops in compile_dissemination(n, rank).rounds
+    ]
 
 
 class TestSchedule:
     def test_round_count_is_ceil_log2(self):
         for n in (2, 3, 4, 5, 8, 13, 16, 17):
-            rounds = dissemination_schedule(n, 0)
-            assert len(rounds) == math.ceil(math.log2(n))
+            assert compile_dissemination(n, 0).num_rounds == math.ceil(math.log2(n))
 
     def test_single_rank_has_no_rounds(self):
-        assert dissemination_schedule(1, 0) == []
+        assert compile_dissemination(1, 0).rounds == ()
 
     def test_peers_are_power_of_two_offsets(self):
-        rounds = dissemination_schedule(13, 5)
-        for k, r in enumerate(rounds):
-            assert r["send_to"] == (5 + 2**k) % 13
-            assert r["recv_from"] == (5 - 2**k) % 13
+        for k, r in enumerate(rounds_of(13, 5)):
+            assert r["send"] == (5 + 2**k) % 13
+            assert r["recv"] == (5 - 2**k) % 13
 
     def test_send_recv_symmetry(self):
         """If rank a sends to b in round k, then b receives from a."""
         n = 11
         for rank in range(n):
-            for k, r in enumerate(dissemination_schedule(n, rank)):
-                peer_round = dissemination_schedule(n, r["send_to"])[k]
-                assert peer_round["recv_from"] == rank
+            for k, r in enumerate(rounds_of(n, rank)):
+                assert rounds_of(n, r["send"])[k]["recv"] == rank
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            dissemination_schedule(0, 0)
+            compile_dissemination(0, 0)
         with pytest.raises(ValueError):
-            dissemination_schedule(4, 4)
+            compile_dissemination(4, 4)
 
     @given(st.integers(min_value=1, max_value=64))
     @settings(max_examples=40, deadline=None)
@@ -48,8 +54,8 @@ class TestSchedule:
         programs = {
             r: [
                 op
-                for rnd in dissemination_schedule(n, r)
-                for op in (("send", rnd["send_to"]), ("recv", rnd["recv_from"]))
+                for rnd in rounds_of(n, r)
+                for op in (("send", rnd["send"]), ("recv", rnd["recv"]))
             ]
             for r in range(n)
         }

@@ -8,7 +8,7 @@ from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.runner import run_on_group
 from repro.mpi import Communicator
 from repro.mpi.nbc import ProgressEngine, ScheduleCache
-from repro.mpi.nbc.schedule import compile_ibarrier, schedule_signature
+from repro.core.schedule import compile_ibarrier, schedule_signature
 from repro.sim.metrics import MetricsRegistry
 
 

@@ -1,26 +1,29 @@
-"""Schedule-IR and compiler tests for :mod:`repro.mpi.nbc.schedule`.
+"""Schedule-IR and compiler tests for :mod:`repro.core.schedule`.
 
 The compilers' round-alignment contract (if rank p receives from q in
 round r, q sends to p in its round r) is what the progress engine's
-message matching relies on, so it is checked exhaustively here for every
-group size up to 17 -- power-of-two and not, every Ibcast root, every
-reduce operator shape.
+message matching relies on, so it is checked exhaustively here for all
+four compilers and every group size up to 33 -- power-of-two and not,
+every Ibcast root, every reduce operator shape, every tree dimension.
 """
 
 import pytest
 
-from repro.mpi.nbc.schedule import (
+from repro.core.schedule import (
     COMPILERS,
     REDUCE_OPS,
+    TREE_PHASES,
     Op,
     Schedule,
     compile_iallreduce,
     compile_ibarrier,
     compile_ibcast,
+    compile_recursive_doubling,
+    compile_tree,
     schedule_signature,
 )
 
-SIZES = list(range(1, 18))
+SIZES = list(range(1, 34))
 
 
 def check_alignment(schedules):
@@ -181,6 +184,52 @@ class TestIallreduceCompiler:
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValueError, match="unknown reduce operator"):
             compile_iallreduce(4, 0, op="xor")
+
+
+class TestRecursiveDoublingBarrier:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_alignment(self, n):
+        schedules = [compile_recursive_doubling(n, p) for p in range(n)]
+        check_alignment(schedules)
+        assert all(s.result_slot is None for s in schedules)
+        assert all(
+            op.kind in ("send", "recv") and op.slot is None
+            for s in schedules for ops in s.rounds for op in ops
+        )
+
+
+class TestTreeCompiler:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_alignment_and_values_every_dimension(self, n):
+        values = [((p * 7) % 5) + 1 for p in range(n)]
+        for d in range(1, max(n, 2)):
+            for kind in TREE_PHASES:
+                schedules = [
+                    compile_tree(n, p, d, kind=kind, op="max") for p in range(n)
+                ]
+                check_alignment(schedules)
+                if kind == "barrier":
+                    continue
+                buffers = [
+                    {"acc": v if kind != "bcast" or p == 0 else None}
+                    for p, v in enumerate(values)
+                ]
+                run_locally(schedules, buffers)
+                expect = values[0] if kind == "bcast" else max(values)
+                reached = range(1) if kind == "reduce" else range(n)
+                assert all(buffers[p]["acc"] == expect for p in reached), (n, d, kind)
+
+    def test_default_dimension_is_binary(self):
+        assert compile_tree(2, 0).signature == compile_tree(2, 0, 1).signature
+        assert compile_tree(8, 0).signature == compile_tree(8, 0, 2).signature
+
+    def test_reduce_result_only_at_root(self):
+        assert compile_tree(5, 0, 2, kind="reduce").result_slot == "acc"
+        assert compile_tree(5, 3, 2, kind="reduce").result_slot is None
+
+    def test_unknown_operator_rejected_at_leaves_too(self):
+        with pytest.raises(ValueError, match="unknown reduce operator"):
+            compile_tree(4, 3, 2, kind="allreduce", op="avg")
 
 
 class TestScheduleProperties:

@@ -1,8 +1,10 @@
 """Tests for the report-regeneration CLI."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,10 +58,18 @@ class TestCliEndToEnd:
         assert (tmp_path / "report.md").read_text().startswith("# Regenerated")
 
     def test_module_entrypoint(self, tmp_path):
+        # Run outside the checkout: the CLI writes its outputs (and the
+        # campaign store) relative to the working directory.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
         result = subprocess.run(
             [sys.executable, "-m", "repro.analysis.report",
              "--quick", "--system", "7.2"],
             capture_output=True, text=True, timeout=600,
+            cwd=tmp_path, env=env,
         )
         assert result.returncode == 0
         assert "pe-factor" in result.stdout

@@ -1,67 +1,92 @@
-"""Unit + property tests for host-side barrier plan computation."""
-
-import math
+"""Unit + property tests for the barrier schedules and their lowering
+to NIC plans (PE pairing, proxy steps, the d-ary heap tree)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.topology_calc import (
-    gb_plan,
-    gb_tree,
-    gb_tree_height,
-    pe_plan,
-    pe_schedule,
-)
+from repro.core.schedule import Op, compile_recursive_doubling, compile_tree
+from repro.core.topology_calc import gb_plan, pe_plan
 
 
 def make_group(n, port=2):
     return [(i, port) for i in range(n)]
 
 
+def messages(schedule):
+    """The schedule's (kind, peer) messages in execution order: per
+    round, its sends, then its receives."""
+    return [
+        (kind, op.peer)
+        for ops in schedule.rounds
+        for kind in ("send", "recv")
+        for op in ops
+        if op.kind == kind
+    ]
+
+
+def pe_rounds(n, rank):
+    """Each PE round as a list of (kind, peer)."""
+    return [
+        [(op.kind, op.peer) for op in ops]
+        for ops in compile_recursive_doubling(n, rank).rounds
+    ]
+
+
+def gb_tree(n, rank, dim):
+    """(parent, children) ranks, read back from the lowered GB plan."""
+    plan = gb_plan(make_group(n), rank, dim)
+    parent = None if plan.parent is None else plan.parent[0]
+    return parent, [c[0] for c in plan.children]
+
+
 class TestPeSchedule:
     def test_power_of_two_is_pure_exchanges(self):
         for n in (2, 4, 8, 16, 32):
             for rank in range(n):
-                sched = pe_schedule(n, rank)
-                assert len(sched) == int(math.log2(n))
-                assert all(s["kind"] == "exchange" for s in sched)
+                rounds = pe_rounds(n, rank)
+                assert len(rounds) == n.bit_length() - 1
+                for (k1, p1), (k2, p2) in rounds:
+                    assert (k1, k2) == ("send", "recv") and p1 == p2
 
     def test_xor_pairing(self):
-        sched = pe_schedule(8, 3)
-        assert [s["peer"] for s in sched] == [3 ^ 1, 3 ^ 2, 3 ^ 4]
+        rounds = pe_rounds(8, 3)
+        assert [r[0][1] for r in rounds] == [3 ^ 1, 3 ^ 2, 3 ^ 4]
 
     def test_pairing_is_symmetric(self):
-        # If rank a exchanges with b at step k, b exchanges with a at k.
-        for n in (2, 4, 8, 16):
+        # If rank a exchanges with b in round k, b exchanges with a in k.
+        for n in (2, 4, 5, 8, 13, 16):
             for rank in range(n):
-                for k, step in enumerate(pe_schedule(n, rank)):
-                    peer_sched = pe_schedule(n, step["peer"])
-                    assert peer_sched[k]["peer"] == rank
+                for k, ops in enumerate(pe_rounds(n, rank)):
+                    for kind, peer in ops:
+                        mirror = "recv" if kind == "send" else "send"
+                        assert (mirror, rank) in pe_rounds(n, peer)[k]
 
     def test_single_rank_empty(self):
-        assert pe_schedule(1, 0) == []
+        assert compile_recursive_doubling(1, 0).rounds == ()
 
     def test_extra_rank_notify_release(self):
-        # n=5: m=4, rank 4 is the extra; proxy is rank 0.
-        sched = pe_schedule(5, 4)
-        assert sched == [
-            {"kind": "send", "peer": 0},
-            {"kind": "recv", "peer": 0},
-        ]
+        # n=5: m=4, rank 4 is the extra; proxy is rank 0.  It notifies in
+        # the pre-phase, sits out the two doubling rounds, and is
+        # released in the post-phase.
+        assert pe_rounds(5, 4) == [[("send", 0)], [], [], [("recv", 0)]]
+        assert all(
+            op.slot is None and op.tag == "pe"
+            for ops in compile_recursive_doubling(5, 4).rounds
+            for op in ops
+        )
 
     def test_proxy_rank_absorbs_and_releases(self):
-        sched = pe_schedule(5, 0)
-        assert sched[0] == {"kind": "recv", "peer": 4}
-        assert sched[-1] == {"kind": "send", "peer": 4}
-        middle = sched[1:-1]
-        assert all(s["kind"] == "exchange" for s in middle)
+        rounds = pe_rounds(5, 0)
+        assert rounds[0] == [("recv", 4)]
+        assert rounds[-1] == [("send", 4)]
+        assert rounds[1:-1] == [[("send", 1), ("recv", 1)], [("send", 2), ("recv", 2)]]
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            pe_schedule(0, 0)
+            compile_recursive_doubling(0, 0)
         with pytest.raises(ValueError):
-            pe_schedule(4, 4)
+            compile_recursive_doubling(4, 4)
 
     @given(st.integers(min_value=1, max_value=64))
     @settings(max_examples=64, deadline=None)
@@ -69,16 +94,9 @@ class TestPeSchedule:
         """Execute the schedules as an asynchronous message-passing system:
         the barrier is correct iff every rank terminates (no deadlock) and
         finishes only after transitively hearing from all ranks."""
-        # Expand each step into micro-ops; an exchange is send-then-recv.
-        programs = {}
-        for r in range(n):
-            ops = []
-            for s in pe_schedule(n, r):
-                if s["kind"] in ("send", "exchange"):
-                    ops.append(("send", s["peer"]))
-                if s["kind"] in ("recv", "exchange"):
-                    ops.append(("recv", s["peer"]))
-            programs[r] = ops
+        programs = {
+            r: messages(compile_recursive_doubling(n, r)) for r in range(n)
+        }
         pc = {r: 0 for r in range(n)}
         knowledge = {r: {r} for r in range(n)}
         channels: dict = {}  # (src, dst) -> FIFO of knowledge snapshots
@@ -148,6 +166,20 @@ class TestGbTree:
         parent, children = gb_tree(16, 3, 2)
         assert parent == 1
         assert children == [7, 8]
+        # Rank 3 sits at depth 2 of a height-4 tree: its children's
+        # gathers land in up round 4-2-1 = 1, it gathers up in round 2, is
+        # released in down round 4+2-1 = 5 and releases its children in 6.
+        rounds = compile_tree(16, 3, 2).rounds
+        assert len(rounds) == 8
+        assert rounds[1] == (
+            Op("recv", peer=7, tag="gather"), Op("recv", peer=8, tag="gather"),
+        )
+        assert rounds[2] == (Op("send", peer=1, tag="gather"),)
+        assert rounds[5] == (Op("recv", peer=1, tag="bcast"),)
+        assert rounds[6] == (
+            Op("send", peer=7, tag="bcast"), Op("send", peer=8, tag="bcast"),
+        )
+        assert rounds[0] == rounds[3] == rounds[4] == rounds[7] == ()
 
     def test_dimension_one_is_a_chain(self):
         for rank in range(1, 6):
@@ -166,9 +198,9 @@ class TestGbTree:
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
-            gb_tree(8, 0, 0)
+            compile_tree(8, 0, 0)
         with pytest.raises(ValueError):
-            gb_tree(8, 0, 8)
+            compile_tree(8, 0, 8)
 
     def test_single_node(self):
         assert gb_tree(1, 0, 1) == (None, [])
@@ -206,10 +238,18 @@ class TestGbTree:
     @given(st.integers(min_value=2, max_value=64))
     @settings(max_examples=30, deadline=None)
     def test_height_matches_walk(self, n):
+        """A one-phase tree schedule has one round per tree level: as
+        many rounds as the deepest rank's walk to the root."""
         for dim in (1, 2, 3, n - 1):
             if dim > n - 1:
                 continue
-            h = gb_tree_height(n, dim)
+            steps, cur = 0, n - 1
+            while cur != 0:
+                cur, _ = gb_tree(n, cur, dim)
+                steps += 1
+            h = compile_tree(n, 0, dim, kind="reduce").num_rounds
+            assert h == steps
+            assert compile_tree(n, 0, dim).num_rounds == 2 * h
             # chain: n-1; star: 1
             if dim == 1:
                 assert h == n - 1
