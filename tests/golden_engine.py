@@ -30,9 +30,10 @@ from typing import Any, Dict, List
 from repro.analysis.calibration import LANAI_4_3_SYSTEM
 from repro.analysis.experiments import measure_barrier
 from repro.cluster.builder import build_cluster
-from repro.cluster.runner import run_on_group
+from repro.cluster.runner import RankContext, run_on_group
 from repro.core import host_allreduce, host_barrier, host_bcast, host_reduce
 from repro.core.barrier import barrier
+from repro.core.collectives import allreduce, bcast, reduce
 from repro.faults.plan import FaultPlan, LinkFlap, LossRule
 from repro.sim.engine import PRIORITY_HIGH, PRIORITY_LOW, Simulator
 from repro.sim.tracing import TraceContext
@@ -151,6 +152,11 @@ def untraced_measurements() -> str:
 # Workload 4: faulted run (retransmit timers + recovery paths).
 # ----------------------------------------------------------------------
 def faulted_barrier() -> str:
+    """Eight nodes, four barriers of the *default* algorithm (NIC PE --
+    despite the historical ``faulted_barrier_gb8`` key) under seeded 5%
+    loss and a link flap on the SEPARATE barrier stream: final
+    ``sim.now`` and ``events_executed``.  NIC GB under loss is pinned by
+    ``nic_tree_ops``."""
     from dataclasses import replace
 
     from repro.gm.constants import BarrierReliability
@@ -236,12 +242,146 @@ def host_algorithms(repetitions: int = 2) -> str:
     return _digest(rows)
 
 
+# ----------------------------------------------------------------------
+# Workload 6: the NIC tree program (GB barrier, reduce, allreduce, bcast).
+# ----------------------------------------------------------------------
+def nic_tree_ops(repetitions: int = 2) -> str:
+    """Every NIC-offloaded tree operation: per-rank exit times and
+    results, final ``sim.now`` and ``events_executed`` of each run.
+
+    * a *traced* GB barrier at sizes 5, 6, 8 with dimensions 1--3 (its
+      canonical trace rows are digested too);
+    * untraced reduce, allreduce and bcast at the same sizes/dimensions;
+    * GB and allreduce under seeded 5% loss on both reliable barrier
+      streams (SEPARATE and TOKEN_PER_DESTINATION);
+    * two ports per NIC with ``local_barrier_optimization`` on, so tree
+      neighbours on one NIC synchronize without a wire message;
+    * a late-opening port, so arrivals are recorded for a closed port,
+      REJECTed when it opens and resent (Section 3.2).
+
+    Collective trace records are deliberately not digested.
+    """
+    from dataclasses import replace
+
+    from repro.gm.constants import BarrierReliability
+    from repro.sim.primitives import Timeout
+
+    def run(config, endpoints, step, late=None, reps=repetitions) -> tuple:
+        """Spawn one rank per endpoint (``late`` = (rank, delay): that
+        rank opens its port only after ``delay`` us)."""
+        cluster = build_cluster(config)
+        group = tuple(endpoints)
+        out: Dict[int, list] = {}
+
+        def program(rank):
+            if late is not None and late[0] == rank:
+                yield Timeout(late[1])
+            port = cluster.open_port(*group[rank])
+            ctx = RankContext(cluster=cluster, port=port, rank=rank, group=group)
+            out[rank] = []
+            for rep in range(reps):
+                value = yield from step(ctx, rep)
+                out[rank].append((ctx.now, value))
+
+        for rank in range(len(group)):
+            cluster.spawn(program(rank))
+        cluster.run(max_events=5_000_000)
+        assert len(out) == len(group) and all(
+            len(v) == reps for v in out.values()
+        ), "a rank did not finish"
+        rows = [sorted(out.items()), cluster.sim.now, cluster.sim.events_executed]
+        if config.trace:
+            ids: Dict = {}
+            rows.append([
+                (ev.time, ev.category, ev.label,
+                 _canonical_payload(ev.payload, ids, ev.label))
+                for ev in cluster.tracer.events
+            ])
+        return tuple(rows)
+
+    def gb(dimension):
+        def step(ctx, rep):
+            yield from barrier(
+                ctx.port, ctx.group, ctx.rank, algorithm="gb", dimension=dimension
+            )
+        return step
+
+    def collective(fn, dimension, **kwargs):
+        def step(ctx, rep):
+            value = (ctx.rank + 1) * (rep + 2)
+            result = yield from fn(
+                ctx.port, ctx.group, ctx.rank, value, dimension=dimension, **kwargs
+            )
+            return result
+        return step
+
+    def config(n, **nic_changes):
+        base = LANAI_4_3_SYSTEM.cluster_config(n)
+        return base.with_(nic_params=replace(base.nic_params, **nic_changes))
+
+    def endpoints(n):
+        return [(node, 2) for node in range(n)]
+
+    ops = (
+        ("reduce", reduce, {"op": "sum"}),
+        ("allreduce", allreduce, {"op": "max"}),
+        ("bcast", bcast, {}),
+    )
+    rows = []
+    for n in (5, 6, 8):
+        for dimension in (1, 2, 3):
+            rows.append(("gb", n, dimension, run(
+                config(n).with_(trace=True), endpoints(n), gb(dimension)
+            )))
+            for name, fn, kwargs in ops:
+                rows.append((name, n, dimension, run(
+                    config(n), endpoints(n), collective(fn, dimension, **kwargs)
+                )))
+    for mode in (
+        BarrierReliability.SEPARATE, BarrierReliability.TOKEN_PER_DESTINATION
+    ):
+        lossy = config(
+            8,
+            barrier_reliability=mode,
+            retransmit_timeout_us=300.0,
+            barrier_retransmit_timeout_us=200.0,
+        ).with_(fault_plan=FaultPlan(seed=11, loss=[LossRule(rate=0.05)]))
+        rows.append(("lossy", mode.value, "gb", run(lossy, endpoints(8), gb(2))))
+        rows.append(("lossy", mode.value, "allreduce", run(
+            lossy, endpoints(8), collective(allreduce, 2, op="sum")
+        )))
+    two_ports = [(node, port) for node in range(4) for port in (2, 4)]
+    local = config(4, local_barrier_optimization=True)
+    rows.append(("local", "gb", run(local, two_ports, gb(2))))
+    for name, fn, kwargs in ops:
+        rows.append(("local", name, run(
+            local, two_ports, collective(fn, 2, **kwargs)
+        )))
+    # Four nodes, binary tree: rank 0 is the root, rank 1 the inner node
+    # above leaf 3, rank 2 a leaf under the root.  Reduce and bcast do
+    # not synchronize, so back-to-back instances toward a closed port
+    # would leave two messages behind one closed-port record: they run
+    # once.
+    late_cases = (
+        ("gb", gb(2), 1, repetitions),
+        ("bcast", collective(bcast, 2), 2, 1),
+        ("reduce", collective(reduce, 2, op="sum"), 0, 1),
+        ("allreduce", collective(allreduce, 2, op="sum"), 0, repetitions),
+    )
+    for name, step, late_rank, reps in late_cases:
+        rows.append(("late", name, run(
+            config(4), endpoints(4), step, late=(late_rank, 300.0), reps=reps
+        )))
+    return _digest(rows)
+
+
 WORKLOADS = {
     "engine_storm": engine_storm,
     "traced_barrier_pe16": traced_barrier,
     "untraced_measurements": untraced_measurements,
     "faulted_barrier_gb8": faulted_barrier,
     "host_algorithms": host_algorithms,
+    "nic_tree_ops": nic_tree_ops,
 }
 
 

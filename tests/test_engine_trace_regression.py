@@ -10,8 +10,10 @@ docstring for the only legitimate regeneration case).
 
 Covers tracing ON (traced_barrier_pe16), tracing OFF
 (untraced_measurements), pure scheduler semantics (engine_storm), the
-retransmit-timer paths (faulted_barrier_gb8) and every host algorithm
-plus NIC PE/dissemination at ragged sizes (host_algorithms).
+retransmit-timer paths (faulted_barrier_gb8), every host algorithm
+plus NIC PE/dissemination at ragged sizes (host_algorithms) and the NIC
+tree program -- GB barrier, reduce, allreduce, bcast -- clean, lossy,
+with two ports per NIC and with a late-opening port (nic_tree_ops).
 """
 
 from __future__ import annotations
