@@ -10,7 +10,8 @@
   to the :class:`BarrierPlan` the NIC firmware runs (PE steps or GB
   parent/children).
 * :mod:`repro.core.nic_barrier` -- the firmware extension: the barrier
-  logic the SDMA and RDMA state machines execute (Section 5.2).
+  logic the SDMA and RDMA state machines execute (Section 5.2), whose
+  tree program also runs the NIC reduce/allreduce/bcast (Section 8).
 * :mod:`repro.core.host_barrier` -- the host-based baselines the paper
   compares against (Section 6): one blocking walker over compiled
   schedules serves every host barrier and data collective.

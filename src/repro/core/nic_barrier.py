@@ -1,70 +1,80 @@
-"""The NIC-based barrier firmware extension (Sections 4.2--5.2).
+"""The NIC firmware engine: barriers and data collectives (Sections 4.2--5.2, 8).
 
 This is the paper's contribution: barrier logic executed *on the NIC* by
 the SDMA and RDMA state machines, so that "as soon as a NIC receives a
 barrier message, the message to the next process can be sent directly"
-without a round trip through the host.
+without a round trip through the host.  The same engine runs the
+Section 8 outlook ("reductions ... could benefit from similar NIC-level
+implementations"): NIC reduce, allreduce and bcast.
 
 The engine's methods are generators executed *inside* the calling state
 machine's process, so every action is charged against the shared NIC
 processor at the LANai cost model's rates:
 
-* :meth:`initiate`, :meth:`sdma_work` run in the SDMA machine ("When the
-  SDMA state machine receives the barrier send token from the host...").
+* :meth:`initiate` and the ``("firmware", step, ...)`` work items it
+  queues run in the SDMA machine ("When the SDMA state machine receives
+  the barrier send token from the host...").
 * :meth:`on_barrier_packet`, :meth:`complete` run in the RDMA machine
   ("When a barrier packet is received, the RDMA state machine can access
   the state of the barrier by simply dereferencing the pointer").
 * :meth:`on_reject` runs in the RECV machine (closed-port recovery,
   Section 3.2).
 
-Algorithms:
+Two program shapes:
 
-**PE (pairwise exchange)** -- walk ``token.steps``; each step sends to its
-peer and/or awaits that peer's message.  The *unexpected-barrier-message
-record* (one bit per (connection, source port)) absorbs messages that
-arrive before we are ready for them; after preparing each send the engine
-checks the record so an already-received reply advances the barrier
-without waiting (Section 5.2's numbered 1--5 procedure).
+**PE (pairwise exchange, also dissemination)** -- walk ``token.steps``;
+each step sends to its peer and/or awaits that peer's message.  The
+*unexpected-barrier-message record* (one bit per (connection, source
+port)) absorbs messages that arrive before we are ready for them; after
+preparing each send the engine checks the record so an already-received
+reply advances the barrier without waiting (Section 5.2's numbered 1--5
+procedure).
 
-**GB (gather and broadcast)** -- non-roots collect gathers from all
-children, send one gather up, and await the broadcast; the root, once all
-gathers are in, *completes first* and then broadcasts to each child by
-repeatedly re-queueing the send token ("Once the SDMA state machine has
-prepared the packet to be transmitted, the send token is updated to be
-sent to the next child, and it is re-queued").
+**Tree (GB barrier, reduce, allreduce, bcast)** -- non-roots collect the
+up-phase messages of all children, send one up, and await the down
+phase; the root, once all children are in, *completes first* and then
+sends down to each child by repeatedly re-queueing the send token ("Once
+the SDMA state machine has prepared the packet to be transmitted, the
+send token is updated to be sent to the next child, and it is
+re-queued").  A GB barrier is the allreduce without an operator or a
+value; reduce runs only the up phase, bcast only the down phase.  What
+else differs -- packet types, wire payload, port slot, completion event
+-- is data on the token (:class:`~repro.gm.tokens.BarrierSendToken`,
+:class:`~repro.gm.tokens.CollectiveSendToken`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Tuple
+from typing import TYPE_CHECKING, Deque, Dict
 
+from repro.core.schedule import REDUCE_OPS
 from repro.gm.constants import BarrierReliability
-from repro.gm.events import BarrierCompletedEvent, PeerFailureEvent
+from repro.gm.events import PeerFailureEvent
 from repro.gm.port import NicPort
 from repro.gm.tokens import BarrierSendToken, Endpoint
 from repro.network.packet import Packet, PacketType
-from repro.nic.mcp.connection import BarrierUnacked, SentEntry
+from repro.nic.mcp.connection import BarrierUnacked, SentEntry, UnexpectedRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nic.nic import Nic
 
-#: Wire payload of a barrier packet (barrier-instance id + flags).
-BARRIER_PAYLOAD_BYTES = 8
-#: Size of the completion notification DMAed to the host.
+#: Size of the completion notification DMAed to the host (a collective's
+#: result value rides along and adds its own bytes).
 COMPLETION_DMA_BYTES = 16
 
 
 class NicBarrierEngine:
-    """Barrier firmware state shared by the MCP machines of one NIC."""
+    """Barrier and collective firmware state shared by the MCP machines
+    of one NIC."""
 
     def __init__(self, nic: "Nic") -> None:
         self.nic = nic
         #: Recently initiated tokens per port, for REJECT-triggered resends
-        #: that arrive after the local barrier already completed (a GB
+        #: that arrive after the local operation already completed (a GB
         #: broadcast to a slow-opening child).
         self._recent_tokens: Dict[int, Deque[BarrierSendToken]] = {}
-        #: Statistics.
+        #: Statistics (barriers and collectives alike).
         self.barriers_initiated = 0
         self.unexpected_recorded = 0
         self.rejects_sent = 0
@@ -75,7 +85,7 @@ class NicBarrierEngine:
         metrics.observe(f"{prefix}.unexpected", lambda: self.unexpected_recorded)
         metrics.observe(f"{prefix}.rejects", lambda: self.rejects_sent)
         metrics.observe(f"{prefix}.resends", lambda: self.resends)
-        #: Host-queue-to-NIC-complete latency of each finished barrier.
+        #: Host-queue-to-NIC-complete latency of each finished operation.
         self._latency_hist = metrics.histogram(f"{prefix}.latency_us")
 
     # ------------------------------------------------------------------
@@ -93,7 +103,7 @@ class NicBarrierEngine:
             )
 
     def _token_live(self, port: NicPort, token: BarrierSendToken) -> bool:
-        return port.is_open and port.barrier_send_token is token
+        return port.is_open and getattr(port, token.slot) is token
 
     def _remember(self, port_id: int, token: BarrierSendToken) -> None:
         ring = self._recent_tokens.get(port_id)
@@ -102,25 +112,32 @@ class NicBarrierEngine:
             self._recent_tokens[port_id] = ring
         ring.append(token)
 
+    def _record(self, src_node: int, ptype: PacketType) -> UnexpectedRecord:
+        """The unexpected-message record a ``ptype`` message from
+        ``src_node`` lands in (collectives keep their values)."""
+        conn = self.nic.connection(src_node)
+        return conn.coll_unexpected if ptype.is_collective else conn.unexpected
+
     # ------------------------------------------------------------------
     # SDMA-side entry points
     # ------------------------------------------------------------------
     def initiate(self, port_id: int, token: BarrierSendToken):
-        """Process a barrier send token from the host (SDMA context)."""
+        """Process a barrier/collective send token from the host (SDMA)."""
         nic = self.nic
         yield from self.cpu(
-            "gb_initiate" if token.algorithm == "gb" else "barrier_initiate"
+            "barrier_initiate" if token.algorithm == "pe" else "gb_initiate"
         )
         port = nic.port(port_id)
         if not port.is_open:
             return  # the process died between queueing and detection
-        if port.barrier_send_token is not None:
+        if getattr(port, token.slot) is not None:
             raise RuntimeError(
-                f"port {port_id} on node {nic.node_id} initiated a barrier "
-                "while one is already in flight (one barrier per port)"
+                f"port {port_id} on node {nic.node_id} initiated a "
+                f"{token.algorithm} while one is already in flight "
+                f"(one per port in {token.slot})"
             )
         token.owner_generation = port.generation
-        port.barrier_send_token = token
+        setattr(port, token.slot, token)
         self._remember(port_id, token)
         self.barriers_initiated += 1
         self.trace(
@@ -133,46 +150,16 @@ class NicBarrierEngine:
             f"{token.algorithm}.begin", port=port_id, key=token.barrier_seq,
             ctx=token.ctx,
         )
-        if token.algorithm == "gb":
-            self.trace(
-                "gb.gather.begin", port=port_id, key=token.barrier_seq,
-                ctx=token.ctx,
-            )
-
         if token.algorithm == "pe":
             yield from self._pe_loop(port, token)
+        elif token.phase == "gather":
+            self.trace(
+                f"{token.algorithm}.gather.begin", port=port_id,
+                key=token.barrier_seq, ctx=token.ctx,
+            )
+            yield from self._gather_recorded(port, token)
         else:
-            yield from self._gb_initiate(port, token)
-
-    def sdma_work(self, item: tuple):
-        """Dispatch barrier work items the engine queued to the SDMA inbox."""
-        kind = item[0]
-        if kind == "barrier_send_pe":
-            _, port_id, token = item
-            port = self.nic.port(port_id)
-            if self._token_live(port, token):
-                yield from self._pe_loop(port, token)
-        elif kind == "barrier_send_gather":
-            _, port_id, token = item
-            port = self.nic.port(port_id)
-            if self._token_live(port, token):
-                assert token.parent is not None
-                yield from self._send_barrier_packet(
-                    token, token.parent, PacketType.BARRIER_GATHER
-                )
-        elif kind == "barrier_bcast":
-            yield from self._bcast_step(item[1], item[2])
-        elif kind == "barrier_resend":
-            yield from self._resend(
-                item[1], item[2], item[3], item[4],
-                item[5] if len(item) > 5 else None,
-            )
-        elif kind == "barrier_reject":
-            yield from self._send_reject(
-                item[1], item[2], item[3] if len(item) > 3 else None
-            )
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"barrier engine: unknown SDMA work {item!r}")
+            yield from self._await_recorded_bcast(port, token)
 
     # -- PE ----------------------------------------------------------------
     def _pe_loop(self, port: NicPort, token: BarrierSendToken):
@@ -186,9 +173,7 @@ class NicBarrierEngine:
                 return
             step = token.current_step
             if step.send:
-                yield from self._send_barrier_packet(
-                    token, step.peer, PacketType.BARRIER_PE
-                )
+                yield from self._send_packet(token, step.peer, PacketType.BARRIER_PE)
             if not step.recv:
                 yield from self.cpu("barrier_advance")
                 token.node_index += 1
@@ -213,50 +198,79 @@ class NicBarrierEngine:
             token.awaiting_recv = True
             return
 
-    # -- GB ----------------------------------------------------------------
-    def _gb_initiate(self, port: NicPort, token: BarrierSendToken):
-        """Consume pre-recorded gathers, then proceed if all are in.
+    # -- Tree --------------------------------------------------------------
+    def _gather_recorded(self, port: NicPort, token: BarrierSendToken):
+        """Consume pre-recorded up-phase messages, then proceed if all are in.
 
-        The RDMA machine may consume gathers concurrently (it claims the
+        The RDMA machine may consume them concurrently (it claims the
         phase transition atomically), so every post-CPU-wait step
         re-checks that the gather phase is still ours to finish.
         """
-        nic = self.nic
         for child in sorted(token.gather_pending):
             yield from self.cpu("gb_gather_check")
             if token.phase != "gather" or not self._token_live(port, token):
                 return  # the RDMA side finished the gather phase for us
-            recorded = nic.connection(child[0]).unexpected.check_clear(child[1])
-            if recorded:
-                if recorded is not True:
-                    token.cause_ctx = recorded
-                token.gather_pending.discard(child)
+            taken = self._record(child[0], token.up_type).take(child[1])
+            if taken is None:
+                continue
+            ctx, value = taken
+            if ctx is not None:
+                token.cause_ctx = ctx
+            token.gather_pending.discard(child)
+            if token.op is not None:
+                token.accumulator = REDUCE_OPS[token.op](token.accumulator, value)
+                yield from self.cpu("coll_combine")
+                if token.phase != "gather" or not self._token_live(port, token):
+                    return
         if token.phase == "gather" and not token.gather_pending:
             token.phase = "gathers_done"
             self.trace(
-                "gb.gather.end", port=port.port_id, key=token.barrier_seq,
-                ctx=token.cause_ctx or token.ctx,
+                f"{token.algorithm}.gather.end", port=port.port_id,
+                key=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
             )
-            yield from self._gb_all_gathers_in(port, token)
+            self._all_gathers_in(port, token)
 
-    def _gb_all_gathers_in(self, port: NicPort, token: BarrierSendToken):
+    def _all_gathers_in(self, port: NicPort, token: BarrierSendToken) -> None:
         """All children reported (phase already claimed as
-        "gathers_done"): the root completes + broadcasts, others forward
-        the gather upward and wait for the broadcast."""
+        "gathers_done"): the root completes (then broadcasts), others
+        send up and await the broadcast."""
         if token.is_root:
-            token.phase = "bcast"
+            token.result = token.accumulator
+            token.phase = "bcast" if token.runs_down else "done"
             self.nic.rdma_queue.put(("barrier_complete", port.port_id, token))
         else:
-            token.phase = "await_bcast"
-            self.nic.sdma_inbox.put(
-                ("barrier_send_gather", port.port_id, token)
-            )
-        yield from ()
+            if token.runs_down:
+                token.phase = "await_bcast"
+            self.nic.sdma_inbox.put(("firmware", self._send_up, port, token))
 
-    def _bcast_step(self, port_id: int, token: BarrierSendToken):
+    def _send_up(self, port: NicPort, token: BarrierSendToken):
+        """Send the gather (with the combined value) to the parent (SDMA)."""
+        if not self._token_live(port, token):
+            return
+        yield from self._send_packet(token, token.parent, token.up_type)
+        if not token.runs_down:
+            # Plain reduce: non-roots are done once their combined value
+            # is on its way up; only the root gets a result.
+            token.phase = "done"
+            self.nic.rdma_queue.put(("barrier_complete", port.port_id, token))
+
+    def _await_recorded_bcast(self, port: NicPort, token: BarrierSendToken):
+        """Down-phase-only tree below the root (bcast): the parent's
+        message may already be recorded."""
+        yield from self.cpu("gb_gather_check")
+        if token.phase != "await_bcast" or not self._token_live(port, token):
+            return
+        parent = token.parent
+        taken = self._record(parent[0], token.down_type).take(parent[1])
+        if taken is not None:
+            ctx, token.result = taken
+            if ctx is not None:
+                token.cause_ctx = ctx
+            token.phase = "bcast"
+            self.nic.rdma_queue.put(("barrier_complete", port.port_id, token))
+
+    def _bcast_step(self, port: NicPort, token: BarrierSendToken):
         """Send the broadcast to the next child, then re-queue (SDMA)."""
-        nic = self.nic
-        port = nic.port(port_id)
         if not (
             port.is_open
             and port.generation == token.owner_generation
@@ -264,23 +278,24 @@ class NicBarrierEngine:
         ):
             return
         child = token.children[token.bcast_index]
-        yield from self._send_barrier_packet(token, child, PacketType.BARRIER_BCAST)
+        yield from self._send_packet(token, child, token.down_type)
         yield from self.cpu("gb_token_requeue")
         token.bcast_index += 1
         if token.bcast_index < len(token.children):
-            nic.sdma_inbox.put(("barrier_bcast", port_id, token))
+            self.nic.sdma_inbox.put(("firmware", self._bcast_step, port, token))
         else:
             token.phase = "done"
             self.trace(
-                "gb.bcast.end", port=port_id, key=token.barrier_seq,
-                ctx=token.cause_ctx or token.ctx,
+                f"{token.algorithm}.bcast.end", port=port.port_id,
+                key=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
             )
 
     # ------------------------------------------------------------------
     # RDMA-side entry points
     # ------------------------------------------------------------------
     def on_barrier_packet(self, packet: Packet):
-        """Record/advance on a received barrier message (RDMA context).
+        """Record/advance on a received barrier or collective message
+        (RDMA context).
 
         Atomicity discipline: the CPU time for inspecting the port's
         barrier state is charged *first*; the decision and every state
@@ -314,76 +329,97 @@ class NicBarrierEngine:
             yield from self.cpu("barrier_record")
             return
 
-        token = port.barrier_send_token
-        if (
-            token is not None
-            and token.algorithm == "pe"
-            and packet.ptype is PacketType.BARRIER_PE
-            and token.awaiting_recv
-            and src == token.current_peer
+        ptype = packet.ptype
+        token = port.coll_send_token if ptype.is_collective else port.barrier_send_token
+        if token is None:
+            pass  # nothing in flight on this slot: record below
+        elif token.algorithm == "pe":
+            if (
+                ptype is PacketType.BARRIER_PE
+                and token.awaiting_recv
+                and src == token.current_peer
+            ):
+                token.awaiting_recv = False
+                token.node_index += 1
+                token.cause_ctx = packet.ctx or token.cause_ctx
+                completed = token.node_index >= len(token.steps)
+                self.trace(
+                    "advance", port=port.port_id, src=src,
+                    seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
+                )
+                # ---- end of atomic block ----
+                yield from self.cpu("barrier_advance")
+                if completed:
+                    yield from self.complete(port.port_id, token)
+                else:
+                    nic.sdma_inbox.put(("firmware", self._pe_loop, port, token))
+                return
+        elif (
+            ptype is token.up_type
+            and token.phase == "gather"
+            and src in token.gather_pending
         ):
-            token.awaiting_recv = False
-            token.node_index += 1
+            token.gather_pending.discard(src)
             token.cause_ctx = packet.ctx or token.cause_ctx
-            completed = token.node_index >= len(token.steps)
+            if token.op is not None:
+                token.accumulator = REDUCE_OPS[token.op](
+                    token.accumulator, packet.payload.get("value")
+                )
+            all_in = not token.gather_pending
+            self.trace(
+                "advance", port=port.port_id, src=src,
+                seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
+            )
+            if all_in:
+                # Claim the transition atomically (the SDMA-side
+                # initiate scan also checks the phase).
+                token.phase = "gathers_done"
+                self.trace(
+                    f"{token.algorithm}.gather.end", port=port.port_id,
+                    key=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
+                )
+            # ---- end of atomic block ----
+            yield from self.cpu(
+                "gb_gather_check" if token.op is None else "coll_combine"
+            )
+            if all_in:
+                self._all_gathers_in(port, token)
+            return
+        elif (
+            ptype is token.down_type
+            and token.phase == "await_bcast"
+            and src == token.parent
+        ):
+            token.phase = "bcast"
+            token.result = packet.payload.get("value")
+            token.cause_ctx = packet.ctx or token.cause_ctx
             self.trace(
                 "advance", port=port.port_id, src=src,
                 seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
             )
             # ---- end of atomic block ----
-            yield from self.cpu("barrier_advance")
-            if completed:
-                yield from self.complete(port.port_id, token)
-            else:
-                nic.sdma_inbox.put(("barrier_send_pe", port.port_id, token))
+            yield from self.complete(port.port_id, token)
             return
-
-        if token is not None and token.algorithm == "gb":
-            if (
-                packet.ptype is PacketType.BARRIER_GATHER
-                and token.phase == "gather"
-                and src in token.gather_pending
-            ):
-                token.gather_pending.discard(src)
-                token.cause_ctx = packet.ctx or token.cause_ctx
-                all_in = not token.gather_pending
-                self.trace(
-                    "advance", port=port.port_id, src=src,
-                    seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
-                )
-                if all_in:
-                    # Claim the transition atomically (the SDMA-side
-                    # initiate scan also checks the phase).
-                    token.phase = "gathers_done"
-                    self.trace(
-                        "gb.gather.end", port=port.port_id,
-                        key=token.barrier_seq,
-                        ctx=token.cause_ctx or token.ctx,
-                    )
-                # ---- end of atomic block ----
-                yield from self.cpu("gb_gather_check")
-                if all_in:
-                    yield from self._gb_all_gathers_in(port, token)
-                return
-            if (
-                packet.ptype is PacketType.BARRIER_BCAST
-                and token.phase == "await_bcast"
-                and src == token.parent
-            ):
-                token.phase = "bcast"
-                token.cause_ctx = packet.ctx or token.cause_ctx
-                self.trace(
-                    "advance", port=port.port_id, src=src,
-                    seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
-                )
-                # ---- end of atomic block ----
-                yield from self.complete(port.port_id, token)
-                return
 
         # "In all other cases, the reception of the message is simply
         # recorded."  The bit is set atomically at the decision instant.
-        nic.connection(packet.src_node).unexpected.set(
-            packet.src_port, dst_port=packet.dst_port, ctx=packet.ctx
+        record = self._record(packet.src_node, ptype)
+        if ptype.is_collective and record.is_set(packet.src_port):
+            # A collective record holds one value: like the paper's
+            # one-bit barrier record, it relies on "once a process
+            # initiates a [collective] and is waiting for it to complete,
+            # it will not initiate another one" (Section 3.1).  Reduce and
+            # bcast do not self-synchronize, so back-to-back bcasts need
+            # interposed synchronization; a violation is detected here
+            # rather than silently corrupting the next collective.
+            raise RuntimeError(
+                f"node {nic.node_id}: second unexpected collective message "
+                f"from {src} before the first was consumed -- the peer ran "
+                "more than one collective ahead (missing synchronization)"
+            )
+        record.set(
+            packet.src_port, dst_port=packet.dst_port, ctx=packet.ctx,
+            value=packet.payload.get("value"),
         )
         self.unexpected_recorded += 1
         self.trace("recorded", src=src, port=packet.dst_port, ctx=packet.ctx)
@@ -394,8 +430,8 @@ class NicBarrierEngine:
 
         "the RDMA state machine sends a receive token to the host
         indicating that the barrier has completed, and sets the send token
-        pointer in the port data structure to zero" -- and for GB, *then*
-        starts the broadcast to the children.
+        pointer in the port data structure to zero" -- and for a tree
+        program, *then* starts the broadcast to the children.
         """
         nic = self.nic
         port = nic.port(port_id)
@@ -405,26 +441,18 @@ class NicBarrierEngine:
         buf = port.take_barrier_buffer()
         if buf is None:
             raise RuntimeError(
-                f"node {nic.node_id} port {port_id}: barrier completed but no "
-                "barrier buffer was provided (call gm_provide_barrier_buffer "
-                "before initiating the barrier)"
+                f"node {nic.node_id} port {port_id}: {token.algorithm} "
+                "completed but no barrier buffer was provided (call "
+                "gm_provide_barrier_buffer before initiating)"
             )
-        yield from nic.rdma_engine.transfer(COMPLETION_DMA_BYTES)
+        yield from nic.rdma_engine.transfer(COMPLETION_DMA_BYTES + token.result_bytes)
         yield from self.cpu("post_event")
         nic_complete_time = nic.sim.now
-        port.barrier_send_token = None
+        setattr(port, token.slot, None)
         port.barriers_completed += 1
         port.return_send_token()
         ctx = token.cause_ctx or token.ctx
-        nic.post_host_event(
-            port,
-            BarrierCompletedEvent(
-                port_id=port_id,
-                barrier_seq=token.barrier_seq,
-                nic_complete_time=nic_complete_time,
-                ctx=ctx,
-            ),
-        )
+        nic.post_host_event(port, token.completion_event(nic_complete_time, ctx))
         self.trace(
             f"{token.algorithm}.end", port=port_id, key=token.barrier_seq,
             ctx=ctx,
@@ -432,65 +460,71 @@ class NicBarrierEngine:
         self.trace("complete", port=port_id, seq=token.barrier_seq, ctx=ctx)
         if token.queued_at is not None:
             self._latency_hist.observe(nic_complete_time - token.queued_at)
-        if token.algorithm == "gb":
-            if token.phase == "bcast" and token.children:
-                token.bcast_index = 0
-                self.trace(
-                    "gb.bcast.begin", port=port_id, key=token.barrier_seq,
-                    ctx=ctx,
-                )
-                nic.sdma_inbox.put(("barrier_bcast", port_id, token))
-            else:
-                token.phase = "done"
+        if token.phase == "bcast" and token.children:
+            token.bcast_index = 0
+            self.trace(
+                f"{token.algorithm}.bcast.begin", port=port_id,
+                key=token.barrier_seq, ctx=ctx,
+            )
+            nic.sdma_inbox.put(("firmware", self._bcast_step, port, token))
+        else:
+            token.phase = "done"
 
     # ------------------------------------------------------------------
-    # Fail-stop abort (peer suspected mid-barrier)
+    # Fail-stop abort (peer suspected mid-operation)
     # ------------------------------------------------------------------
     def abort_suspects(self, suspects) -> set:
-        """Abort every in-flight barrier on this NIC: a peer was declared
-        failed, and a barrier live at that instant can no longer be
-        assumed completable -- the suspect may sit anywhere in the global
-        dependency chain, not just among this token's direct peers.
+        """Abort every in-flight barrier and collective on this NIC: a
+        peer was declared failed, and an operation live at that instant
+        can no longer be assumed completable -- the suspect may sit
+        anywhere in the global dependency chain, not just among this
+        token's direct peers.
 
         Runs synchronously at the suspicion instant (the real MCP reacts
-        within one firmware dispatch).  The port's send token and barrier
-        buffer are reclaimed and a ctx-carrying
-        :class:`~repro.gm.events.PeerFailureEvent` is posted; returns the
-        set of port ids notified so the caller can fan generic events out
-        to the remaining ports without duplicates (a duplicate event
+        within one firmware dispatch).  Each aborted token's send token
+        and completion buffer are reclaimed, and its port gets one
+        ctx-carrying :class:`~repro.gm.events.PeerFailureEvent`; returns
+        the set of port ids notified so the caller can fan generic events
+        out to the remaining ports without duplicates (a duplicate event
         would desynchronize the survivors' shrink rounds).
         """
         nic = self.nic
         notified: set = set()
         for port_id in sorted(nic.ports):
             port = nic.ports[port_id]
-            token = port.barrier_send_token
-            if token is None or not port.is_open:
+            if not port.is_open:
                 continue
-            port.barrier_send_token = None
-            port.return_send_token()
-            port.take_barrier_buffer()
-            ctx = token.cause_ctx or token.ctx
-            self.trace(
-                "abort", port=port_id, seq=token.barrier_seq,
-                suspects=sorted(suspects), ctx=ctx,
-            )
-            nic.post_host_event(
-                port,
-                PeerFailureEvent(
-                    port_id=port_id,
-                    suspects=frozenset(suspects),
-                    ctx=ctx,
-                    barrier_seq=token.barrier_seq,
-                ),
-            )
-            notified.add(port_id)
+            aborted = [
+                token
+                for token in (port.barrier_send_token, port.coll_send_token)
+                if token is not None
+            ]
+            for token in aborted:
+                setattr(port, token.slot, None)
+                port.return_send_token()
+                port.take_barrier_buffer()
+                self.trace(
+                    "abort", port=port_id, seq=token.barrier_seq,
+                    suspects=sorted(suspects), ctx=token.cause_ctx or token.ctx,
+                )
+            if aborted:
+                token = aborted[0]
+                nic.post_host_event(
+                    port,
+                    PeerFailureEvent(
+                        port_id=port_id,
+                        suspects=frozenset(suspects),
+                        ctx=token.cause_ctx or token.ctx,
+                        barrier_seq=token.barrier_seq,
+                    ),
+                )
+                notified.add(port_id)
         return notified
 
     # ------------------------------------------------------------------
     # Packet transmission with reliability (Section 4.4)
     # ------------------------------------------------------------------
-    def _send_barrier_packet(
+    def _send_packet(
         self,
         token: BarrierSendToken,
         endpoint: Endpoint,
@@ -498,7 +532,10 @@ class NicBarrierEngine:
         is_resend: bool = False,
         cause_ctx=None,
     ):
-        """Prepare and queue one barrier packet (SDMA context).
+        """Prepare and queue one barrier or collective packet (SDMA).
+
+        An up-phase packet carries the token's combined value, a
+        down-phase packet its result (both ``None`` for a barrier).
 
         The outgoing packet's trace context is a child span of whatever
         *caused* this send: an explicit ``cause_ctx`` (REJECT recovery),
@@ -512,6 +549,10 @@ class NicBarrierEngine:
 
         base = cause_ctx or token.cause_ctx or token.ctx
         pctx = base.child() if base is not None else None
+        payload = {
+            "barrier_seq": token.barrier_seq,
+            "value": token.accumulator if ptype is token.up_type else token.result,
+        }
 
         # Section 3.4 optimization: two ports of the same NIC synchronize
         # by setting the local flag, no wire message.
@@ -523,7 +564,7 @@ class NicBarrierEngine:
                 src_port=token.src_port,
                 seqno=token.barrier_seq,
                 payload_bytes=0,
-                payload={"barrier_seq": token.barrier_seq},
+                payload=payload,
                 ctx=pctx,
             )
             token.sent_to.append((endpoint, ptype.value))
@@ -546,8 +587,8 @@ class NicBarrierEngine:
             dst_port=dst_port,
             src_port=token.src_port,
             seqno=seqno,
-            payload_bytes=BARRIER_PAYLOAD_BYTES,
-            payload={"barrier_seq": token.barrier_seq},
+            payload_bytes=token.payload_bytes,
+            payload=payload,
             ctx=pctx,
         )
         token.sent_to.append((endpoint, ptype.value))
@@ -579,7 +620,7 @@ class NicBarrierEngine:
         port = self.nic.port(port_id)
         for src in sorted(port.closed_barrier_record):
             self.nic.sdma_inbox.put(
-                ("barrier_reject", src, port_id,
+                ("firmware", self._send_reject, src, port_id,
                  port.closed_barrier_ctx.get(src))
             )
         port.closed_barrier_record.clear()
@@ -601,10 +642,11 @@ class NicBarrierEngine:
         self.nic.send_queue.put((packet, False))
         self.trace("reject", to=target, port=local_port, ctx=pctx)
 
-    def on_reject(self, packet: Packet):
-        """A peer rejected our barrier message; resend if still relevant
-        ("but only if the endpoint that initiated the barrier has not
-        closed since the message was sent").  RECV context."""
+    def on_reject(self, packet: Packet) -> None:
+        """A peer rejected our barrier or collective message; resend if
+        still relevant ("but only if the endpoint that initiated the
+        barrier has not closed since the message was sent").  RECV
+        context."""
         nic = self.nic
         port = nic.ports.get(packet.dst_port)
         if port is None or not port.is_open:
@@ -644,29 +686,21 @@ class NicBarrierEngine:
             nic.manage_barrier_retransmit_timer(conn)
             for token, ptype_val in resends:
                 nic.sdma_inbox.put(
-                    (
-                        "barrier_resend",
-                        packet.dst_port,
-                        token,
-                        rejector,
-                        PacketType(ptype_val),
-                        packet.ctx,
-                    )
+                    ("firmware", self._resend, port, token, rejector,
+                     PacketType(ptype_val), packet.ctx)
                 )
-        yield from ()
 
     def _resend(
         self,
-        port_id: int,
+        port: NicPort,
         token: BarrierSendToken,
         endpoint: Endpoint,
         ptype: PacketType,
         cause_ctx=None,
     ):
-        """Retransmit one barrier message after a REJECT (SDMA context)."""
-        port = self.nic.port(port_id)
+        """Retransmit one message after a REJECT (SDMA context)."""
         if not port.is_open or port.generation != token.owner_generation:
             return
-        yield from self._send_barrier_packet(
+        yield from self._send_packet(
             token, endpoint, ptype, is_resend=True, cause_ctx=cause_ctx
         )

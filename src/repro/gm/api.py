@@ -352,7 +352,7 @@ class GmPort:
             payload_bytes=payload_bytes,
             parent=plan.parent,
             children=list(plan.children),
-            coll_seq=self.port.coll_seq,
+            barrier_seq=self.port.coll_seq,
             ctx=TraceContext.root(),
         )
         self._collective_pending = True

@@ -90,6 +90,7 @@ class NicPort:
         # -- statistics -----------------------------------------------------
         self.messages_sent = 0
         self.messages_received = 0
+        #: NIC barriers and collectives completed on this port.
         self.barriers_completed = 0
 
     # ------------------------------------------------------------------

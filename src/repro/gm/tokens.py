@@ -17,8 +17,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
+from repro.gm.events import BarrierCompletedEvent, CollectiveCompletedEvent, GmEvent
+from repro.network.packet import PacketType
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.network.packet import PacketType
     from repro.sim.tracing import TraceContext
 
 _token_ids = itertools.count(1)
@@ -158,7 +160,11 @@ class BarrierSendToken:
 
     For the **GB** algorithm, ``parent`` is the endpoint to send the gather
     to (``None`` at the root) and ``children`` the endpoints to collect
-    gathers from / broadcast to, in order.
+    gathers from / broadcast to, in order.  GB is the firmware's *tree
+    program*, which also runs the data collectives
+    (:class:`CollectiveSendToken`): a GB barrier is an allreduce with no
+    operator and no value.  The class attributes below are everything
+    the two cases differ in.
     """
 
     src_port: int
@@ -172,11 +178,11 @@ class BarrierSendToken:
     #: GB: tree neighborhood.
     parent: Optional[Endpoint] = None
     children: List[Endpoint] = field(default_factory=list)
-    #: GB: children whose gather message has not yet been consumed.
+    #: GB: children whose up-phase message has not yet been consumed.
     gather_pending: set = field(default_factory=set)
     #: GB: index of the next child to broadcast to.
     bcast_index: int = 0
-    #: GB: current phase, "gather" -> "bcast" -> "done".
+    #: GB: current phase, "gather" -> ("await_bcast" ->) "bcast" -> "done".
     phase: str = "gather"
     #: Identifies the barrier instance for tracing and reliability.
     barrier_seq: int = 0
@@ -198,11 +204,39 @@ class BarrierSendToken:
     #: at the local root every step.
     cause_ctx: Optional["TraceContext"] = None
 
+    #: The port pointer holding the in-flight token (Section 4.2).
+    slot = "barrier_send_token"
+    #: Tree program: wire types of the up (gather) and down (broadcast)
+    #: phases, and which of the two phases run.
+    up_type = PacketType.BARRIER_GATHER
+    down_type = PacketType.BARRIER_BCAST
+    runs_up = True
+    runs_down = True
+    #: Wire payload per message (barrier-instance id + flags).
+    payload_bytes = 8
+    #: Result bytes riding along with the completion notification.
+    result_bytes = 0
+    #: Tree program: reduction operator (None: nothing to combine, and
+    #: no combine cycles), the running combined value of the up phase
+    #: and the value delivered with the completion.
+    op: Optional[str] = None
+    accumulator: Any = None
+    result: Any = None
+
     def __post_init__(self) -> None:
         if self.algorithm not in ("pe", "gb"):
             raise ValueError(f"unknown barrier algorithm {self.algorithm!r}")
         if self.algorithm == "gb":
             self.gather_pending = set(self.children)
+
+    def completion_event(self, nic_complete_time: float, ctx) -> GmEvent:
+        """The host event the NIC posts when this operation completes."""
+        return BarrierCompletedEvent(
+            port_id=self.src_port,
+            barrier_seq=self.barrier_seq,
+            nic_complete_time=nic_complete_time,
+            ctx=ctx,
+        )
 
     @property
     def is_barrier(self) -> bool:
@@ -211,7 +245,7 @@ class BarrierSendToken:
 
     @property
     def is_collective(self) -> bool:
-        """Dispatch flag (mutually exclusive with is_barrier)."""
+        """True for the data collectives (:class:`CollectiveSendToken`)."""
         return False
 
     @property
@@ -236,80 +270,74 @@ class BarrierSendToken:
 
 
 @dataclass
-class CollectiveSendToken:
+class CollectiveSendToken(BarrierSendToken):
     """Send token initiating a NIC-based data collective on one port.
 
     Our implementation of the paper's Section 8 future work ("whether
     other collective communication operations, such as reductions or
     all-to-all broadcast could benefit from similar NIC-level
-    implementations").  Uses the GB tree machinery with values: reduce
-    combines contributions up the tree, bcast pushes the root's value
-    down, allreduce does both.
+    implementations").  The barrier engine runs it as the GB tree
+    program with values: reduce combines contributions up the tree
+    (up phase only), bcast pushes the root's value down (down phase
+    only), allreduce does both.  ``algorithm`` is set to ``kind``, so
+    trace spans are named after the collective.
     """
 
-    src_port: int
-    kind: str  # "reduce" | "allreduce" | "bcast"
-    op: str = "sum"  # "sum" | "prod" | "min" | "max"
+    algorithm: str = ""
+    kind: str = "allreduce"  # "reduce" | "allreduce" | "bcast"
+    op: Optional[str] = "sum"  # "sum" | "prod" | "min" | "max"
     #: This rank's contribution (reduce/allreduce) or the root's value
     #: (bcast; ignored at non-roots).
     value: Any = None
     #: Payload size on the wire per collective message.
     payload_bytes: int = 8
-    parent: Optional[Endpoint] = None
-    children: List[Endpoint] = field(default_factory=list)
-    #: Children whose reduction message has not yet been consumed.
-    reduce_pending: set = field(default_factory=set)
-    #: Running combined value during the reduction phase.
-    accumulator: Any = None
-    #: Index of the next child to broadcast to.
-    bcast_index: int = 0
-    #: "reduce" -> ("await_result" | "bcast") -> "done"; bcast-kind
-    #: tokens start in "bcast" at the root / "await_value" below it.
-    phase: str = "reduce"
-    #: Final value delivered with the completion event.
-    result: Any = None
-    coll_seq: int = 0
-    owner_generation: int = 0
-    token_id: int = field(default_factory=lambda: next(_token_ids))
-    #: Root causal trace context, stamped by the GM API at queue time.
-    ctx: Optional["TraceContext"] = None
-    queued_at: Optional[float] = None
-    sent_to: List[Tuple[Endpoint, str]] = field(default_factory=list)
+
+    slot = "coll_send_token"
+    up_type = PacketType.COLL_REDUCE
+    down_type = PacketType.COLL_BCAST
 
     def __post_init__(self) -> None:
         if self.kind not in ("reduce", "allreduce", "bcast"):
             raise ValueError(f"unknown collective kind {self.kind!r}")
-        if self.kind in ("reduce", "allreduce"):
+        if self.kind != "bcast":
             # Imported here: repro.core's package init imports this module.
             from repro.core.schedule import REDUCE_OPS
 
             if self.op not in REDUCE_OPS:
                 raise ValueError(f"unknown reduction op {self.op!r}")
-            self.reduce_pending = set(self.children)
-            self.accumulator = self.value
-            self.phase = "reduce"
-        else:
-            self.phase = "bcast" if self.parent is None else "await_value"
+        self.algorithm = self.kind
+        self.runs_up = self.kind != "bcast"
+        self.runs_down = self.kind != "reduce"
+        if self.runs_up:
+            self.gather_pending = set(self.children)
+        elif not self.is_root:
+            self.phase = "await_bcast"
+        self.accumulator = self.value
 
     @property
-    def is_barrier(self) -> bool:
-        """Dispatch flag (mutually exclusive with is_collective)."""
-        return False
+    def coll_seq(self) -> int:
+        """Per-port collective instance number."""
+        return self.barrier_seq
+
+    @property
+    def result_bytes(self) -> int:
+        """The result value rides along with the completion notice."""
+        return self.payload_bytes
+
+    def completion_event(self, nic_complete_time: float, ctx) -> GmEvent:
+        """The host event the NIC posts when this collective completes."""
+        return CollectiveCompletedEvent(
+            port_id=self.src_port,
+            coll_seq=self.barrier_seq,
+            kind=self.kind,
+            result=self.result,
+            nic_complete_time=nic_complete_time,
+        )
 
     @property
     def is_collective(self) -> bool:
-        """Dispatch flag: SDMA routes this to the collective engine."""
+        """True: a data collective."""
         return True
-
-    @property
-    def is_multicast(self) -> bool:
-        """Dispatch flag: collective tokens are not multicast."""
-        return False
-
-    @property
-    def is_root(self) -> bool:
-        """True at the root of the collective tree."""
-        return self.parent is None
 
 
 @dataclass

@@ -43,10 +43,12 @@ class UnexpectedRecord:
     For causal tracing we also stash the recorded packet's trace context
     (``ctxs``); ``check_clear`` hands it back (any stored context is
     truthy, plain ``True`` otherwise) so the consumer can continue the
-    recorded message's span tree instead of starting a fresh one.
+    recorded message's span tree instead of starting a fresh one.  The
+    data collectives' record (our Section 8 extension) also keeps the
+    message's value (``values``).
     """
 
-    __slots__ = ("bits", "num_ports", "dst_ports", "ctxs")
+    __slots__ = ("bits", "num_ports", "dst_ports", "ctxs", "values")
 
     def __init__(self, num_ports: int = MAX_PORTS) -> None:
         if not 1 <= num_ports <= 64:
@@ -57,6 +59,8 @@ class UnexpectedRecord:
         self.dst_ports: Dict[int, int] = {}
         #: src_port -> trace context of the recorded message, if any.
         self.ctxs: Dict[int, Any] = {}
+        #: src_port -> value carried by the recorded message, if any.
+        self.values: Dict[int, Any] = {}
 
     def _mask(self, src_port: int) -> int:
         if not 0 <= src_port < self.num_ports:
@@ -68,6 +72,7 @@ class UnexpectedRecord:
         src_port: int,
         dst_port: Optional[int] = None,
         ctx: Any = None,
+        value: Any = None,
     ) -> None:
         """Record an unexpected message from ``src_port`` (destined to
         local ``dst_port``, when known)."""
@@ -80,24 +85,33 @@ class UnexpectedRecord:
             self.ctxs[src_port] = ctx
         else:
             self.ctxs.pop(src_port, None)
+        self.values[src_port] = value
 
     def is_set(self, src_port: int) -> bool:
         """Non-destructive test of a bit (tests/debugging)."""
         return bool(self.bits & self._mask(src_port))
 
-    def check_clear(self, src_port: int):
+    def take(self, src_port: int) -> Optional[Tuple[Any, Any]]:
         """Test the bit and clear it if set (the paper's check primitive).
 
-        Returns a truthy value when the bit was set -- the recorded trace
-        context when one was stored, ``True`` otherwise -- and ``False``
-        when it was not.
+        Returns ``(ctx, value)`` of the recorded message when the bit was
+        set, ``None`` when it was not.
         """
         mask = self._mask(src_port)
-        if self.bits & mask:
-            self.bits &= ~mask
-            self.dst_ports.pop(src_port, None)
-            return self.ctxs.pop(src_port, None) or True
-        return False
+        if not self.bits & mask:
+            return None
+        self.bits &= ~mask
+        self.dst_ports.pop(src_port, None)
+        return self.ctxs.pop(src_port, None), self.values.pop(src_port, None)
+
+    def check_clear(self, src_port: int):
+        """:meth:`take`, reduced to a truthy value when the bit was set --
+        the recorded trace context when one was stored, ``True``
+        otherwise -- and ``False`` when it was not."""
+        taken = self.take(src_port)
+        if taken is None:
+            return False
+        return taken[0] or True
 
     def clear_for_dst_port(self, dst_port: int) -> int:
         """Drop every record destined to local ``dst_port`` (port close);
@@ -107,6 +121,7 @@ class UnexpectedRecord:
             self.bits &= ~self._mask(src_port)
             del self.dst_ports[src_port]
             self.ctxs.pop(src_port, None)
+            self.values.pop(src_port, None)
         return len(stale)
 
     def clear_all(self) -> None:
@@ -114,6 +129,7 @@ class UnexpectedRecord:
         self.bits = 0
         self.dst_ports.clear()
         self.ctxs.clear()
+        self.values.clear()
 
 
 @dataclass
@@ -173,11 +189,10 @@ class Connection:
 
         # -- unexpected-barrier-message record (Sections 3.1 / 4.3) ---------
         self.unexpected = UnexpectedRecord(num_ports)
-        #: Unexpected *collective* messages additionally carry a value, so
-        #: the one-bit record is extended to one value slot per source
-        #: port (same at-most-one-outstanding invariant as the barrier
-        #: record; our Section 8 extension).
-        self.coll_unexpected: Dict[int, dict] = {}
+        #: Unexpected *collective* messages get a second record of the
+        #: same shape that also keeps their values (same
+        #: at-most-one-outstanding invariant; our Section 8 extension).
+        self.coll_unexpected = UnexpectedRecord(num_ports)
 
         # -- separate barrier reliability (Section 4.4) ----------------------
         #: Next barrier seqno per *local* sending port.
@@ -308,17 +323,11 @@ class Connection:
         """Purge unexpected-record state destined to a closing local port.
 
         Without this a reused port could match a stale barrier record bit
-        (or consume a stale collective value slot) left behind by the
+        (or consume a stale collective value) left behind by the
         endpoint's previous owner.
         """
         self.unexpected.clear_for_dst_port(port_id)
-        stale = [
-            sp
-            for sp, slot in self.coll_unexpected.items()
-            if slot.get("dst_port") == port_id
-        ]
-        for sp in stale:
-            del self.coll_unexpected[sp]
+        self.coll_unexpected.clear_for_dst_port(port_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

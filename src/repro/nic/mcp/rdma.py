@@ -17,7 +17,7 @@ Work items on ``nic.rdma_queue``:
 ``("ack_gen", remote_node)``         -- prepare a cumulative ACK.
 ``("nack_gen", remote_node)``        -- prepare a NACK for the current gap.
 ``("barrier_ack_gen", packet)``      -- SEPARATE-mode barrier ACK.
-``("barrier_rx", packet)``           -- barrier packet: record/advance.
+``("barrier_rx", packet)``           -- barrier/collective packet: record/advance.
 ``("barrier_complete", port_id, token)`` -- post completion to the host.
 """
 
@@ -49,14 +49,9 @@ class RdmaMachine(StateMachine):
             elif kind == "barrier_ack_gen":
                 yield from self._send_barrier_ack(item[1])
             elif kind == "barrier_rx":
-                if item[1].is_collective:
-                    yield from nic.collective_engine.on_packet(item[1])
-                else:
-                    yield from nic.barrier_engine.on_barrier_packet(item[1])
+                yield from nic.barrier_engine.on_barrier_packet(item[1])
             elif kind == "barrier_complete":
                 yield from nic.barrier_engine.complete(item[1], item[2])
-            elif kind == "coll_complete":
-                yield from nic.collective_engine.complete(item[1], item[2])
             elif kind == "onesided_rx":
                 yield from self._handle_onesided(item[1])
             else:  # pragma: no cover - defensive

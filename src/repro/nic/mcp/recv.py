@@ -67,8 +67,7 @@ class RecvMachine(StateMachine):
                 nic.manage_barrier_retransmit_timer(conn)
             elif ptype is PacketType.BARRIER_REJECT:
                 yield from self.cpu("recv_control")
-                yield from nic.barrier_engine.on_reject(packet)
-                yield from nic.collective_engine.on_reject(packet)
+                nic.barrier_engine.on_reject(packet)
             elif ptype is PacketType.DATA:
                 yield from self._handle_data(packet)
             elif ptype.is_onesided:

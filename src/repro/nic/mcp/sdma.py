@@ -10,17 +10,16 @@ Work items arriving on ``nic.sdma_inbox``:
 
 ``("token", port_id, token)``
     A fresh host send token (ordinary :class:`~repro.gm.tokens.SendToken`
-    or a :class:`~repro.gm.tokens.BarrierSendToken` initiating a barrier).
+    or a :class:`~repro.gm.tokens.BarrierSendToken` initiating a barrier
+    or NIC collective).
 ``("retransmit", remote_node, entry)``
     Go-back-N retransmission of a sent-list entry: GM "push[es] the
     contents of the sent list back on the send queue", which re-DMAs and
     re-prepares the packet.
-``("barrier_send_pe", port_id, token)`` /
-``("barrier_send_gather", port_id, token)`` /
-``("barrier_bcast", port_id, token)`` /
-``("barrier_resend", port_id, token, endpoint, ptype)``
-    Barrier firmware work delegated by the barrier engine (Section 5.2:
-    barrier send tokens are repeatedly updated and re-queued).
+``("firmware", step, *args)``
+    Barrier firmware work delegated by the barrier engine: ``step`` is
+    one of its generator methods (Section 5.2: barrier send tokens are
+    repeatedly updated and re-queued).
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ class SdmaMachine(StateMachine):
                 _, port_id, token = item
                 if token.is_barrier:
                     yield from nic.barrier_engine.initiate(port_id, token)
-                elif token.is_collective:
-                    yield from nic.collective_engine.initiate(port_id, token)
                 elif token.is_multicast:
                     yield from self._process_multicast_token(port_id, token)
                 else:
@@ -53,16 +50,8 @@ class SdmaMachine(StateMachine):
             elif kind == "retransmit":
                 _, remote_node, entry = item
                 yield from self._retransmit(remote_node, entry)
-            elif kind in (
-                "barrier_send_pe",
-                "barrier_send_gather",
-                "barrier_bcast",
-                "barrier_resend",
-                "barrier_reject",
-            ):
-                yield from nic.barrier_engine.sdma_work(item)
-            elif kind in ("coll_send_reduce", "coll_bcast", "coll_resend"):
-                yield from nic.collective_engine.sdma_work(item)
+            elif kind == "firmware":
+                yield from item[1](*item[2:])
             else:  # pragma: no cover - defensive
                 raise RuntimeError(f"SDMA: unknown work item {item!r}")
 

@@ -172,11 +172,10 @@ class Nic:
 
         # -- the barrier extension (the paper's contribution) ---------------------
         from repro.core.nic_barrier import NicBarrierEngine
-        from repro.core.nic_collectives import NicCollectiveEngine
 
+        #: Runs NIC barriers and the NIC reduce/allreduce/bcast (the
+        #: Section 8 extension).
         self.barrier_engine: "NicBarrierEngine" = NicBarrierEngine(self)
-        #: NIC-based reduce/allreduce/bcast (the Section 8 extension).
-        self.collective_engine: "NicCollectiveEngine" = NicCollectiveEngine(self)
 
         # -- the four MCP state machines -------------------------------------------
         self.sdma_machine = SdmaMachine(self)
@@ -470,8 +469,8 @@ class Nic:
         state a dead endpoint leaves behind.
 
         Beyond abandoning the port's pending barrier retransmits
-        (Section 3.2) this clears the unexpected-record bits and
-        collective value slots recorded *for* the port -- otherwise a
+        (Section 3.2) this clears the barrier and collective unexpected
+        records kept *for* the port -- otherwise a
         reused port could match a stale record from the previous owner --
         and cancels the barrier retransmit timer if the unacked list
         emptied, so no timer keeps firing for an abandoned stream.
@@ -594,10 +593,10 @@ class Nic:
         LANai acts on suspicion within one firmware dispatch): both
         reliability streams toward the suspect are abandoned with their
         send tokens fake-acked back to the host, every in-flight barrier
-        involving the suspect is aborted, and every open port receives
-        exactly one :class:`~repro.gm.events.PeerFailureEvent` (the
-        barrier abort path posts ctx-carrying events; this fans generic
-        ones out to the remaining ports so blocked receives wake up).
+        and collective is aborted, and every open port receives exactly
+        one :class:`~repro.gm.events.PeerFailureEvent` (the abort path
+        posts ctx-carrying events; this fans generic ones out to the
+        remaining ports so blocked receives wake up).
         """
         if self.crashed or peer in self.suspected_peers:
             return
@@ -612,15 +611,7 @@ class Nic:
         suspects = frozenset({peer})
         notified = self.barrier_engine.abort_suspects(suspects)
         for port in self.ports.values():
-            if not port.is_open:
-                continue
-            if port.coll_send_token is not None:
-                # The collective engine guards every queued work item
-                # with a token-liveness check, so clearing the pointer
-                # inerts it; the send token must come home regardless.
-                port.coll_send_token = None
-                port.return_send_token()
-            if port.port_id not in notified:
+            if port.is_open and port.port_id not in notified:
                 self.post_host_event(
                     port,
                     PeerFailureEvent(port_id=port.port_id, suspects=suspects),

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.core.barrier import barrier
+from repro.core.collectives import allreduce, bcast, reduce
 from repro.gm.constants import BarrierReliability
 from repro.nic.nic import NicParams
 from repro.sim.primitives import Timeout
@@ -162,9 +163,48 @@ class TestRejectResendsEveryOutstandingType:
         assert cluster.node(0).nic.barrier_engine.resends == 2
 
 
+class TestCollectiveClosedPortRecovery:
+    """NIC collectives share the barrier's closed-port path: an arrival
+    for a closed port is recorded, REJECTed when the port opens, and the
+    sender resends it once."""
+
+    def _run(self, fn, late_rank, values, **kwargs):
+        cluster = two_node_cluster()
+        results = {}
+
+        def rank_program(rank):
+            if rank == late_rank:
+                yield Timeout(300.0)  # the peer's message lands first
+            port = cluster.open_port(*GROUP[rank])
+            results[rank] = yield from fn(
+                port, GROUP, rank, values[rank], **kwargs
+            )
+
+        for rank in range(2):
+            cluster.spawn(rank_program(rank))
+        cluster.run(max_events=3_000_000)
+        return results, cluster
+
+    def test_bcast_to_late_opening_child(self):
+        results, cluster = self._run(bcast, 1, [7, None])
+        assert results == {0: 7, 1: 7}
+        assert cluster.node(1).nic.barrier_engine.rejects_sent == 1
+        assert cluster.node(0).nic.barrier_engine.resends == 1
+
+    @pytest.mark.parametrize("fn, expected", [
+        (reduce, {0: 5, 1: None}),
+        (allreduce, {0: 5, 1: 5}),
+    ])
+    def test_reduction_with_late_opening_root(self, fn, expected):
+        results, cluster = self._run(fn, 0, [2, 3], op="sum")
+        assert results == expected
+        assert cluster.node(0).nic.barrier_engine.rejects_sent == 1
+        assert cluster.node(1).nic.barrier_engine.resends == 1
+
+
 class TestCloseClearsUnexpectedState:
     """Regression (close-path leak): a port close left the unexpected
-    record bits -- and collective value slots -- that were recorded *for*
+    record bits -- and collective values -- that were recorded *for*
     that port on the peer connections, so a reused port could match a
     stale record from the previous owner."""
 
@@ -174,13 +214,13 @@ class TestCloseClearsUnexpectedState:
         conn = nic1.connection(0)
         conn.unexpected.set(1, dst_port=2)
         conn.unexpected.set(3, dst_port=4)
-        conn.coll_unexpected[5] = {"dst_port": 2, "value": 42}
-        conn.coll_unexpected[6] = {"dst_port": 4, "value": 43}
+        conn.coll_unexpected.set(5, dst_port=2, value=42)
+        conn.coll_unexpected.set(6, dst_port=4, value=43)
         nic1.on_port_close(2)
         assert not conn.unexpected.is_set(1)  # purged with its port
         assert conn.unexpected.is_set(3)  # other port's record survives
-        assert 5 not in conn.coll_unexpected
-        assert 6 in conn.coll_unexpected
+        assert not conn.coll_unexpected.is_set(5)
+        assert conn.coll_unexpected.take(6) == (None, 43)
 
     def test_bit_without_destination_is_conservatively_kept(self):
         cluster = two_node_cluster()

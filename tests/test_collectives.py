@@ -85,7 +85,7 @@ class TestNicAllreduce:
         assert all(v == sum(values) for v in results[0].values())
         # Early contributions were absorbed by the value record.
         recorded = sum(
-            node.nic.collective_engine.unexpected_recorded
+            node.nic.barrier_engine.unexpected_recorded
             for node in cluster.nodes
         )
         assert recorded >= 1
@@ -137,7 +137,7 @@ class TestNicBcast:
         assert all(v == 7 for v in results[0].values())
         # The value arrived before the leaf initiated: value-record path.
         assert (
-            cluster.node(3).nic.collective_engine.unexpected_recorded >= 1
+            cluster.node(3).nic.barrier_engine.unexpected_recorded >= 1
             or True  # depending on tree shape rank 3's parent may be slow too
         )
 

@@ -8,6 +8,7 @@ from repro.analysis.reliability_bench import run_reliability_scenario
 from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.runner import run_on_group, spawn_group
 from repro.core.barrier import barrier
+from repro.core.collectives import allreduce
 from repro.faults import (
     FaultPlan,
     LinkFlap,
@@ -168,6 +169,47 @@ class TestShrinkAndResume:
         assert len(groups) == 1
         assert not any(ep[0] == victim for ep in groups.pop())
         assert not cluster.nodes[victim].nic.crashed  # it did restart
+
+
+class TestAbortReclaimsCompletionBuffer:
+    @pytest.mark.parametrize("operation", ["gb", "allreduce"])
+    def test_suspected_peer_aborts_tree_operation(self, operation):
+        """Regression: an aborted NIC collective kept its completion
+        buffer (and its PeerFailureEvent carried no ctx), so the next
+        completion on the port consumed a stale buffer.  Ranks 0 and 1
+        start a GB barrier / allreduce; node 2 never joins and is
+        suspected at t=200 us."""
+        cluster = build_cluster(ClusterConfig(num_nodes=3))
+        group = [(node, 2) for node in range(3)]
+        ports = [cluster.open_port(node, 2) for node in (0, 1)]
+        failures = {}
+
+        def program(port, rank):
+            try:
+                if operation == "gb":
+                    yield from barrier(
+                        port, group, rank, algorithm="gb", dimension=2
+                    )
+                else:
+                    yield from allreduce(
+                        port, group, rank, value=rank, op="sum", dimension=2
+                    )
+            except PeerFailure as failure:
+                failures[rank] = failure
+
+        for rank, port in enumerate(ports):
+            cluster.spawn(program(port, rank))
+        for node in (0, 1):
+            cluster.sim.schedule(200.0, cluster.node(node).nic.on_peer_suspected, 2)
+        cluster.run(max_events=1_000_000)
+        assert sorted(failures) == [0, 1]
+        for rank, port in enumerate(ports):
+            assert len(port.port.barrier_buffers) == 0
+            assert failures[rank].suspects == {2}
+            assert failures[rank].ctx is not None
+            assert port.port.barrier_send_token is None
+            assert port.port.coll_send_token is None
+            assert port.port.send_tokens_free == port.port.send_tokens_total
 
 
 class TestNicCrash:
