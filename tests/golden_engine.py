@@ -34,7 +34,15 @@ from repro.cluster.runner import RankContext, run_on_group
 from repro.core import host_allreduce, host_barrier, host_bcast, host_reduce
 from repro.core.barrier import barrier
 from repro.core.collectives import allreduce, bcast, reduce
-from repro.faults.plan import FaultPlan, LinkFlap, LossRule
+from repro.faults.plan import (
+    FaultPlan,
+    LinkFlap,
+    LossRule,
+    NicCrash,
+    NicPause,
+    NodeCrash,
+)
+from repro.gm.events import PeerFailure
 from repro.sim.engine import PRIORITY_HIGH, PRIORITY_LOW, Simulator
 from repro.sim.tracing import TraceContext
 
@@ -375,6 +383,61 @@ def nic_tree_ops(repetitions: int = 2) -> str:
     return _digest(rows)
 
 
+# ----------------------------------------------------------------------
+# Workload 7: CPU charges under NIC pauses, compute phases and crashes.
+# ----------------------------------------------------------------------
+def faulted_cpu(repetitions: int = 8) -> str:
+    """A traced 8-node NIC-PE barrier loop whose CPU charges are torn
+    down in every way the fault plan can: canonical trace rows, per-rank
+    results, final ``sim.now`` and ``events_executed``.
+
+    * ``NicPause`` on NICs 1 and 5 claims the LANai with ``request()``
+      while the MCP machines charge it, so plain requesters and firmware
+      charges queue on one CPU resource;
+    * every rank runs a host ``Node.compute`` phase before each barrier;
+    * ``NicCrash`` of NIC 5 lands during its pause and kills a machine
+      queued behind the pause;
+    * ``NodeCrash`` of node 3 kills its rank while it holds the host CPU
+      and its receive machine while it holds the LANai;
+    * the survivors abort with the detector's ``PeerFailure``, recorded
+      with its suspects.
+    """
+    config = LANAI_4_3_SYSTEM.cluster_config(8).with_(
+        trace=True,
+        fault_plan=FaultPlan(
+            seed=5,
+            pauses=[
+                NicPause(node=1, at_us=20.0, duration_us=15.0),
+                NicPause(node=5, at_us=60.0, duration_us=30.0),
+            ],
+            crashes=[NodeCrash(node=3, at_us=110.0)],
+            nic_crashes=[NicCrash(node=5, at_us=85.0)],
+        ),
+    )
+    cluster = build_cluster(config)
+
+    def program(ctx):
+        out = []
+        for _ in range(repetitions):
+            yield from ctx.node.compute(2.0 + ctx.rank % 3)
+            try:
+                yield from barrier(ctx.port, ctx.group, ctx.rank)
+            except PeerFailure as failure:
+                out.append((ctx.now, type(failure).__name__, sorted(failure.suspects)))
+                return out
+            out.append((ctx.now, "ok"))
+        return out
+
+    results = run_on_group(cluster, program, max_events=5_000_000)
+    ids: Dict = {}
+    rows = [
+        (ev.time, ev.category, ev.label, _canonical_payload(ev.payload, ids, ev.label))
+        for ev in cluster.tracer.events
+    ]
+    rows.append(("final", results, cluster.sim.now, cluster.sim.events_executed))
+    return _digest(rows)
+
+
 WORKLOADS = {
     "engine_storm": engine_storm,
     "traced_barrier_pe16": traced_barrier,
@@ -382,6 +445,7 @@ WORKLOADS = {
     "faulted_barrier_gb8": faulted_barrier,
     "host_algorithms": host_algorithms,
     "nic_tree_ops": nic_tree_ops,
+    "faulted_cpu": faulted_cpu,
 }
 
 

@@ -13,7 +13,8 @@ Covers tracing ON (traced_barrier_pe16), tracing OFF
 retransmit-timer paths (faulted_barrier_gb8), every host algorithm
 plus NIC PE/dissemination at ragged sizes (host_algorithms) and the NIC
 tree program -- GB barrier, reduce, allreduce, bcast -- clean, lossy,
-with two ports per NIC and with a late-opening port (nic_tree_ops).
+with two ports per NIC and with a late-opening port (nic_tree_ops), and
+CPU charges torn down by NIC pauses and crashes (faulted_cpu).
 """
 
 from __future__ import annotations
