@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.gm.memory import PinnedMemoryRegistry
 from repro.host.cpu import HostParams
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Resource, Timeout
+from repro.sim.primitives import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gm.driver import GmDriver
@@ -47,12 +47,12 @@ class Node:
             raise ValueError("negative host CPU time")
         if duration_us == 0:
             return
-        yield from self.cpu.use(duration_us)
+        yield self.cpu.hold(duration_us)
 
     def compute(self, duration_us: float):
         """Application compute phase occupying one CPU (for fuzzy-barrier
         and BSP examples)."""
-        yield from self.cpu.use(duration_us)
+        yield self.cpu.hold(duration_us)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Node {self.node_id}>"

@@ -47,7 +47,7 @@ class StateMachine:
 
         Usage: ``yield from self.cpu("recv_packet")``.
         """
-        yield from self.nic.cpu_resource.use(self.nic.model.time(operation))
+        yield self.nic.cpu_resource.hold(self.nic.model.time(operation))
 
     def trace(self, label: str, **payload) -> None:
         """Record a trace event if tracing is enabled."""

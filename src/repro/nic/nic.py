@@ -722,7 +722,7 @@ class Nic:
     # ------------------------------------------------------------------
     def cpu_time(self, operation: str):
         """Charge ``operation`` against the NIC processor (generator)."""
-        yield from self.cpu_resource.use(self.model.time(operation))
+        yield self.cpu_resource.hold(self.model.time(operation))
 
     def shutdown(self) -> None:
         """Stop the state-machine processes (end-of-test cleanup)."""

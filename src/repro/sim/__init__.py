@@ -39,6 +39,7 @@ from repro.sim.metrics import (
 from repro.sim.primitives import (
     AllOf,
     AnyOf,
+    Hold,
     Interrupted,
     Resource,
     SimEvent,
@@ -57,6 +58,7 @@ __all__ = [
     "EventHandle",
     "Gauge",
     "Histogram",
+    "Hold",
     "Interrupted",
     "MetricsRegistry",
     "Process",

@@ -64,6 +64,9 @@ HORIZON_BUCKETS = 64.0
 WHEEL_GRANULE = 256.0
 
 
+_INF = float("inf")
+
+
 def _noop(*_args: Any) -> None:
     return None
 
@@ -186,8 +189,8 @@ class Simulator:
         as a null registry.
     profile:
         Enable the per-callback-owner wall-clock profiler (see
-        :meth:`profile_stats`).  Off by default -- profiling runs through
-        a separate, slower dispatch loop so the hot path pays nothing.
+        :meth:`profile_stats`).  Off by default -- when off, the dispatch
+        loop pays one untaken branch per event for it.
 
     Notes
     -----
@@ -238,7 +241,7 @@ class Simulator:
             self, enabled=telemetry_enabled, sample_us=telemetry_sample_us
         )
         # The engine's own activity probe.  ``events_executed`` is
-        # batched in the hot run loop (flushed on exit), so the live
+        # batched in the run loop (flushed on exit), so the live
         # signal is the schedule-time sequence counter: events entering
         # the calendar per simulated microsecond.
         self.telemetry.register(
@@ -490,9 +493,13 @@ class Simulator:
             callback(*args)
         return True
 
-    def _dispatch_profiled(self, callback, args) -> None:
-        """Execute one callback under the wall-clock profiler."""
-        depth = self._live
+    def _dispatch_profiled(self, callback, args, batched: int = 0) -> None:
+        """Execute one callback under the wall-clock profiler.
+
+        ``batched`` is the number of executions ``run()`` has not yet
+        subtracted from ``_live``.
+        """
+        depth = self._live - batched
         if depth > self.heap_high_water:
             self.heap_high_water = depth
         t0 = time.perf_counter()
@@ -517,112 +524,87 @@ class Simulator:
             ``until`` on return even if the queues empty earlier.
         max_events:
             Safety valve: allow exactly this many callbacks, then raise
-            ``RuntimeError`` if live events remain.  Useful in tests to
-            catch livelock (e.g. a polling loop that never yields time).
-            A run whose queues drain in exactly ``max_events`` callbacks
-            completes normally.
+            ``RuntimeError`` if a live event at or before ``until``
+            remains.  Useful in tests to catch livelock (e.g. a polling
+            loop that never yields time).  A run whose queues drain in
+            exactly ``max_events`` callbacks completes normally.
 
         Returns
         -------
         float
             The clock value at return.
+
+        There is one dispatch loop for every mode.  ``events_executed``,
+        ``_live`` and ``cancelled_pops`` are accumulated in locals and
+        flushed on every exit path (exceptions included), so they are
+        exact whenever ``run()`` is not on the stack.
         """
         if self._running:
             raise RuntimeError("Simulator.run() is not re-entrant")
         self._running = True
         self._stop_requested = False
-        try:
-            if self._profile or until is not None or max_events is not None:
-                self._run_checked(until, max_events)
-            else:
-                self._run_fast()
-            if until is not None and self.now < until:
-                self.now = until
-        finally:
-            self._running = False
-        return self.now
-
-    def _run_fast(self) -> None:
-        """The hot dispatch loop: no until/max_events/profiler checks.
-
-        ``events_executed``/``_live``/``cancelled_pops`` are accumulated
-        in locals and flushed on every exit path (including exceptions),
-        so they are exact whenever ``run()`` is not on the stack -- the
-        only place anything reads them.
-        """
+        limit = _INF if until is None else until
+        budget = -1 if max_events is None else max_events
+        profiled = self._profile
         executed = 0
         dead = 0
         pop = heappop
         try:
             cur = self._cur
             while True:
-                while cur:
-                    if self._stop_requested:
-                        return
-                    handle = pop(cur)
-                    callback = handle[3]
-                    if callback is None:
-                        dead += 1
-                        continue
-                    self.now = handle[0]
-                    args = handle[4]
-                    handle[3] = None
-                    handle[4] = None
-                    handle[5] = None
-                    executed += 1
-                    callback(*args)
-                    # Callbacks may advance the calendar via peek(); re-read.
+                if not cur:
+                    if not self._advance_bucket():
+                        break
                     cur = self._cur
-                if not self._advance_bucket():
-                    return
+                    continue
+                if self._stop_requested:
+                    return self.now
+                handle = pop(cur)
+                callback = handle[3]
+                if callback is None:
+                    dead += 1
+                    continue
+                t = handle[0]
+                if t > limit or executed == budget:
+                    # Not ours to run: put it back.  Entries are totally
+                    # ordered by (time, priority, seq), so nothing moves.
+                    heappush(cur, handle)
+                    if t > limit:
+                        break
+                    raise RuntimeError(
+                        f"simulation exceeded max_events={max_events}; "
+                        "likely livelock"
+                    )
+                self.now = t
+                args = handle[4]
+                handle[3] = None
+                handle[4] = None
+                handle[5] = None
+                executed += 1
+                if profiled:
+                    self._dispatch_profiled(callback, args, executed)
+                else:
+                    callback(*args)
+                # Callbacks may advance the calendar via peek(); re-read.
                 cur = self._cur
+            if until is not None and self.now < until:
+                self.now = until
+            return self.now
         finally:
             self.events_executed += executed
             self._live -= executed
             self.cancelled_pops += dead
-
-    def _run_checked(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> None:
-        """Dispatch loop with until/max_events/profiler support."""
-        executed = 0
-        profiled = self._profile
-        while not self._stop_requested:
-            nxt = self.peek()
-            if nxt is None:
-                return
-            if until is not None and nxt > until:
-                return
-            handle = heappop(self._cur)
-            self.now = handle[0]
-            callback = handle[3]
-            args = handle[4]
-            handle[3] = None
-            handle[4] = None
-            handle[5] = None
-            self._live -= 1
-            self.events_executed += 1
-            if profiled:
-                self._dispatch_profiled(callback, args)
-            else:
-                callback(*args)
-            if max_events is not None:
-                executed += 1
-                if executed >= max_events:
-                    nxt_live = self.peek()
-                    if nxt_live is not None and (until is None or nxt_live <= until):
-                        raise RuntimeError(
-                            f"simulation exceeded max_events={max_events}; "
-                            "likely livelock"
-                        )
-                    return
+            self._running = False
 
     def run_until_idle(self, max_events: Optional[int] = None) -> float:
         """Run until no events remain.  Alias of ``run(until=None)``."""
         return self.run(until=None, max_events=max_events)
 
     def stop(self) -> None:
-        """Request that ``run()`` return after the current callback."""
+        """Request that ``run()`` return after the current callback.
+
+        The clock stays at that callback's time, even under ``until``, and
+        no ``max_events`` error is raised."""
         self._stop_requested = True
 
     # ------------------------------------------------------------------

@@ -506,21 +506,20 @@ class Resource:
 
     Models the NIC processor (capacity 1, shared by the four MCP state
     machines), the PCI bus (shared by the SDMA and RDMA engines) and the
-    host CPU.  Usage::
+    host CPU.  A timed charge is one yield::
 
-        req = resource.request()
-        yield req            # granted when capacity available
-        ...                  # hold
+        yield resource.hold(duration)   # acquire, hold duration us, release
+
+    and an open-ended claim is a request/release pair::
+
+        yield resource.request()        # granted when capacity available
+        ...                             # hold
         resource.release()
 
-    or with the helper ``use`` generator::
-
-        yield from resource.use(duration)
-
-    Interrupt/kill safe: a requester that dies while queued is purged,
-    and a capacity unit already granted to a dying requester is released
-    back (handed to the next waiter) -- capacity can neither leak nor be
-    double-released by an interrupted ``use``.
+    Both kinds of waiter share one FIFO queue.  Interrupt/kill safe: a
+    waiter that dies while queued is purged, and a capacity unit already
+    granted to a dying waiter is released back (handed to the next
+    waiter) -- capacity can neither leak nor be double-released.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
@@ -607,20 +606,87 @@ class Resource:
         """
         self.release()
 
-    def use(self, duration: float):
-        """Generator helper: acquire, hold ``duration`` us, release.
+    def hold(self, duration: float) -> "Hold":
+        """Waitable that acquires a unit, holds it ``duration`` us and
+        releases it: ``yield resource.hold(duration)``.
 
-        Releases only what it acquired: if the process is interrupted or
-        killed while still blocked in the request, the grant never
-        arrived here, and nothing is released (a grant in flight is
-        reclaimed by the abandonment protocol instead).
+        The process is resumed once, after the release.  See :class:`Hold`
+        for the events this schedules.
         """
-        request = self.request()
-        acquired = False
-        try:
-            yield request
-            acquired = True
-            yield Timeout(duration)
-        finally:
-            if acquired:
-                self.release()
+        if duration < 0:
+            raise ValueError(f"hold duration must be >= 0, got {duration}")
+        return Hold(self, duration)
+
+    def use(self, duration: float):
+        """Generator form of :meth:`hold`: ``yield from resource.use(d)``."""
+        yield self.hold(duration)
+
+
+class Hold:
+    """Waitable of :meth:`Resource.hold` (single use).
+
+    It schedules exactly what a request/timeout/release sequence would,
+    without resuming the process in between:
+
+    * the grant event, at ``PRIORITY_HIGH`` at the instant of the grant
+      (at subscribe time when a unit is free, else when ``release()``
+      hands this waiter the unit);
+    * from inside the grant event, the end event ``duration`` us later;
+    * inside the end event, the release and then the process resume.
+
+    Both events are methods of the process's wait handle.  Interrupt or
+    kill tears the charge down according to its state: a queued hold is
+    purged; a grant in flight is released at abandonment (the grant event
+    still fires, as a no-op); a running hold has its end event cancelled
+    and keeps the unit until the exception is delivered to the process,
+    which releases it first.
+    """
+
+    __slots__ = ("resource", "duration", "handle", "state")
+
+    #: ``state`` values: waiting in the resource's queue, grant event
+    #: scheduled, end event scheduled.
+    QUEUED, GRANTED, HOLDING = range(3)
+
+    def __init__(self, resource: Resource, duration: float) -> None:
+        self.resource = resource
+        self.duration = duration
+        #: The wait handle, until the grant event is scheduled.
+        self.handle: Any = None
+        self.state = Hold.QUEUED
+
+    def _subscribe(self, handle: Any) -> None:
+        self.handle = handle
+        handle.event = self
+        resource = self.resource
+        if resource._in_use < resource.capacity and not resource._waiters:
+            resource._account()
+            resource._in_use += 1
+            self.succeed()
+        else:
+            resource._waiters.append(self)
+
+    def succeed(self, _value: None = None) -> None:
+        """A unit is granted (``Resource.release`` calls this on queued
+        holds as on queued request events): schedule the grant event."""
+        self.state = Hold.GRANTED
+        handle = self.handle
+        # Drop the back-reference: hold <-> handle would be a cycle left
+        # to the garbage collector.
+        self.handle = None
+        handle.sim.schedule(0.0, handle._hold_granted, priority=PRIORITY_HIGH)
+
+    def _waiter_abandoned(self, handle: Any) -> None:
+        """The waiting process was interrupted or killed."""
+        state = self.state
+        if state == Hold.QUEUED:
+            self.resource._purge_request(self)
+        elif state == Hold.GRANTED:
+            self.resource.release()
+        else:
+            # The end event is already cancelled; the unit is released
+            # when the exception reaches the generator.
+            handle.process._held = self.resource
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"Hold({self.resource.name!r}, {self.duration})"

@@ -1,9 +1,9 @@
 """Generator-coroutine processes.
 
 A process wraps a Python generator.  Each ``yield`` hands the engine a
-*waitable* (Timeout, SimEvent, another Process, AnyOf/AllOf); the process is
-resumed with the waitable's value, or has an exception thrown into it when
-the waitable fails.  ``return value`` inside the generator completes the
+*waitable* (Timeout, SimEvent, Hold, another Process, AnyOf/AllOf); the
+process is resumed with the waitable's value, or has an exception thrown
+into it when the waitable fails.  ``return value`` inside the generator completes the
 process and fires its ``completion_event`` with that value.
 
 Stale-wakeup safety: every suspension gets a fresh *wait handle*.  If the
@@ -21,7 +21,14 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional
 
 from repro.sim.engine import PRIORITY_HIGH, EventHandle, Simulator
-from repro.sim.primitives import AllOf, AnyOf, Interrupted, SimEvent, Timeout
+from repro.sim.primitives import (
+    AllOf,
+    AnyOf,
+    Hold,
+    Interrupted,
+    SimEvent,
+    Timeout,
+)
 
 
 class ProcessKilled(Exception):
@@ -42,9 +49,10 @@ class _WaitHandle:
 
     * ``timer`` -- the engine handle of a pending ``Timeout``, cancelled
       on abandon so it never even reaches dispatch;
-    * ``event`` -- the ``SimEvent`` subscribed to, notified via
-      ``_waiter_abandoned`` so it can unsubscribe us or salvage a value
-      already in flight (the Store/Resource lost-wakeup fix);
+    * ``event`` -- the ``SimEvent`` or ``Hold`` subscribed to, notified
+      via ``_waiter_abandoned`` so it can unsubscribe us or salvage a
+      value or capacity unit already in flight (the Store/Resource
+      lost-wakeup fix);
     * ``hooks`` -- teardown callables registered by combinators
       (``AnyOf``/``AllOf``) to cancel their children's subscriptions.
     """
@@ -77,6 +85,21 @@ class _WaitHandle:
                 self.process._advance(None, exc)
             else:
                 self.process._advance(value, None)
+
+    def _hold_granted(self) -> None:
+        """Grant event of a :class:`~repro.sim.primitives.Hold`: start
+        the timed hold without resuming the process."""
+        if self.active:
+            hold = self.event
+            hold.state = Hold.HOLDING
+            self.timer = self.sim.schedule(hold.duration, self._hold_done)
+
+    def _hold_done(self) -> None:
+        """End event of a ``Hold``: release the unit, then resume."""
+        if self.active:
+            self.active = False
+            self.event.resource.release()
+            self.process._advance(None, None)
 
     def abandon(self) -> None:
         """Deactivate and tear down whatever this wait subscribed to."""
@@ -124,6 +147,9 @@ class Process:
         self.completion_event: SimEvent = SimEvent(sim, name=f"done:{self.name}")
         self._current_wait: Optional[_WaitHandle] = None
         self._killed = False
+        #: Resource of a running ``Hold`` abandoned by interrupt/kill: its
+        #: unit is released as the exception is delivered.
+        self._held = None
         # Kick off at the current instant, high priority so a process created
         # inside a callback starts before ordinary same-instant events.
         sim.schedule(0.0, self._advance, None, None, priority=PRIORITY_HIGH)
@@ -142,7 +168,7 @@ class Process:
     # ------------------------------------------------------------------
     def _advance(self, value: Any, exc: Optional[BaseException]) -> None:
         """Step the generator once with a value or an exception."""
-        if not self.alive:
+        if self.completion_event._triggered:
             return
         wait = self._current_wait
         self._current_wait = None
@@ -154,6 +180,10 @@ class Process:
             wait.abandon()
         try:
             if exc is not None:
+                held = self._held
+                if held is not None:
+                    self._held = None
+                    held.release()
                 waitable = self._generator.throw(exc)
             else:
                 waitable = self._generator.send(value)
@@ -183,7 +213,13 @@ class Process:
     def _wait_on(self, waitable: Any) -> None:
         handle = _WaitHandle(self)
         self._current_wait = handle
-        if isinstance(waitable, (Timeout, SimEvent, Process, AnyOf, AllOf)):
+        cls = type(waitable)
+        if (
+            cls is Hold
+            or cls is SimEvent
+            or cls is Timeout
+            or isinstance(waitable, (Timeout, SimEvent, Process, AnyOf, AllOf))
+        ):
             waitable._subscribe(handle)
         else:
             handle.active = False

@@ -9,15 +9,17 @@ invariants that no single-path unit test pins down:
   mid-delivery re-delivers, it never loses the item;
 * **no capacity leak** -- Resource units held by interrupted/killed
   processes are released (or reclaimed from an in-flight grant), so
-  ``in_use`` returns to zero and the resource stays acquirable;
+  ``in_use`` returns to zero and the resource stays acquirable; and
+  capacity is conserved throughout: never more than ``CAPACITY`` units
+  out, and never a free unit while a waiter is queued;
 * **quiescence** -- abandoned waits leave nothing live behind: no
   orphan timers (AnyOf losers), no queued waiters, ``run_until_idle``
   terminates with ``pending_events == 0``.
 
 Each seed drives a different interleaving of workers blocking on
-``store.get()``, ``resource.use()``, ``AnyOf([Timeout, store.get()])``
-and plain sleeps, while a chaos process interrupts and kills them at
-random instants.
+``store.get()``, ``resource.hold()``, ``resource.request()`` held over a
+sleep, ``AnyOf([Timeout, store.get()])`` and plain sleeps, while a chaos
+process interrupts and kills them at random instants.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ def _run_storm(seed: int):
     store = Store(sim, name="tokens")
     resource = Resource(sim, capacity=CAPACITY, name="pool")
     consumed = []
+    violations = []
 
     def producer():
         for i in range(TOKENS):
@@ -55,8 +58,14 @@ def _run_storm(seed: int):
                     item = yield store.get()
                     consumed.append(item)
                     yield Timeout(rng.random())
+                elif mode < 0.5:
+                    yield resource.hold(rng.random() * 2.0)
                 elif mode < 0.6:
-                    yield from resource.use(rng.random() * 2.0)
+                    yield resource.request()
+                    try:
+                        yield Timeout(rng.random() * 2.0)
+                    finally:
+                        resource.release()
                 elif mode < 0.85:
                     which, value = yield AnyOf(
                         [Timeout(rng.random() * 3.0, value="timeout"), store.get()]
@@ -79,6 +88,15 @@ def _run_storm(seed: int):
             else:
                 victim.kill()
 
+    def monitor():
+        # Capacity conservation, sampled between callbacks.
+        while sim.now < 300.0:
+            yield Timeout(0.25)
+            if not 0 <= resource.in_use <= CAPACITY or (
+                resource.in_use < CAPACITY and resource.queued
+            ):
+                violations.append((sim.now, resource.in_use, resource.queued))
+
     def drainer():
         # After the chaos window, consume whatever survived so the
         # conservation ledger can be checked both ways.
@@ -91,6 +109,7 @@ def _run_storm(seed: int):
     victims = [Process(sim, worker(w), name=f"worker{w}") for w in range(WORKERS)]
     Process(sim, chaos(victims), name="chaos")
     Process(sim, drainer(), name="drainer")
+    Process(sim, monitor(), name="monitor")
     sim.run_until_idle(max_events=5_000_000)
     # Workers the chaos process never hit are still legitimately blocked
     # (the store is drained); kill them too so quiescence can assert
@@ -99,12 +118,12 @@ def _run_storm(seed: int):
         if victim.alive:
             victim.kill()
     sim.run_until_idle(max_events=100_000)
-    return sim, store, resource, consumed, victims
+    return sim, store, resource, consumed, victims, violations
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_interrupt_kill_storm(seed):
-    sim, store, resource, consumed, victims = _run_storm(seed)
+    sim, store, resource, consumed, victims, violations = _run_storm(seed)
 
     # Conservation: every produced token was consumed exactly once or is
     # still sitting in the store; nothing lost, nothing duplicated.
@@ -115,6 +134,8 @@ def test_interrupt_kill_storm(seed):
         f"{set(range(TOKENS)) - set(ledger)} lost, "
         f"{[t for t in ledger if ledger.count(t) > 1]} duplicated"
     )
+
+    assert not violations, f"seed {seed}: capacity not conserved: {violations[:5]}"
 
     # No capacity leak: all units back, no ghost waiters queued.
     assert resource.in_use == 0, f"seed {seed}: leaked {resource.in_use} units"
@@ -151,3 +172,89 @@ def test_storm_is_deterministic(seed):
     assert a[3] == b[3]  # identical consumption order
     assert a[0].events_executed == b[0].events_executed
     assert a[0].now == b[0].now
+
+
+def _run_charge_storm(seed: int, charge):
+    """Workers charge a 2-unit resource with ``charge`` (hold or the old
+    request/timeout/release sequence) or with a plain request held over
+    a sleep, catching interrupts and charging on.  Right after its own
+    charge a worker sometimes strikes another, so teardowns land with a
+    grant in flight as well as while queued or holding.  Returns the
+    release/charge log, the engine counters, the resource and any
+    conservation violations."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    resource = Resource(sim, capacity=2, name="cpu")
+    log = []
+    violations = []
+    procs = []
+    release = resource.release
+
+    def logged_release():
+        log.append(("release", sim.now, resource.queued))
+        release()
+
+    resource.release = logged_release
+
+    def strike(me):
+        victim = rng.choice(procs)
+        if victim is not me:
+            if rng.random() < 0.8:
+                victim.interrupt()
+            else:
+                victim.kill()
+
+    def worker(wid):
+        me = procs[wid]
+        while sim.now < 200.0:
+            try:
+                if rng.random() < 0.75:
+                    yield from charge(resource, rng.random() * 3.0)
+                else:
+                    yield resource.request()
+                    try:
+                        yield Timeout(rng.random() * 3.0)
+                    finally:
+                        resource.release()
+                log.append(("charged", wid, sim.now))
+                if rng.random() < 0.3:
+                    strike(me)
+                yield Timeout(rng.random() * 0.5)
+            except Interrupted:
+                log.append(("interrupted", wid, sim.now))
+
+    def chaos():
+        while sim.now < 200.0:
+            yield Timeout(rng.random() * 2.0)
+            strike(None)
+
+    def monitor():
+        while sim.now < 220.0:
+            yield Timeout(0.25)
+            if not 0 <= resource.in_use <= 2 or (
+                resource.in_use < 2 and resource.queued
+            ):
+                violations.append((sim.now, resource.in_use, resource.queued))
+
+    for wid in range(8):
+        procs.append(None)
+        procs[wid] = Process(sim, worker(wid), name=f"worker{wid}")
+    Process(sim, chaos(), name="chaos")
+    Process(sim, monitor(), name="monitor")
+    sim.run_until_idle(max_events=1_000_000)
+    log.append(("end", sim.now, sim.events_executed, sim.cancelled_pops))
+    return log, resource, violations, sim
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hold_storm_matches_legacy_use_and_conserves_capacity(seed):
+    from tests.test_sim_primitives import CHARGES
+
+    log, resource, violations, sim = _run_charge_storm(seed, CHARGES["hold"])
+    assert not violations, f"seed {seed}: capacity not conserved: {violations[:5]}"
+    assert resource.in_use == 0 and resource.queued == 0
+    assert sim.pending_events == 0
+    assert sum(1 for row in log if row[0] == "interrupted") > 0
+    # Event for event what the request/timeout/release charge did.
+    legacy_log, _, _, _ = _run_charge_storm(seed, CHARGES["legacy_use"])
+    assert log == legacy_log

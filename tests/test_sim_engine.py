@@ -1,8 +1,10 @@
 """Unit tests for the DES engine."""
 
+import random
+
 import pytest
 
-from repro.sim.engine import PRIORITY_HIGH, PRIORITY_LOW, Simulator
+from repro.sim.engine import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, Simulator
 
 
 class TestScheduling:
@@ -239,3 +241,178 @@ class TestDeterminism:
             return log
 
         assert build_and_run() == build_and_run()
+
+
+def _storm(sim: Simulator, log: list, seed: int = 1234, budget: int = 3000) -> None:
+    """Seed a schedule/cancel/timer storm on ``sim``: every firing
+    appends to ``log`` and, while ``budget`` lasts, schedules follow-ons
+    (some far enough out for the overflow tier), arms wheel timers and
+    cancels a random earlier handle."""
+    rng = random.Random(seed)
+    handles = []
+
+    def fire(tag):
+        log.append((sim.now, tag))
+        if len(log) >= budget:
+            return
+        for _ in range(rng.randrange(0, 3)):
+            delay = rng.choice([0.0, 0.3, 1.0, 7.5, 40.0, 600.0, 5000.0])
+            prio = rng.choice([PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW])
+            handles.append(sim.schedule(delay, fire, rng.randrange(10**6), priority=prio))
+        if rng.random() < 0.3:
+            delay = rng.choice([300.0, 2000.0, 9000.0])
+            handles.append(sim.schedule_timer(delay, fire, -len(log)))
+        if handles and rng.random() < 0.45:
+            handles.pop(rng.randrange(len(handles))).cancel()
+
+    for i in range(30):
+        sim.schedule(rng.random() * 20.0, fire, i)
+
+
+def _counters(sim: Simulator) -> tuple:
+    return (sim.events_executed, sim.cancelled_pops, sim.timers_reclaimed,
+            sim.pending_events)
+
+
+def _drive_chunked(sim: Simulator, until: float, chunk: float = 37.5) -> None:
+    t = 0.0
+    while t < until:
+        t = min(t + chunk, until)
+        sim.run(until=t)
+
+
+def _drive_steps(sim: Simulator, until: float) -> None:
+    while sim.peek() is not None and sim.peek() <= until:
+        sim.step()
+
+
+class TestOneDispatchLoop:
+    """``run()`` is one dispatch loop for every mode: however a storm is
+    driven, the same callbacks run in the same order and the counters
+    agree whenever ``run()`` is not on the stack."""
+
+    DRIVERS = {
+        "run": lambda sim, until: sim.run(until=until),
+        "run_max_events": lambda sim, until: sim.run(until=until, max_events=10**7),
+        "chunked_until": _drive_chunked,
+        "steps": _drive_steps,
+    }
+
+    @staticmethod
+    def _stepped(seed: int = 1234):
+        """The reference: the storm driven one ``step()`` at a time,
+        with a snapshot at t=4000."""
+        sim, log = Simulator(), []
+        _storm(sim, log, seed=seed)
+        _drive_steps(sim, 4000.0)
+        mid = (len(log), _counters(sim))
+        while sim.step():
+            pass
+        return sim, log, mid
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_storm_is_identical_in_every_mode(self, driver):
+        reference_sim, reference, reference_mid = self._stepped()
+        assert len(reference) > 3000
+        assert reference_sim.cancelled_pops > 0
+        assert reference_sim.timers_reclaimed > 0
+
+        sim, log = Simulator(), []
+        _storm(sim, log)
+        self.DRIVERS[driver](sim, 4000.0)
+        assert (len(log), _counters(sim)) == reference_mid
+        sim.run()
+        assert log == reference
+        assert sim.now == reference_sim.now
+        assert _counters(sim) == _counters(reference_sim)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"max_events": 10**7}])
+    def test_one_run_drains_like_stepping(self, kwargs):
+        reference_sim, reference, _ = self._stepped(seed=99)
+        sim, log = Simulator(), []
+        _storm(sim, log, seed=99)
+        sim.run(**kwargs)
+        assert log == reference
+        assert (sim.now, _counters(sim)) == (reference_sim.now, _counters(reference_sim))
+
+    def test_profiled_high_water_matches_stepping(self):
+        a, log_a = Simulator(profile=True), []
+        _storm(a, log_a, seed=5)
+        a.run()
+        b, log_b = Simulator(profile=True), []
+        _storm(b, log_b, seed=5)
+        while b.step():
+            pass
+        assert log_a == log_b
+        assert a.heap_high_water == b.heap_high_water > 0
+        assert {k: v[0] for k, v in a.profile_stats().items()} == {
+            k: v[0] for k, v in b.profile_stats().items()
+        }
+
+
+class TestCountersOnException:
+    """A raising callback propagates out of ``run()`` with the counters
+    flushed: exact, and the run resumable."""
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"max_events": 100}, {"until": 10.0}],
+        ids=["plain", "max_events", "until"],
+    )
+    def test_raising_callback_leaves_counters_exact(self, sim, kwargs):
+        ran = []
+        for i in range(5):
+            sim.schedule(float(i), ran.append, i)
+        sim.schedule(2.5, ran.append, "cancelled").cancel()
+
+        def boom():
+            ran.append("boom")
+            raise ValueError("boom")
+
+        sim.schedule(3.0, boom)
+        with pytest.raises(ValueError, match="boom"):
+            sim.run(**kwargs)
+        assert ran == [0, 1, 2, 3, "boom"]
+        assert sim.now == 3.0
+        assert sim.events_executed == 5
+        assert sim.cancelled_pops == 1
+        assert sim.pending_events == 1
+        sim.run(**kwargs)
+        assert ran[-1] == 4
+        assert sim.events_executed == 6
+        assert sim.pending_events == 0
+
+    def test_livelock_error_leaves_counters_exact(self, sim):
+        def respawn():
+            sim.schedule(0.0, respawn)
+
+        sim.schedule(0.0, respawn)
+        with pytest.raises(RuntimeError, match="livelock"):
+            sim.run(max_events=10)
+        assert sim.events_executed == 10
+        assert sim.pending_events == 1
+        with pytest.raises(RuntimeError, match="livelock"):
+            sim.run(max_events=5)
+        assert sim.events_executed == 15
+
+
+class TestStopUnderLimits:
+    def test_stop_under_until(self, sim):
+        seen = []
+        sim.schedule(1.0, lambda: (seen.append(1), sim.stop()))
+        sim.schedule(2.0, seen.append, 2)
+        assert sim.run(until=10.0) == 1.0
+        assert seen == [1]
+        assert sim.pending_events == 1
+        assert sim.run(until=10.0) == 10.0
+        assert seen == [1, 2]
+
+    def test_stop_under_max_events(self, sim):
+        seen = []
+        sim.schedule(1.0, lambda: (seen.append(1), sim.stop()))
+        sim.schedule(2.0, seen.append, 2)
+        # The stop wins over the exhausted budget: no livelock error.
+        sim.run(max_events=1)
+        assert seen == [1]
+        assert sim.events_executed == 1
+        sim.run(max_events=1)
+        assert seen == [1, 2]

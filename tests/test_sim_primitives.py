@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Resource, SimEvent, Store, Timeout
+from repro.sim.primitives import Interrupted, Resource, SimEvent, Store, Timeout
 from repro.sim.process import Process
 
 
@@ -183,6 +183,185 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
 
+
+
+def _legacy_use(resource, duration):
+    """``Resource.use`` as written before ``Resource.hold`` existed
+    (request, timeout, release in ``finally``): the reference the
+    single-yield charge must match event for event."""
+    request = resource.request()
+    acquired = False
+    try:
+        yield request
+        acquired = True
+        yield Timeout(duration)
+    finally:
+        if acquired:
+            resource.release()
+
+
+def _hold(resource, duration):
+    yield resource.hold(duration)
+
+
+CHARGES = {"hold": _hold, "legacy_use": _legacy_use}
+
+
+def _teardown_scenario(charge, state, action):
+    """A charges 0-10; B queues at 1 for 5 us; C queues at 2 for 5 us.
+
+    B is interrupted or killed while queued (t=3), with its grant in
+    flight (by A, right after A's release at 10) or while holding
+    (t=12); an interrupted B charges 1 us more.  Returns every release
+    (time, waiters left), the teardown call and every completion in
+    order, then the clock, the engine counters and the resource's state.
+    """
+    sim = Simulator()
+    res = Resource(sim, capacity=1, name="cpu")
+    log = []
+    release = res.release
+
+    def logged_release():
+        log.append(("release", sim.now, res.queued))
+        release()
+
+    res.release = logged_release
+
+    def act():
+        getattr(b_proc, action)()
+        log.append((action, sim.now, res.in_use, res.queued))
+
+    def a():
+        yield from charge(res, 10.0)
+        log.append(("A done", sim.now))
+        if state == "in_flight":
+            act()
+
+    def b():
+        yield Timeout(1.0)
+        try:
+            yield from charge(res, 5.0)
+            log.append(("B done", sim.now))
+        except Interrupted:
+            log.append(("B interrupted", sim.now))
+            yield from charge(res, 1.0)
+            log.append(("B again", sim.now))
+        finally:
+            log.append(("B exit", sim.now))
+
+    def c():
+        yield Timeout(2.0)
+        yield from charge(res, 5.0)
+        log.append(("C done", sim.now))
+
+    Process(sim, a(), name="A")
+    b_proc = Process(sim, b(), name="B")
+    Process(sim, c(), name="C")
+    at = {"queued": 3.0, "holding": 12.0}.get(state)
+    if at is not None:
+        sim.schedule(at, act)
+    sim.run()
+    log.append((
+        "end", sim.now, sim.events_executed, sim.cancelled_pops,
+        res.in_use, res.queued, res.busy_us,
+    ))
+    return log
+
+
+class TestHold:
+    """``Resource.hold`` is one yield that schedules exactly what the
+    request/timeout/release sequence of the old ``use()`` scheduled."""
+
+    def test_one_resume_per_charge(self, sim):
+        res = Resource(sim, capacity=1)
+        resumes = []
+
+        def worker():
+            resumes.append(sim.now)
+            value = yield res.hold(4.0)
+            resumes.append((sim.now, value, res.in_use))
+
+        Process(sim, worker())
+        sim.run()
+        assert resumes == [0.0, (4.0, None, 0)]
+        # Start, grant, end: the grant does not resume the generator.
+        assert sim.events_executed == 3
+
+    def test_negative_duration_rejected(self, sim):
+        with pytest.raises(ValueError, match="hold duration"):
+            Resource(sim).hold(-1.0)
+
+    @pytest.mark.parametrize("action", ["interrupt", "kill"])
+    @pytest.mark.parametrize("state", ["queued", "in_flight", "holding"])
+    def test_teardown_matches_legacy_use(self, state, action):
+        assert _teardown_scenario(_hold, state, action) == _teardown_scenario(
+            _legacy_use, state, action
+        )
+
+    def test_interrupt_while_holding_releases_on_delivery(self):
+        log = _teardown_scenario(_hold, "holding", "interrupt")
+        assert log[:7] == [
+            ("release", 10.0, 2),
+            ("A done", 10.0),
+            # B keeps the unit past the interrupt call; it goes back as
+            # the exception reaches B, and C is granted at the same
+            # instant, ahead of B's retry.
+            ("interrupt", 12.0, 1, 1),
+            ("release", 12.0, 1),
+            ("B interrupted", 12.0),
+            ("release", 17.0, 1),
+            ("C done", 17.0),
+        ]
+        assert log[-1][4:6] == (0, 0)
+
+    def test_kill_with_grant_in_flight_hands_the_unit_on(self):
+        log = _teardown_scenario(_hold, "in_flight", "kill")
+        assert log[:5] == [
+            ("release", 10.0, 2),
+            ("A done", 10.0),
+            # The grant in flight to B is released at abandonment.
+            ("release", 10.0, 1),
+            ("kill", 10.0, 1, 0),
+            ("B exit", 10.0),
+        ]
+        assert ("C done", 15.0) in log
+        assert log[-1][4:6] == (0, 0)
+
+    def test_queued_hold_is_purged(self):
+        log = _teardown_scenario(_hold, "queued", "kill")
+        assert log[:3] == [("kill", 3.0, 1, 1), ("B exit", 3.0), ("release", 10.0, 1)]
+        assert ("C done", 15.0) in log
+
+    @pytest.mark.parametrize("charge", sorted(CHARGES))
+    def test_fifo_across_request_and_hold_waiters(self, sim, charge):
+        res = Resource(sim, capacity=1)
+        grants = []
+
+        def owner():
+            yield res.request()
+            yield Timeout(10.0)
+            res.release()
+
+        def requester(tag, arrive):
+            yield Timeout(arrive)
+            yield res.request()
+            grants.append((tag, sim.now))
+            yield Timeout(2.0)
+            res.release()
+
+        def charger(tag, arrive):
+            yield Timeout(arrive)
+            yield from CHARGES[charge](res, 2.0)
+            grants.append((tag, sim.now - 2.0))
+
+        Process(sim, owner())
+        for i, (kind, tag) in enumerate(
+            [(requester, "r1"), (charger, "h2"), (requester, "r3"), (charger, "h4")]
+        ):
+            Process(sim, kind(tag, float(i + 1)))
+        sim.run()
+        assert grants == [("r1", 10.0), ("h2", 12.0), ("r3", 14.0), ("h4", 16.0)]
+        assert res.in_use == 0
 
 class TestStoreProperties:
     @given(st.lists(st.integers(), max_size=50))
