@@ -320,7 +320,6 @@ class NicBarrierEngine:
             # Section 3.2, adopted solution: record arrivals for a closed
             # port; they are rejected (and thus resent) when it opens.
             if port is not None:
-                port.closed_barrier_record.add(src)
                 port.closed_barrier_ctx[src] = packet.ctx
             self.trace(
                 "closed_port_record", src=src, port=packet.dst_port,
@@ -618,12 +617,8 @@ class NicBarrierEngine:
     def on_port_open(self, port_id: int) -> None:
         """Reject barrier messages recorded while the port was closed."""
         port = self.nic.port(port_id)
-        for src in sorted(port.closed_barrier_record):
-            self.nic.sdma_inbox.put(
-                ("firmware", self._send_reject, src, port_id,
-                 port.closed_barrier_ctx.get(src))
-            )
-        port.closed_barrier_record.clear()
+        for src, ctx in sorted(port.closed_barrier_ctx.items()):
+            self.nic.sdma_inbox.put(("firmware", self._send_reject, src, port_id, ctx))
         port.closed_barrier_ctx.clear()
 
     def _send_reject(self, target: Endpoint, local_port: int, cause_ctx=None):
