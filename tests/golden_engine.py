@@ -3,11 +3,17 @@
 The event-engine rewrite (two-tier scheduler + timer wheel) must not
 change a single observable event: same `(time, priority, seq)` execution
 order, same trace records, same measured latencies.  This module defines
-a handful of deterministic workloads and reduces each to a canonical
-sha256 digest; ``tests/data/engine_golden.json`` holds the digests
-recorded on the pre-rewrite single-heap engine, and
-``test_engine_trace_regression.py`` asserts the live engine still
-produces them.
+a handful of deterministic workloads and reduces each to two parts:
+
+* ``rows`` -- a canonical sha256 digest of what the workload observes:
+  trace rows, per-rank results and the final ``sim.now``;
+* ``events`` -- the exact number of engine callbacks it executed
+  (``events_executed``, summed over every simulator the workload ran).
+
+``tests/data/engine_golden.json`` holds both parts and
+``test_engine_trace_regression.py`` asserts each separately, so a change
+that only removes bookkeeping events (same rows, fewer events) is told
+apart from one that changes behaviour.
 
 Regenerate the golden file (only when an *intentional* semantic change
 is made, never to paper over a diff) with::
@@ -25,8 +31,10 @@ import hashlib
 import json
 import random
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
+from unittest import mock
 
+from repro.analysis import experiments
 from repro.analysis.calibration import LANAI_4_3_SYSTEM
 from repro.analysis.experiments import measure_barrier
 from repro.cluster.builder import build_cluster
@@ -48,6 +56,9 @@ from repro.sim.tracing import TraceContext
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "engine_golden.json"
 
+#: What each workload returns: (rows digest, events executed).
+Pinned = Tuple[str, int]
+
 
 def _digest(obj: Any) -> str:
     return hashlib.sha256(
@@ -58,7 +69,7 @@ def _digest(obj: Any) -> str:
 # ----------------------------------------------------------------------
 # Workload 1: pure-engine schedule/cancel storm.
 # ----------------------------------------------------------------------
-def engine_storm() -> str:
+def engine_storm() -> Pinned:
     """A seeded storm of schedules, cancellations and priorities.
 
     Exercises exactly what the scheduler rewrite touches: same-instant
@@ -87,8 +98,8 @@ def engine_storm() -> str:
         sim.schedule(rng.random() * 10.0, fire, i)
     sim.run(until=9000.0)
     sim.run()  # drain the tail
-    log.append(("final", sim.now, sim.events_executed))
-    return _digest(log)
+    log.append(("final", sim.now))
+    return _digest(log), sim.events_executed
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +132,7 @@ def _canonical_payload(payload: Dict[str, Any], ids: Dict, label: str) -> Dict[s
     return out
 
 
-def traced_barrier(num_nodes: int = 16, repetitions: int = 3) -> str:
+def traced_barrier(num_nodes: int = 16, repetitions: int = 3) -> Pinned:
     config = LANAI_4_3_SYSTEM.cluster_config(num_nodes).with_(trace=True)
     cluster = build_cluster(config)
 
@@ -135,31 +146,41 @@ def traced_barrier(num_nodes: int = 16, repetitions: int = 3) -> str:
         (ev.time, ev.category, ev.label, _canonical_payload(ev.payload, ids, ev.label))
         for ev in cluster.tracer.events
     ]
-    rows.append(("final", cluster.sim.now, cluster.sim.events_executed))
-    return _digest(rows)
+    rows.append(("final", cluster.sim.now))
+    return _digest(rows), cluster.sim.events_executed
 
 
 # ----------------------------------------------------------------------
 # Workload 3: untraced measurements (tracing OFF) -- latencies + counts.
 # ----------------------------------------------------------------------
-def untraced_measurements() -> str:
+def untraced_measurements() -> Pinned:
+    """Three 16-node ``measure_barrier`` calls: latencies, plus the
+    events of the clusters they built (captured around the builder)."""
+    built: List = []
+
+    def build(config):
+        cluster = build_cluster(config)
+        built.append(cluster)
+        return cluster
+
     rows = []
-    for nic_based, algorithm in ((True, "pe"), (False, "pe"), (True, "gb")):
-        m = measure_barrier(
-            LANAI_4_3_SYSTEM.cluster_config(16),
-            nic_based=nic_based,
-            algorithm=algorithm,
-            repetitions=3,
-            warmup=1,
-        )
-        rows.append((algorithm, nic_based, m.mean_latency_us, m.per_barrier_us))
-    return _digest(rows)
+    with mock.patch.object(experiments, "build_cluster", build):
+        for nic_based, algorithm in ((True, "pe"), (False, "pe"), (True, "gb")):
+            m = measure_barrier(
+                LANAI_4_3_SYSTEM.cluster_config(16),
+                nic_based=nic_based,
+                algorithm=algorithm,
+                repetitions=3,
+                warmup=1,
+            )
+            rows.append((algorithm, nic_based, m.mean_latency_us, m.per_barrier_us))
+    return _digest(rows), sum(c.sim.events_executed for c in built)
 
 
 # ----------------------------------------------------------------------
 # Workload 4: faulted run (retransmit timers + recovery paths).
 # ----------------------------------------------------------------------
-def faulted_barrier() -> str:
+def faulted_barrier() -> Pinned:
     """Eight nodes, four barriers of the *default* algorithm (NIC PE --
     despite the historical ``faulted_barrier_gb8`` key) under seeded 5%
     loss and a link flap on the SEPARATE barrier stream: final
@@ -190,13 +211,13 @@ def faulted_barrier() -> str:
             yield from barrier(ctx.port, ctx.group, ctx.rank)
 
     run_on_group(cluster, program, max_events=5_000_000)
-    return _digest(("final", cluster.sim.now, cluster.sim.events_executed))
+    return _digest(("final", cluster.sim.now)), cluster.sim.events_executed
 
 
 # ----------------------------------------------------------------------
 # Workload 5: every host algorithm + NIC PE/dissemination at ragged sizes.
 # ----------------------------------------------------------------------
-def host_algorithms(repetitions: int = 2) -> str:
+def host_algorithms(repetitions: int = 2) -> Pinned:
     """Host barriers (PE, dissemination, GB), host data collectives and
     NIC PE/dissemination barriers: each run's per-rank exit times,
     returned values, final ``sim.now`` and ``events_executed``.
@@ -215,7 +236,8 @@ def host_algorithms(repetitions: int = 2) -> str:
             return out
 
         results = run_on_group(cluster, program, max_events=5_000_000)
-        return results, cluster.sim.now, cluster.sim.events_executed
+        events.append(cluster.sim.events_executed)
+        return results, cluster.sim.now
 
     def host(algorithm, dimension=None):
         def step(ctx, rep):
@@ -236,6 +258,7 @@ def host_algorithms(repetitions: int = 2) -> str:
             return result
         return step
 
+    events: List[int] = []
     rows = []
     for n in (5, 6, 8):
         for algorithm in ("pe", "dissemination"):
@@ -247,13 +270,13 @@ def host_algorithms(repetitions: int = 2) -> str:
     rows.append(("host", "allreduce", run(6, collective(host_allreduce, op="max"))))
     for algorithm in ("pe", "dissemination"):
         rows.append(("nic", algorithm, run(6, nic(algorithm))))
-    return _digest(rows)
+    return _digest(rows), sum(events)
 
 
 # ----------------------------------------------------------------------
 # Workload 6: the NIC tree program (GB barrier, reduce, allreduce, bcast).
 # ----------------------------------------------------------------------
-def nic_tree_ops(repetitions: int = 2) -> str:
+def nic_tree_ops(repetitions: int = 2) -> Pinned:
     """Every NIC-offloaded tree operation: per-rank exit times and
     results, final ``sim.now`` and ``events_executed`` of each run.
 
@@ -297,7 +320,8 @@ def nic_tree_ops(repetitions: int = 2) -> str:
         assert len(out) == len(group) and all(
             len(v) == reps for v in out.values()
         ), "a rank did not finish"
-        rows = [sorted(out.items()), cluster.sim.now, cluster.sim.events_executed]
+        events.append(cluster.sim.events_executed)
+        rows = [sorted(out.items()), cluster.sim.now]
         if config.trace:
             ids: Dict = {}
             rows.append([
@@ -330,6 +354,7 @@ def nic_tree_ops(repetitions: int = 2) -> str:
     def endpoints(n):
         return [(node, 2) for node in range(n)]
 
+    events: List[int] = []
     ops = (
         ("reduce", reduce, {"op": "sum"}),
         ("allreduce", allreduce, {"op": "max"}),
@@ -380,13 +405,13 @@ def nic_tree_ops(repetitions: int = 2) -> str:
         rows.append(("late", name, run(
             config(4), endpoints(4), step, late=(late_rank, 300.0), reps=reps
         )))
-    return _digest(rows)
+    return _digest(rows), sum(events)
 
 
 # ----------------------------------------------------------------------
 # Workload 7: CPU charges under NIC pauses, compute phases and crashes.
 # ----------------------------------------------------------------------
-def faulted_cpu(repetitions: int = 8) -> str:
+def faulted_cpu(repetitions: int = 8) -> Pinned:
     """A traced 8-node NIC-PE barrier loop whose CPU charges are torn
     down in every way the fault plan can: canonical trace rows, per-rank
     results, final ``sim.now`` and ``events_executed``.
@@ -434,8 +459,8 @@ def faulted_cpu(repetitions: int = 8) -> str:
         (ev.time, ev.category, ev.label, _canonical_payload(ev.payload, ids, ev.label))
         for ev in cluster.tracer.events
     ]
-    rows.append(("final", results, cluster.sim.now, cluster.sim.events_executed))
-    return _digest(rows)
+    rows.append(("final", results, cluster.sim.now))
+    return _digest(rows), cluster.sim.events_executed
 
 
 WORKLOADS = {
@@ -449,8 +474,12 @@ WORKLOADS = {
 }
 
 
-def compute_digests() -> Dict[str, str]:
-    return {name: fn() for name, fn in WORKLOADS.items()}
+def compute_digests() -> Dict[str, Dict[str, Any]]:
+    out = {}
+    for name, fn in WORKLOADS.items():
+        rows, events = fn()
+        out[name] = {"events": events, "rows": rows}
+    return out
 
 
 def main() -> None:
@@ -458,8 +487,8 @@ def main() -> None:
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
-    for name, digest in digests.items():
-        print(f"  {name}: {digest[:16]}…")
+    for name, pinned in digests.items():
+        print(f"  {name}: rows {pinned['rows'][:16]}…, {pinned['events']} events")
 
 
 if __name__ == "__main__":

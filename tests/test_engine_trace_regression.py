@@ -3,10 +3,13 @@
 The two-tier scheduler + timer wheel must be an invisible optimization:
 every workload in ``tests/golden_engine.py`` has to execute the exact
 same events in the exact same order as the pre-rewrite single-heap
-engine.  The digests in ``tests/data/engine_golden.json`` were recorded
-on that engine; any diff here means the rewrite changed observable
-behaviour and must be fixed, not re-recorded (see golden_engine's
-docstring for the only legitimate regeneration case).
+engine.  Each entry of ``tests/data/engine_golden.json`` pins a rows
+digest (trace rows, per-rank results, final ``sim.now``) and, with its
+own assertion, the exact ``events_executed`` count.  A rows diff means
+observable behaviour changed and must be fixed, not re-recorded; a
+count diff with identical rows means the engine runs more or fewer
+callbacks for the same behaviour (see golden_engine's docstring for the
+only legitimate regeneration case).
 
 Covers tracing ON (traced_barrier_pe16), tracing OFF
 (untraced_measurements), pure scheduler semantics (engine_storm), the
@@ -38,9 +41,15 @@ def test_workload_digest_matches_single_heap_engine(name, golden):
         "`PYTHONPATH=src:. python tests/golden_engine.py` on a known-good "
         "engine and commit tests/data/engine_golden.json"
     )
-    live = WORKLOADS[name]()
-    assert live == golden[name], (
-        f"engine trace digest changed for {name!r}: the scheduler rewrite "
-        "altered observable event order or counts (expected "
-        f"{golden[name][:16]}…, got {live[:16]}…)"
+    rows, events = WORKLOADS[name]()
+    pinned = golden[name]
+    assert rows == pinned["rows"], (
+        f"rows digest changed for {name!r}: trace rows, per-rank results "
+        "or the final sim.now differ, so observable behaviour changed "
+        f"(expected {pinned['rows'][:16]}…, got {rows[:16]}…)"
+    )
+    assert events == pinned["events"], (
+        f"events_executed changed for {name!r} with identical rows: "
+        f"expected {pinned['events']}, got {events}; the engine now runs a "
+        "different number of callbacks for the same observable behaviour"
     )
