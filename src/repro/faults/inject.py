@@ -263,19 +263,16 @@ class FaultController:
     def _pause_nic(nic, at_us: float, duration_us: float):
         """Claim the LANai processor for the pause window (generator).
 
-        The grant is FIFO behind whatever firmware currently holds the
-        CPU, matching a stall that begins at the next instruction
-        boundary rather than mid-operation.
+        One ``hold`` on the CPU resource: the grant is FIFO behind
+        whatever firmware currently holds the CPU, matching a stall that
+        begins at the next instruction boundary rather than
+        mid-operation.
         """
         from repro.sim.primitives import Timeout
 
         if at_us > 0:
             yield Timeout(at_us)
-        yield nic.cpu_resource.request()
-        try:
-            yield Timeout(duration_us)
-        finally:
-            nic.cpu_resource.release()
+        yield nic.cpu_resource.hold(duration_us)
 
     def _register_metrics(self) -> None:
         metrics = self.cluster.sim.metrics

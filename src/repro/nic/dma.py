@@ -18,7 +18,7 @@ and ``RDMA`` terms are nonzero even for empty messages.
 from __future__ import annotations
 
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Resource, Timeout
+from repro.sim.primitives import Hold, Resource
 
 
 class DmaEngine:
@@ -78,20 +78,33 @@ class DmaEngine:
         ``ctx`` is an optional :class:`~repro.sim.tracing.TraceContext`
         attributing the transfer to a traced message; it changes nothing
         about the transfer itself.
+
+        The bus is one :class:`~repro.sim.primitives.Hold`: its grant
+        hook observes ``pci_wait_us`` and opens the busy interval at the
+        grant instant, and its end event releases the bus before this
+        generator resumes.  A transfer interrupted or killed while
+        holding the bus closes the busy interval and counts nothing.
         """
         if size_bytes < 0:
             raise ValueError("negative DMA size")
-        requested_at = self.sim.now
-        yield self.pci_bus.request()
-        self._pci_wait.observe(self.sim.now - requested_at)
-        self._busy.begin()
+        sim = self.sim
+        requested_at = sim.now
+        busy = self._busy
+
+        def granted() -> None:
+            self._pci_wait.observe(sim.now - requested_at)
+            busy.begin()
+
+        hold = Hold(self.pci_bus, self.transfer_time(size_bytes), granted)
         try:
-            yield Timeout(self.transfer_time(size_bytes))
-            self.transfers += 1
-            self.bytes_moved += size_bytes
-        finally:
-            self._busy.end()
-            self.pci_bus.release()
+            yield hold
+        except BaseException:
+            if hold.handle is None:  # granted: the busy interval is open
+                busy.end()
+            raise
+        busy.end()
+        self.transfers += 1
+        self.bytes_moved += size_bytes
         if ctx is not None and self.tracer is not None:
             # Name "nic3.rdma" -> category "nic3", label "rdma.dma".
             category, _, engine = self.name.rpartition(".")

@@ -516,10 +516,13 @@ class Resource:
         ...                             # hold
         resource.release()
 
-    Both kinds of waiter share one FIFO queue.  Interrupt/kill safe: a
-    waiter that dies while queued is purged, and a capacity unit already
-    granted to a dying waiter is released back (handed to the next
-    waiter) -- capacity can neither leak nor be double-released.
+    Both kinds of waiter share one FIFO queue.  A hold is granted inline
+    (see :class:`Hold`); a request is granted by firing its event.
+    Interrupt/kill safe: a waiter that dies while queued is purged, a
+    request unit already granted to a dying waiter is released back
+    (handed to the next waiter), and a dying holder's unit is released
+    as the exception reaches it -- capacity can neither leak nor be
+    double-released.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
@@ -611,49 +614,48 @@ class Resource:
         releases it: ``yield resource.hold(duration)``.
 
         The process is resumed once, after the release.  See :class:`Hold`
-        for the events this schedules.
+        for the one event this schedules.
         """
         if duration < 0:
             raise ValueError(f"hold duration must be >= 0, got {duration}")
         return Hold(self, duration)
 
-    def use(self, duration: float):
-        """Generator form of :meth:`hold`: ``yield from resource.use(d)``."""
-        yield self.hold(duration)
-
 
 class Hold:
     """Waitable of :meth:`Resource.hold` (single use).
 
-    It schedules exactly what a request/timeout/release sequence would,
-    without resuming the process in between:
+    A hold is either queued or holding.  The grant is inline: the moment
+    a unit is free for it -- at subscribe time, or inside the
+    ``release()`` that hands it the unit -- the hold schedules its end
+    event ``duration`` us later, right there.  The end event releases
+    the unit and then resumes the process.  That is one event per
+    charge, at the same grant order and release instants as a
+    request/timeout/release sequence, which costs two (the grant resume
+    and the timeout).
 
-    * the grant event, at ``PRIORITY_HIGH`` at the instant of the grant
-      (at subscribe time when a unit is free, else when ``release()``
-      hands this waiter the unit);
-    * from inside the grant event, the end event ``duration`` us later;
-    * inside the end event, the release and then the process resume.
+    ``on_grant`` is an internal hook called at the grant instant, before
+    the end event is scheduled; the DMA engines use it to time bus waits.
 
-    Both events are methods of the process's wait handle.  Interrupt or
-    kill tears the charge down according to its state: a queued hold is
-    purged; a grant in flight is released at abandonment (the grant event
-    still fires, as a no-op); a running hold has its end event cancelled
-    and keeps the unit until the exception is delivered to the process,
-    which releases it first.
+    Interrupt or kill tears the charge down according to its state: a
+    queued hold is purged; a holding one has its end event cancelled and
+    keeps the unit until the exception is delivered to the process,
+    which releases it first -- what the ``finally`` of a
+    request/timeout/release sequence does.
     """
 
-    __slots__ = ("resource", "duration", "handle", "state")
+    __slots__ = ("resource", "duration", "handle", "on_grant")
 
-    #: ``state`` values: waiting in the resource's queue, grant event
-    #: scheduled, end event scheduled.
-    QUEUED, GRANTED, HOLDING = range(3)
-
-    def __init__(self, resource: Resource, duration: float) -> None:
+    def __init__(
+        self,
+        resource: Resource,
+        duration: float,
+        on_grant: Optional[Callable[[], None]] = None,
+    ) -> None:
         self.resource = resource
         self.duration = duration
-        #: The wait handle, until the grant event is scheduled.
+        #: The wait handle while queued; None once holding.
         self.handle: Any = None
-        self.state = Hold.QUEUED
+        self.on_grant = on_grant
 
     def _subscribe(self, handle: Any) -> None:
         self.handle = handle
@@ -668,21 +670,20 @@ class Hold:
 
     def succeed(self, _value: None = None) -> None:
         """A unit is granted (``Resource.release`` calls this on queued
-        holds as on queued request events): schedule the grant event."""
-        self.state = Hold.GRANTED
+        holds as on queued request events): schedule the end event."""
         handle = self.handle
-        # Drop the back-reference: hold <-> handle would be a cycle left
-        # to the garbage collector.
+        # Dropping the back-reference marks the hold as holding and
+        # breaks the hold <-> handle cycle the garbage collector would
+        # otherwise have to find.
         self.handle = None
-        handle.sim.schedule(0.0, handle._hold_granted, priority=PRIORITY_HIGH)
+        if self.on_grant is not None:
+            self.on_grant()
+        handle.timer = handle.sim.schedule(self.duration, handle._hold_done)
 
     def _waiter_abandoned(self, handle: Any) -> None:
         """The waiting process was interrupted or killed."""
-        state = self.state
-        if state == Hold.QUEUED:
+        if self.handle is not None:
             self.resource._purge_request(self)
-        elif state == Hold.GRANTED:
-            self.resource.release()
         else:
             # The end event is already cancelled; the unit is released
             # when the exception reaches the generator.

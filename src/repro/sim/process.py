@@ -47,12 +47,14 @@ class _WaitHandle:
     can release engine resources instead of leaving them to fire into a
     dead flag:
 
-    * ``timer`` -- the engine handle of a pending ``Timeout``, cancelled
-      on abandon so it never even reaches dispatch;
+    * ``timer`` -- the engine handle of a pending ``Timeout``, or the
+      end event a ``Hold`` scheduled when it was granted, cancelled on
+      abandon so it never even reaches dispatch;
     * ``event`` -- the ``SimEvent`` or ``Hold`` subscribed to, notified
-      via ``_waiter_abandoned`` so it can unsubscribe us or salvage a
+      via ``_waiter_abandoned`` so it can unsubscribe us, salvage a
       value or capacity unit already in flight (the Store/Resource
-      lost-wakeup fix);
+      lost-wakeup fix) or, for a holding ``Hold``, leave its unit to be
+      released as the exception is delivered;
     * ``hooks`` -- teardown callables registered by combinators
       (``AnyOf``/``AllOf``) to cancel their children's subscriptions.
     """
@@ -86,16 +88,9 @@ class _WaitHandle:
             else:
                 self.process._advance(value, None)
 
-    def _hold_granted(self) -> None:
-        """Grant event of a :class:`~repro.sim.primitives.Hold`: start
-        the timed hold without resuming the process."""
-        if self.active:
-            hold = self.event
-            hold.state = Hold.HOLDING
-            self.timer = self.sim.schedule(hold.duration, self._hold_done)
-
     def _hold_done(self) -> None:
-        """End event of a ``Hold``: release the unit, then resume."""
+        """End event of a ``Hold``, the only event it schedules: release
+        the unit, then resume the process."""
         if self.active:
             self.active = False
             self.event.resource.release()

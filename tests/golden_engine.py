@@ -15,7 +15,11 @@ a handful of deterministic workloads and reduces each to two parts:
 that only removes bookkeeping events (same rows, fewer events) is told
 apart from one that changes behaviour.
 
-Regenerate the golden file (only when an *intentional* semantic change
+``tests/data/charge_metrics_golden.json`` pins the DMA, PCI and CPU
+entries of a 16-node metrics snapshot (:func:`charge_metrics`), which
+``tests/test_metrics.py`` compares exactly.
+
+Regenerate the golden files (only when an *intentional* semantic change
 is made, never to paper over a diff) with::
 
     PYTHONPATH=src:. python tests/golden_engine.py
@@ -30,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 from unittest import mock
@@ -55,6 +60,7 @@ from repro.sim.engine import PRIORITY_HIGH, PRIORITY_LOW, Simulator
 from repro.sim.tracing import TraceContext
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "engine_golden.json"
+CHARGE_METRICS_PATH = Path(__file__).parent / "data" / "charge_metrics_golden.json"
 
 #: What each workload returns: (rows digest, events executed).
 Pinned = Tuple[str, int]
@@ -416,9 +422,9 @@ def faulted_cpu(repetitions: int = 8) -> Pinned:
     down in every way the fault plan can: canonical trace rows, per-rank
     results, final ``sim.now`` and ``events_executed``.
 
-    * ``NicPause`` on NICs 1 and 5 claims the LANai with ``request()``
-      while the MCP machines charge it, so plain requesters and firmware
-      charges queue on one CPU resource;
+    * ``NicPause`` on NICs 1 and 5 holds the LANai while the MCP
+      machines charge it, so pauses and firmware charges queue on one
+      CPU resource;
     * every rank runs a host ``Node.compute`` phase before each barrier;
     * ``NicCrash`` of NIC 5 lands during its pause and kills a machine
       queued behind the pause;
@@ -474,6 +480,35 @@ WORKLOADS = {
 }
 
 
+#: Snapshot entries fed by CPU and PCI charges: the LANai's busy time and
+#: utilization, each DMA engine's transfers, bytes, bus busy time and
+#: bus-wait histogram, and the depth high-water marks of the SDMA inbox
+#: and RDMA queue.
+_CHARGE_KEY = re.compile(r"nic\d+\.(cpu|sdma|rdma)[._]")
+
+
+def charge_metrics(repetitions: int = 3) -> Dict[str, Dict[str, float]]:
+    """The DMA, PCI and CPU entries of a 16-node metrics snapshot after
+    ``repetitions`` NIC-based and, on a second cluster, host-based PE
+    barriers."""
+    out = {}
+    for name, op in (("nic-pe", barrier), ("host-pe", host_barrier)):
+        config = LANAI_4_3_SYSTEM.cluster_config(16).with_(metrics=True)
+        cluster = build_cluster(config)
+
+        def program(ctx, op=op):
+            for _ in range(repetitions):
+                yield from op(ctx.port, ctx.group, ctx.rank)
+
+        run_on_group(cluster, program, max_events=5_000_000)
+        out[name] = {
+            key: value
+            for key, value in sorted(cluster.metrics.snapshot().items())
+            if _CHARGE_KEY.match(key)
+        }
+    return out
+
+
 def compute_digests() -> Dict[str, Dict[str, Any]]:
     out = {}
     for name, fn in WORKLOADS.items():
@@ -489,6 +524,10 @@ def main() -> None:
     print(f"wrote {GOLDEN_PATH}")
     for name, pinned in digests.items():
         print(f"  {name}: rows {pinned['rows'][:16]}…, {pinned['events']} events")
+    snapshot = charge_metrics()
+    CHARGE_METRICS_PATH.write_text(json.dumps(snapshot, indent=1) + "\n")
+    print(f"wrote {CHARGE_METRICS_PATH}: "
+          f"{sum(map(len, snapshot.values()))} charge metrics")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 round-trips, each injector mechanism, and the bit-identical guarantee
 when injection is disabled."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster.builder import ClusterConfig, build_cluster
@@ -9,6 +11,7 @@ from repro.cluster.runner import run_on_group
 from repro.core.barrier import barrier
 from repro.faults import (
     AckLoss,
+    FaultController,
     FaultPlan,
     LinkFlap,
     LossRule,
@@ -18,6 +21,9 @@ from repro.faults import (
 from repro.gm.constants import BarrierReliability
 from repro.gm.events import RecvEvent
 from repro.nic.nic import NicParams
+from repro.sim.engine import Simulator
+from repro.sim.primitives import Interrupted, Resource, Timeout
+from repro.sim.process import Process
 
 
 def faulted_cluster(plan, n=2, mode=BarrierReliability.SEPARATE, **nic_kw):
@@ -263,6 +269,67 @@ class TestNicPause:
             )
         )
         assert paused >= baseline + 50.0
+
+
+def _legacy_pause_nic(nic, at_us, duration_us):
+    """``FaultController._pause_nic`` before it was one ``hold``:
+    request, timeout, release in ``finally`` -- the reference."""
+    if at_us > 0:
+        yield Timeout(at_us)
+    yield nic.cpu_resource.request()
+    try:
+        yield Timeout(duration_us)
+    finally:
+        nic.cpu_resource.release()
+
+
+def _struck_pause(pause, action):
+    """Firmware F charges the LANai 0-10 and G queues at 12 for 3 us; a
+    pause queued at 5 for 20 us is granted at 10 and is interrupted or
+    killed at 15, mid-hold.  Returns every release (instant, waiters
+    left), G's completion and the end state."""
+    sim = Simulator()
+    cpu = Resource(sim, capacity=1, name="lanai")
+    log = []
+    release = cpu.release
+
+    def logged_release():
+        log.append(("release", sim.now, cpu.queued))
+        release()
+
+    cpu.release = logged_release
+
+    def firmware(arrive, duration, tag):
+        yield Timeout(arrive)
+        yield cpu.hold(duration)
+        log.append((tag, sim.now))
+
+    def watcher(proc):
+        try:
+            yield proc
+        except Interrupted:
+            log.append(("pause interrupted", sim.now))
+
+    Process(sim, firmware(0.0, 10.0, "F done"))
+    Process(sim, firmware(12.0, 3.0, "G done"))
+    paused = Process(sim, pause(SimpleNamespace(cpu_resource=cpu), 5.0, 20.0))
+    Process(sim, watcher(paused))
+    sim.schedule(15.0, getattr(paused, action))
+    sim.run()
+    log.append(("end", sim.now, cpu.in_use, cpu.queued, cpu.busy_us))
+    return log
+
+
+class TestNicPauseTeardown:
+    @pytest.mark.parametrize("action", ["interrupt", "kill"])
+    def test_struck_mid_hold_releases_the_lanai_like_request_timeout_release(
+        self, action
+    ):
+        log = _struck_pause(FaultController._pause_nic, action)
+        assert log == _struck_pause(_legacy_pause_nic, action)
+        # The LANai goes back at the strike and G runs 15-18.
+        assert ("release", 15.0, 1) in log and ("G done", 18.0) in log
+        assert log[-1] == ("end", 18.0, 0, 0, 18.0)
 
 
 class TestDisabledInjectionIsBitIdentical:

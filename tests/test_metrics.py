@@ -1,5 +1,7 @@
 """Unit tests for the simulation metrics registry (repro.sim.metrics)."""
 
+import json
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -257,3 +259,16 @@ class TestEngineIntegration:
         sim.run()
         assert not sim.profiling
         assert sim.profile_stats() == {}
+
+
+class TestChargeMetricsPinned:
+    def test_dma_pci_and_cpu_entries_match_the_recorded_snapshot(self):
+        """CPU and PCI charges leave the same busy times, utilizations,
+        transfer counts and bus-wait histograms as recorded: 16 nodes,
+        NIC-based and host-based PE barriers."""
+        from tests.golden_engine import CHARGE_METRICS_PATH, charge_metrics
+
+        recorded = json.loads(CHARGE_METRICS_PATH.read_text())
+        live = charge_metrics()
+        assert sum(map(len, recorded.values())) == 512
+        assert live == recorded

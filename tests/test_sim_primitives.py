@@ -139,7 +139,7 @@ class TestResource:
         done = []
 
         def worker(tag):
-            yield from res.use(10.0)
+            yield res.hold(10.0)
             done.append((tag, sim.now))
 
         for tag in "abc":
@@ -173,7 +173,7 @@ class TestResource:
         res = Resource(sim, capacity=1)
 
         def worker():
-            yield from res.use(25.0)
+            yield res.hold(25.0)
 
         Process(sim, worker())
         sim.run(until=100.0)
@@ -187,8 +187,9 @@ class TestResource:
 
 def _legacy_use(resource, duration):
     """``Resource.use`` as written before ``Resource.hold`` existed
-    (request, timeout, release in ``finally``): the reference the
-    single-yield charge must match event for event."""
+    (request, timeout, release in ``finally``): the reference whose grant
+    order, release instants and completions the single-yield charge must
+    match."""
     request = resource.request()
     acquired = False
     try:
@@ -210,9 +211,9 @@ CHARGES = {"hold": _hold, "legacy_use": _legacy_use}
 def _teardown_scenario(charge, state, action):
     """A charges 0-10; B queues at 1 for 5 us; C queues at 2 for 5 us.
 
-    B is interrupted or killed while queued (t=3), with its grant in
-    flight (by A, right after A's release at 10) or while holding
-    (t=12); an interrupted B charges 1 us more.  Returns every release
+    B is interrupted or killed while queued (t=3), in the instant it is
+    granted (``in_flight``: by A, right after A's release at 10) or
+    while holding (t=12); an interrupted B charges 1 us more.  Returns every release
     (time, waiters left), the teardown call and every completion in
     order, then the clock, the engine counters and the resource's state.
     """
@@ -268,9 +269,32 @@ def _teardown_scenario(charge, state, action):
     return log
 
 
+def _contract(log):
+    """What a charge keeps from the request/timeout/release sequence:
+    every release (instant, waiters left) and completion in order, the
+    final clock and the resource's end state.  The teardown call's own
+    row and the engine counters are left out."""
+    *rows, end = [row for row in log if row[0] not in ("interrupt", "kill")]
+    return rows, end[1], end[4:]
+
+
 class TestHold:
-    """``Resource.hold`` is one yield that schedules exactly what the
-    request/timeout/release sequence of the old ``use()`` scheduled."""
+    """``Resource.hold`` is one yield and one end event per charge, with
+    the grant order, release instants and completions of the
+    request/timeout/release sequence of the old ``use()``."""
+
+    #: (events executed, cancelled pops) of each teardown scenario:
+    #: (hold, request/timeout/release).  The hold saves one event per
+    #: granted charge: its grant schedules the end event inline, where
+    #: the old sequence ran a grant resume and then a timeout.
+    TEARDOWN_COUNTERS = {
+        ("queued", "interrupt"): ((10, 0), (13, 0)),
+        ("queued", "kill"): ((9, 0), (11, 0)),
+        ("in_flight", "interrupt"): ((9, 1), (13, 0)),
+        ("in_flight", "kill"): ((8, 1), (11, 0)),
+        ("holding", "interrupt"): ((10, 1), (14, 1)),
+        ("holding", "kill"): ((9, 1), (12, 1)),
+    }
 
     def test_one_resume_per_charge(self, sim):
         res = Resource(sim, capacity=1)
@@ -284,8 +308,8 @@ class TestHold:
         Process(sim, worker())
         sim.run()
         assert resumes == [0.0, (4.0, None, 0)]
-        # Start, grant, end: the grant does not resume the generator.
-        assert sim.events_executed == 3
+        # Start and end: the grant schedules the end event inline.
+        assert sim.events_executed == 2
 
     def test_negative_duration_rejected(self, sim):
         with pytest.raises(ValueError, match="hold duration"):
@@ -294,9 +318,12 @@ class TestHold:
     @pytest.mark.parametrize("action", ["interrupt", "kill"])
     @pytest.mark.parametrize("state", ["queued", "in_flight", "holding"])
     def test_teardown_matches_legacy_use(self, state, action):
-        assert _teardown_scenario(_hold, state, action) == _teardown_scenario(
-            _legacy_use, state, action
-        )
+        hold = _teardown_scenario(_hold, state, action)
+        legacy = _teardown_scenario(_legacy_use, state, action)
+        assert _contract(hold) == _contract(legacy)
+        assert (hold[-1][2:4], legacy[-1][2:4]) == self.TEARDOWN_COUNTERS[
+            state, action
+        ]
 
     def test_interrupt_while_holding_releases_on_delivery(self):
         log = _teardown_scenario(_hold, "holding", "interrupt")
@@ -319,9 +346,11 @@ class TestHold:
         assert log[:5] == [
             ("release", 10.0, 2),
             ("A done", 10.0),
-            # The grant in flight to B is released at abandonment.
+            # A's release granted B inline, so B holds the unit when it
+            # is killed in the grant instant; the unit passes to C as the
+            # exception reaches B, in that same instant.
+            ("kill", 10.0, 1, 1),
             ("release", 10.0, 1),
-            ("kill", 10.0, 1, 0),
             ("B exit", 10.0),
         ]
         assert ("C done", 15.0) in log
