@@ -16,9 +16,11 @@ becomes a failed :class:`JobResult` while sibling jobs complete.  A
 worker that dies outright (segfault, ``os._exit``) surfaces as
 ``BrokenProcessPool`` on its future; worker death is an infrastructure
 fault rather than a property of the job, so the executor re-runs such
-jobs on a fresh pool up to ``max_retries`` times (counted by the
-``campaign.retries`` metric) before recording the failure -- and never
-a hung pool either way.
+jobs on a fresh pool up to ``max_retries`` times before recording the
+failure -- and never a hung pool either way.  ``campaign.worker_deaths``
+counts broken pools (one per death, whichever jobs were pending when it
+broke); ``campaign.retries`` counts the per-job re-runs, which include
+siblings that happened to be uncollected at the break.
 
 Progress streams through the PR-1 observability machinery: a
 :class:`~repro.sim.metrics.MetricsRegistry` counts submissions, cache
@@ -190,6 +192,7 @@ def _retry_broken_job(
                     _execute_job_payload, spec.to_dict()
                 ).result()
             except BrokenProcessPool as exc:
+                registry.counter("campaign.worker_deaths").inc()
                 error = f"{type(exc).__name__}: {exc}"
     return {
         "ok": False,
@@ -411,6 +414,8 @@ def run_campaign(
                             "traceback": traceback_module.format_exc(),
                         }
                     finish(index, spec, key, payload)
+            if broken:
+                registry.counter("campaign.worker_deaths").inc()
             for index, spec, key, first_error in broken:
                 finish(
                     index, spec, key,

@@ -1,7 +1,12 @@
 """Retry-on-worker-death contract: a transiently dying worker is re-run
-on a fresh pool (counted by ``campaign.retries``), a deterministically
-dying one still fails after exhausting its retries, and
-``max_retries=0`` restores the old fail-immediately behavior."""
+on a fresh pool, a deterministically dying one still fails after
+exhausting its retries, and ``max_retries=0`` restores the old
+fail-immediately behavior.
+
+``campaign.worker_deaths`` (one per broken pool) does not depend on
+timing and is asserted exactly.  ``campaign.retries`` counts per-job
+re-runs, and a sibling still pending at the pool break is re-run too,
+so it is bounded, not pinned."""
 
 from repro.campaign import CampaignSpec, JobSpec, run_campaign
 
@@ -23,7 +28,11 @@ class TestRetryOnWorkerDeath:
         assert marker.exists()  # the first attempt really died
         assert result.failed == 0
         assert all(r.ok for r in result.results)
-        assert result.metrics.snapshot()["campaign.retries"] == 1
+        snap = result.metrics.snapshot()
+        assert snap["campaign.worker_deaths"] == 1
+        # The crasher's retry, plus the echo sibling's if it was still
+        # pending when the pool broke.
+        assert 1 <= snap["campaign.retries"] <= 2
 
     def test_poisoned_siblings_recover_too(self, tmp_path):
         """One death poisons the whole pool: sibling futures that were
@@ -36,6 +45,7 @@ class TestRetryOnWorkerDeath:
         result = run_campaign(jobs, jobs=2)
         assert result.failed == 0
         assert all(r.ok for r in result.results)
+        assert result.metrics.snapshot()["campaign.worker_deaths"] == 1
 
     def test_deterministic_death_exhausts_retries(self):
         result = run_campaign([probe("crash"), probe("echo")], jobs=2)
@@ -43,9 +53,12 @@ class TestRetryOnWorkerDeath:
         assert not crash.ok
         assert crash.error_type == "BrokenProcessPool"
         assert "died too" in crash.error
+        snap = result.metrics.snapshot()
+        # The first pool and the crasher's retry pool both break.
+        assert snap["campaign.worker_deaths"] == 2
         # At least the crasher's retry fired; the poisoned echo sibling
         # may add one more depending on collection timing.
-        assert result.metrics.snapshot()["campaign.retries"] >= 1
+        assert snap["campaign.retries"] >= 1
         assert result.results[1].ok  # the sibling always recovers
 
     def test_retries_disabled_fails_immediately(self):
@@ -56,6 +69,7 @@ class TestRetryOnWorkerDeath:
         assert not crash.ok
         assert "retries disabled" in crash.error
         snap = result.metrics.snapshot()
+        assert snap["campaign.worker_deaths"] == 1
         assert snap.get("campaign.retries", 0) == 0
 
     def test_spec_round_trips_max_retries(self):
