@@ -52,6 +52,7 @@ class TestCampaignParallel:
             rows,
         )
 
+    @pytest.mark.wallclock
     def test_parallel_speedup_on_multicore(self, tmp_path):
         """The ISSUE acceptance bar: the LANai 4.3 + 7.2 Figure-5 sweeps
         at ``jobs=4`` >= 2x faster than serial.  Needs real cores."""

@@ -3,6 +3,9 @@
 Tracks the cost of regenerating the paper so regressions in the DES
 kernel or the protocol models show up in CI.  Unlike the other benches
 (which report *simulated* microseconds), these numbers are real seconds.
+The classes that assert a wall-clock bound carry the ``wallclock``
+marker: the default test run deselects them, and CI runs them alone
+with ``pytest benchmarks/ -m wallclock``.
 """
 
 import gc
@@ -198,6 +201,7 @@ class TestEndToEndSimulationCost:
         assert events < 60_000
 
 
+@pytest.mark.wallclock
 class TestMetricsOverhead:
     def test_disabled_metrics_under_5_percent_overhead(self):
         """Instrumented dispatch must stay within 5% of the frozen loop.
@@ -239,6 +243,7 @@ class TestMetricsOverhead:
         )
 
 
+@pytest.mark.wallclock
 class TestSchedulerRewriteSpeedup:
     """The two-tier + timer-wheel rewrite's headline gate: >= 5x events/sec
     on the ROADMAP's loaded-fabric scenario, versus the frozen engine."""
@@ -309,6 +314,7 @@ class TestSchedulerRewriteSpeedup:
         )
 
 
+@pytest.mark.wallclock
 class TestTelemetryOverhead:
     def test_disabled_telemetry_under_5_percent_on_figure5_work(self):
         """Telemetry off (the default) must cost <5% wall clock on the
@@ -361,6 +367,7 @@ class TestTelemetryOverhead:
         )
 
 
+@pytest.mark.wallclock
 class TestFlightRecorderOverhead:
     def test_always_on_ring_under_5_percent_on_figure5_work(self):
         """The flight recorder is on by default, so its ring append (one
