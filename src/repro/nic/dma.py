@@ -98,11 +98,9 @@ class DmaEngine:
         hold = Hold(self.pci_bus, self.transfer_time(size_bytes), granted)
         try:
             yield hold
-        except BaseException:
+        finally:
             if hold.handle is None:  # granted: the busy interval is open
                 busy.end()
-            raise
-        busy.end()
         self.transfers += 1
         self.bytes_moved += size_bytes
         if ctx is not None and self.tracer is not None:

@@ -12,7 +12,7 @@ from repro.nic.lanai import (
     LanaiModel,
 )
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Resource, Timeout
+from repro.sim.primitives import Interrupted, Resource, Timeout
 from repro.sim.process import Process
 
 
@@ -95,6 +95,40 @@ class TestDmaEngine:
         sim.run()
         assert eng.transfers == 1
         assert eng.bytes_moved == 100
+
+    @pytest.mark.parametrize("action", ["interrupt", "kill"])
+    def test_struck_transfers_close_busy_time_and_free_the_bus(self, action):
+        sim = Simulator(metrics_enabled=True)
+        bus = Resource(sim, 1)
+        sdma = DmaEngine(sim, bus, 133.0, 0.5, name="sdma")
+        rdma = DmaEngine(sim, bus, 133.0, 0.5, name="rdma")
+        log = []
+
+        def xfer(eng, tag, nbytes):
+            try:
+                yield from eng.transfer(nbytes)
+                log.append((tag, sim.now))
+            except Interrupted:
+                log.append((tag, "interrupted", sim.now))
+
+        a = Process(sim, xfer(sdma, "a", 1330))  # holds the bus 0-10.5
+        b = Process(sim, xfer(rdma, "b", 1330))  # queued behind a
+        Process(sim, xfer(rdma, "c", 0))         # queued behind b
+        sim.schedule(2.0, getattr(b, action))    # struck while queued
+        sim.schedule(4.0, getattr(a, action))    # struck while holding
+        sim.run()
+        struck = [("b", "interrupted", 2.0), ("a", "interrupted", 4.0)]
+        assert log == (struck if action == "interrupt" else []) + [("c", 4.5)]
+        snap = sim.metrics.snapshot()
+        # a's busy interval closes at the strike and counts no transfer;
+        # b never held the bus, so only c's wait is observed.
+        assert snap["sdma.busy.busy_us"] == pytest.approx(4.0)
+        assert snap["sdma.transfers"] == 0
+        assert snap["rdma.busy.busy_us"] == pytest.approx(0.5)
+        assert snap["rdma.transfers"] == 1
+        assert snap["rdma.pci_wait_us.count"] == 1
+        assert snap["rdma.pci_wait_us.max"] == pytest.approx(4.0)
+        assert bus.in_use == 0 and bus.queued == 0
 
     def test_negative_size_rejected(self, sim):
         bus = Resource(sim, 1)
