@@ -154,24 +154,30 @@ def measure_barrier(
     if telemetry and not config.telemetry:
         config = config.with_(telemetry=True)
     cluster = build_cluster(config)
-    if group is None:
-        group = default_group(cluster)
-    enter_times: Dict[int, List[float]] = {}
-    exit_times: Dict[int, List[float]] = {}
-    total = warmup + repetitions
-    run_on_group(
-        cluster,
-        _barrier_loop_program,
-        group=group,
-        max_events=max_events,
-        nic_based=nic_based,
-        algorithm=algorithm,
-        dimension=dimension,
-        repetitions=total,
-        skew_max_us=skew_max_us,
-        enter_times=enter_times,
-        exit_times=exit_times,
-    )
+    try:
+        if group is None:
+            group = default_group(cluster)
+        enter_times: Dict[int, List[float]] = {}
+        exit_times: Dict[int, List[float]] = {}
+        total = warmup + repetitions
+        run_on_group(
+            cluster,
+            _barrier_loop_program,
+            group=group,
+            max_events=max_events,
+            nic_based=nic_based,
+            algorithm=algorithm,
+            dimension=dimension,
+            repetitions=total,
+            skew_max_us=skew_max_us,
+            enter_times=enter_times,
+            exit_times=exit_times,
+        )
+        tel_summary: Optional[dict] = None
+        if cluster.telemetry.enabled:
+            tel_summary = cluster.telemetry.summary()
+    finally:
+        cluster.close()
     per_barrier = []
     for rep in range(warmup, total):
         start = max(enter_times[rep])
@@ -189,9 +195,6 @@ def measure_barrier(
             max_events=max_events,
         )
         cp_summary = path.summary()
-    tel_summary: Optional[dict] = None
-    if cluster.telemetry.enabled:
-        tel_summary = cluster.telemetry.summary()
     return BarrierMeasurement(
         num_nodes=len(group),
         algorithm=algorithm,

@@ -35,7 +35,7 @@ from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.runner import run_on_group
 from repro.faults.inject import CRASH_SUSPECT_AFTER_US
 from repro.faults.plan import FaultPlan, NodeCrash
-from repro.faults.soak import _combo_seed
+from repro.faults.soak import combo_seed
 from repro.gm.events import PeerFailure
 from repro.nic.nic import NicParams
 
@@ -165,7 +165,7 @@ def run_reliability_bench(seed: int = 42) -> dict:
     for label, algorithm in BENCH_ALGORITHMS:
         for num_nodes in BENCH_SIZES:
             sample = run_reliability_scenario(
-                seed=_combo_seed(seed, index),
+                seed=combo_seed(seed, index),
                 label=label,
                 algorithm=algorithm,
                 num_nodes=num_nodes,

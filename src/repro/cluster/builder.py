@@ -105,6 +105,8 @@ class Cluster:
             self.nodes.append(
                 Node(self.sim, node_id, nic, host_params=config.host_params)
             )
+        #: Every process started by :meth:`spawn`.
+        self.processes: List[Process] = []
         #: Live fault controller when a plan was configured, else None.
         self.faults: Optional["FaultController"] = None
         if config.fault_plan is not None:
@@ -123,7 +125,9 @@ class Cluster:
 
     def spawn(self, generator, name: str = "") -> Process:
         """Run a host application generator as a simulation process."""
-        return Process(self.sim, generator, name=name)
+        process = Process(self.sim, generator, name=name)
+        self.processes.append(process)
+        return process
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the simulation (see :meth:`repro.sim.engine.Simulator.run`).
@@ -149,10 +153,16 @@ class Cluster:
                     pass
             raise
 
-    def shutdown(self) -> None:
-        """Kill the firmware processes so the event heap can drain."""
+    def close(self) -> None:
+        """End of life, running no event, so refcounting frees the
+        cluster; counters stay readable (see ``docs/engine.md``)."""
+        for process in self.processes:
+            process.close()
         for node in self.nodes:
-            node.nic.shutdown()
+            node.nic.close()
+            node.driver = None
+        self.network.close()
+        self.sim.close()
 
     @property
     def now(self) -> float:

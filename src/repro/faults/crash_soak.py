@@ -37,7 +37,7 @@ from typing import Dict, List, Tuple
 from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.runner import run_on_group
 from repro.faults.plan import FaultPlan, NodeCrash
-from repro.faults.soak import _combo_seed
+from repro.faults.soak import combo_seed
 from repro.gm.events import PeerFailure
 from repro.nic.nic import NicParams
 
@@ -299,7 +299,7 @@ def run_crash_soak(
             for num_nodes in sizes:
                 result.rows.append(
                     run_crash_combo(
-                        seed=_combo_seed(seed, index),
+                        seed=combo_seed(seed, index),
                         label=label,
                         algorithm=algorithm,
                         phase=phase,

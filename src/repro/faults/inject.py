@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.faults.plan import AckLoss, FaultPlan, LossRule
 from repro.network.link import Channel
 from repro.network.packet import Packet
-from repro.sim.process import Process
 from repro.sim.rng import SimRng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,21 +61,21 @@ class _ActiveRule:
 class ChannelInjector:
     """The ``fault_filter`` for one channel: first matching rule wins."""
 
-    def __init__(
-        self, controller: "FaultController", channel: Channel
-    ) -> None:
-        self.controller = controller
-        self.channel = channel
+    def __init__(self, rng: SimRng, channel: Channel) -> None:
+        self.sim = channel.sim
         self.rules: List[_ActiveRule] = []
-        self._rng = controller.rng
+        self._rng = rng
         self._stream = f"faults.{channel.name}"
+        #: Packets this injector lost, and corrupted.
+        self.drops = 0
+        self.corruptions = 0
 
     def add_rule(self, spec: LossRule) -> None:
         """Bind one more loss rule to this channel."""
         self.rules.append(_ActiveRule(spec))
 
     def __call__(self, packet: Packet) -> Optional[str]:
-        now = self.channel.sim.now
+        now = self.sim.now
         for rule in self.rules:
             spec = rule.spec
             if rule.exhausted():
@@ -91,9 +90,9 @@ class ChannelInjector:
                 continue
             rule.drops += 1
             if spec.corrupt:
-                self.controller.corruptions += 1
+                self.corruptions += 1
                 return "corrupt"
-            self.controller.drops += 1
+            self.drops += 1
             return "drop"
         return None
 
@@ -107,27 +106,35 @@ class FaultController:
     """
 
     def __init__(self, cluster: "Cluster", plan: FaultPlan) -> None:
-        self.cluster = cluster
+        # The cluster's parts only: no cycle runs back through ``faults``.
+        self.network = cluster.network
+        self.nodes = cluster.nodes
         self.plan = plan
         self.rng = SimRng(plan.seed)
         self.injectors: Dict[str, ChannelInjector] = {}
         #: Aggregate counters (per-rule budgets live on the rules).
-        self.drops = 0
-        self.corruptions = 0
         self.flaps_scheduled = 0
         self.stalls_scheduled = 0
         self.pauses_scheduled = 0
         self.crashes_scheduled = 0
         self.crashes_fired = 0
-        self._install()
-        self._register_metrics()
+        self._install(cluster)
+        self._register_metrics(cluster.sim.metrics)
+
+    @property
+    def drops(self) -> int:
+        """Packets lost to loss rules, over every channel."""
+        return sum(inj.drops for inj in self.injectors.values())
+
+    @property
+    def corruptions(self) -> int:
+        """Packets corrupted by loss rules, over every channel."""
+        return sum(inj.corruptions for inj in self.injectors.values())
 
     # ------------------------------------------------------------------
     def _channels_for(self, nodes, direction: str) -> List[Channel]:
-        network = self.cluster.network
-        node_ids = (
-            range(len(self.cluster.nodes)) if nodes is None else nodes
-        )
+        network = self.network
+        node_ids = range(len(self.nodes)) if nodes is None else nodes
         out = []
         for node_id in node_ids:
             if direction in ("rx", "both"):
@@ -139,7 +146,7 @@ class FaultController:
     def _injector(self, channel: Channel) -> ChannelInjector:
         inj = self.injectors.get(channel.name)
         if inj is None:
-            inj = ChannelInjector(self, channel)
+            inj = ChannelInjector(self.rng, channel)
             self.injectors[channel.name] = inj
             if channel.fault_filter is not None:
                 raise RuntimeError(
@@ -148,8 +155,8 @@ class FaultController:
             channel.fault_filter = inj
         return inj
 
-    def _install(self) -> None:
-        sim = self.cluster.sim
+    def _install(self, cluster: "Cluster") -> None:
+        sim = cluster.sim
         plan = self.plan
 
         loss_rules: List[LossRule] = list(plan.loss)
@@ -166,7 +173,7 @@ class FaultController:
                 self.flaps_scheduled += 1
 
         for stall in plan.stalls:
-            switch = self.cluster.network.switch(stall.switch)
+            switch = self.network.switch(stall.switch)
             channel = switch.output_channel(stall.port)
             if channel is None:
                 raise ValueError(
@@ -178,9 +185,8 @@ class FaultController:
             self.stalls_scheduled += 1
 
         for pause in plan.pauses:
-            nic = self.cluster.nodes[pause.node].nic
-            Process(
-                sim,
+            nic = self.nodes[pause.node].nic
+            cluster.spawn(
                 self._pause_nic(nic, pause.at_us, pause.duration_us),
                 name=f"fault.pause.nic{pause.node}",
             )
@@ -204,13 +210,13 @@ class FaultController:
             self._ensure_detectors()
             sim.schedule_at(min(crash_times), self._arm_detectors, horizon)
         for crash in plan.crashes:
-            node = self.cluster.nodes[crash.node]
+            node = self.nodes[crash.node]
             sim.schedule_at(crash.at_us, self._crash_node, node)
             if crash.restart_at_us is not None:
                 sim.schedule_at(crash.restart_at_us, self._restart_node, node)
             self.crashes_scheduled += 1
         for crash in plan.nic_crashes:
-            nic = self.cluster.nodes[crash.node].nic
+            nic = self.nodes[crash.node].nic
             sim.schedule_at(crash.at_us, self._crash_nic, nic)
             self.crashes_scheduled += 1
 
@@ -223,7 +229,7 @@ class FaultController:
         """
         from repro.nic.detector import FailureDetector
 
-        for node in self.cluster.nodes:
+        for node in self.nodes:
             if node.nic.detector is None:
                 node.nic.detector = FailureDetector(
                     node.nic, CRASH_HEARTBEAT_US, CRASH_SUSPECT_AFTER_US
@@ -232,7 +238,7 @@ class FaultController:
     def _arm_detectors(self, active_until: float) -> None:
         """Arm every live NIC's detector over the crash window (arming
         only ever extends an explicitly-configured detector's window)."""
-        for node in self.cluster.nodes:
+        for node in self.nodes:
             if not node.nic.crashed:
                 node.nic.detector.arm(active_until=active_until)
 
@@ -243,13 +249,13 @@ class FaultController:
             if proc.alive:
                 proc.kill()
         node.nic.crash()
-        network = self.cluster.network
+        network = self.network
         network.rx_channel(node.node_id).set_down()
         network.tx_channel(node.node_id).set_down()
 
     def _restart_node(self, node) -> None:
         """Optional restart: cables up, fresh firmware (no rejoin)."""
-        network = self.cluster.network
+        network = self.network
         network.rx_channel(node.node_id).set_up()
         network.tx_channel(node.node_id).set_up()
         node.nic.restart()
@@ -274,8 +280,7 @@ class FaultController:
             yield Timeout(at_us)
         yield nic.cpu_resource.hold(duration_us)
 
-    def _register_metrics(self) -> None:
-        metrics = self.cluster.sim.metrics
+    def _register_metrics(self, metrics) -> None:
         if not metrics.enabled:
             return
         metrics.observe("faults.drops", lambda: self.drops)

@@ -132,7 +132,7 @@ class SoakResult:
         return "\n".join(lines)
 
 
-def _combo_seed(seed: int, index: int) -> int:
+def combo_seed(seed: int, index: int) -> int:
     """A distinct, stable per-combination seed (splitmix-style)."""
     x = (seed * 0x9E3779B97F4A7C15 + index + 1) & 0xFFFFFFFFFFFFFFFF
     x ^= x >> 31
@@ -295,7 +295,7 @@ def soak_jobs(
                 JobSpec(
                     kind="soak",
                     params={
-                        "seed": _combo_seed(seed, index),
+                        "seed": combo_seed(seed, index),
                         "label": label,
                         "nic_based": nic_based,
                         "algorithm": algorithm,

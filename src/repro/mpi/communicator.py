@@ -322,7 +322,7 @@ class Communicator:
         :meth:`barrier` cannot offer.
         """
         yield from self._charge_call()
-        request = yield from self.nbc.start_collective("ibarrier")
+        request = yield from self.nbc.start_collective(self, "ibarrier")
         return request
 
     def ibcast(self, value: Any = None, root: int = 0):
@@ -330,7 +330,7 @@ class Communicator:
         ``wait()`` yields the root's value on every rank."""
         yield from self._charge_call()
         request = yield from self.nbc.start_collective(
-            "ibcast", value=value, root=root
+            self, "ibcast", value=value, root=root
         )
         return request
 
@@ -339,7 +339,7 @@ class Communicator:
         ``wait()`` yields the reduction over every rank's ``value``."""
         yield from self._charge_call()
         request = yield from self.nbc.start_collective(
-            "iallreduce", value=value, op=op
+            self, "iallreduce", value=value, op=op
         )
         return request
 

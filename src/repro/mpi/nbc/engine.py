@@ -70,17 +70,17 @@ class Request:
     """
 
     __slots__ = (
-        "engine", "seq", "kind", "done", "result", "started_at",
+        "comm", "seq", "kind", "done", "result", "started_at",
         "completed_at", "aborted",
     )
 
-    def __init__(self, engine: "ProgressEngine", seq: int, kind: str) -> None:
-        self.engine = engine
+    def __init__(self, comm: "Communicator", seq: int, kind: str) -> None:
+        self.comm = comm
         self.seq = seq
         self.kind = kind
         self.done = False
         self.result: Any = None
-        self.started_at = engine.sim.now
+        self.started_at = comm.nbc.sim.now
         self.completed_at: Optional[float] = None
         #: Set when a peer failure aborted the schedule: ``done`` is True
         #: but ``result`` is meaningless (the collective never completed).
@@ -93,13 +93,14 @@ class Request:
         stashed schedule messages, consumes at most one pending event,
         and reports whether this request has completed.
         """
-        engine = self.engine
-        yield from engine.drain_stash()
+        comm = self.comm
+        engine = comm.nbc
+        yield from engine.drain_stash(comm)
         if self.done:
             return True
         ev = yield from engine.port.try_receive()
         if ev is not None:
-            yield from engine.dispatch(ev)
+            yield from engine.dispatch(comm, ev)
         return self.done
 
     def wait(self):
@@ -107,11 +108,12 @@ class Request:
 
         Returns the collective's result (``None`` for Ibarrier).
         """
-        engine = self.engine
-        yield from engine.drain_stash()
+        comm = self.comm
+        engine = comm.nbc
+        yield from engine.drain_stash(comm)
         while not self.done:
             ev = yield from engine.port.receive()
-            yield from engine.dispatch(ev)
+            yield from engine.dispatch(comm, ev)
         return self.result
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -154,11 +156,11 @@ class _Outstanding:
 
 
 class ProgressEngine:
-    """Schedule compiler front-end + progress core for one communicator."""
+    """Schedule compiler front-end + progress core for one communicator
+    (which owns it, and is passed in rather than referenced back)."""
 
     def __init__(self, comm: "Communicator",
                  cache: Optional[ScheduleCache] = None) -> None:
-        self.comm = comm
         self.port = comm.port
         self.sim = comm.port.node.sim
         self.metrics = self.sim.metrics
@@ -187,8 +189,8 @@ class ProgressEngine:
         """Number of started-but-incomplete requests."""
         return len(self._outstanding)
 
-    def start_collective(self, kind: str, value: Any = None, op: str = "sum",
-                         root: int = 0):
+    def start_collective(self, comm: "Communicator", kind: str,
+                         value: Any = None, op: str = "sum", root: int = 0):
         """Compile/fetch the schedule for ``kind`` and start it (host
         generator -> :class:`Request`).
 
@@ -198,7 +200,6 @@ class ProgressEngine:
         cache's value is host *wall-clock* work avoided, measured by the
         ``nbc.cache.*`` metrics rather than simulated latency.
         """
-        comm = self.comm
         size, rank = comm.size, comm.rank
         if kind == "ibarrier":
             shape: Dict[str, Any] = {}
@@ -218,7 +219,7 @@ class ProgressEngine:
 
         seq = self._next_seq
         self._next_seq += 1
-        request = Request(self, seq, kind)
+        request = Request(comm, seq, kind)
         state = _Outstanding(request, schedule, buffers)
         self._outstanding[seq] = state
         self.metrics.counter("nbc.requests").inc()
@@ -227,8 +228,8 @@ class ProgressEngine:
             rounds=schedule.num_rounds, port=self.port.port_id,
         )
         yield from self.port.ensure_receive_buffers(comm.params.recv_pool)
-        self._arm_watchdog()
-        yield from self._begin_round(state)
+        self._arm_watchdog(comm.params.nbc_watchdog_us)
+        yield from self._begin_round(comm, state)
         return request
 
     # ------------------------------------------------------------------
@@ -243,7 +244,7 @@ class ProgressEngine:
             and "nbc_seq" in ev.payload
         )
 
-    def drain_stash(self):
+    def drain_stash(self, comm: "Communicator"):
         """Consume schedule messages parked in the port stash (host
         generator).  Blocking receives elsewhere (tag matching, barrier
         completion waits) stash events they do not recognize; any of
@@ -254,11 +255,11 @@ class ProgressEngine:
             ev = stash[index]
             if self.is_nbc_event(ev):
                 del stash[index]
-                yield from self._deliver(ev)
+                yield from self._deliver(comm, ev)
             else:
                 index += 1
 
-    def dispatch(self, ev):
+    def dispatch(self, comm: "Communicator", ev):
         """Route one just-received event (host generator -> bool).
 
         Schedule messages are delivered into their request's state;
@@ -267,14 +268,14 @@ class ProgressEngine:
         belongs to.  Returns True when the event was consumed here.
         """
         if self.is_nbc_event(ev):
-            yield from self._deliver(ev)
+            yield from self._deliver(comm, ev)
             return True
         if isinstance(ev, SentEvent):
             return True
         self.port._stash.append(ev)
         return False
 
-    def _deliver(self, ev: RecvEvent):
+    def _deliver(self, comm: "Communicator", ev: RecvEvent):
         """Fill the receive this message answers, or park it as early."""
         payload = ev.payload
         if payload.get("nbc_epoch") != self.cache.epoch:
@@ -282,10 +283,10 @@ class ProgressEngine:
             self.metrics.counter("nbc.stale_epoch_dropped").inc()
             yield from self.port.provide_receive_buffer()
             return
-        yield from self.comm._charge_message()
+        yield from comm._charge_message()
         # Keep the standing pool at strength for the rounds to come.
         yield from self.port.provide_receive_buffer()
-        src_rank = self.comm._rank_of((ev.src_node, ev.src_port))
+        src_rank = comm._rank_of((ev.src_node, ev.src_port))
         seq = payload["nbc_seq"]
         rnd = payload["nbc_round"]
         value = payload.get("nbc_payload")
@@ -296,7 +297,7 @@ class ProgressEngine:
             and src_rank in state.waiting
         ):
             self._fill(state, src_rank, value)
-            yield from self._maybe_advance(state)
+            yield from self._maybe_advance(comm, state)
         else:
             self._early.setdefault((seq, rnd, src_rank), deque()).append(value)
             self.metrics.counter("nbc.early_arrivals").inc()
@@ -313,7 +314,7 @@ class ProgressEngine:
     # ------------------------------------------------------------------
     # round progression
     # ------------------------------------------------------------------
-    def _begin_round(self, state: _Outstanding):
+    def _begin_round(self, comm: "Communicator", state: _Outstanding):
         """Enter the next round: issue its sends, post its receives,
         absorb early arrivals, and cascade through rounds that complete
         immediately (host generator)."""
@@ -333,9 +334,9 @@ class ProgressEngine:
             for op in ops:
                 if op.kind != "send":
                     continue
-                dst = self.comm._endpoint(op.peer)
+                dst = comm._endpoint(op.peer)
                 value = None if op.slot is None else state.buffers.get(op.slot)
-                yield from self.comm._charge_message()
+                yield from comm._charge_message()
                 yield from self.port.send_with_callback(
                     dst_node=dst[0],
                     dst_port=dst[1],
@@ -360,12 +361,12 @@ class ProgressEngine:
                 return
             run_local_ops(ops, state.buffers)
 
-    def _maybe_advance(self, state: _Outstanding):
+    def _maybe_advance(self, comm: "Communicator", state: _Outstanding):
         """Advance past the current round if its receives all landed."""
         if state.waiting:
             return
         run_local_ops(state.schedule.rounds[state.round_idx], state.buffers)
-        yield from self._begin_round(state)
+        yield from self._begin_round(comm, state)
 
     def _finish(self, state: _Outstanding) -> None:
         """Mark the request complete and release its progress state."""
@@ -426,12 +427,12 @@ class ProgressEngine:
         self._last_event_at = self.sim.now
         self._events_landed += 1
 
-    def _arm_watchdog(self) -> None:
+    def _arm_watchdog(self, period_us: float) -> None:
         if self._watchdog is not None:
             return
         self._events_seen_at_check = self._events_landed
         self._watchdog = self.sim.schedule_timer(
-            self.comm.params.nbc_watchdog_us, self._watchdog_fire
+            period_us, self._watchdog_fire, period_us
         )
 
     def _disarm_watchdog(self) -> None:
@@ -439,7 +440,7 @@ class ProgressEngine:
             self._watchdog.cancel()
             self._watchdog = None
 
-    def _watchdog_fire(self) -> None:
+    def _watchdog_fire(self, period_us: float) -> None:
         """Timer-wheel callback: flag outstanding schedules seeing no
         events.  Observation only -- progress itself always happens in
         ``test``/``wait`` context -- but the stall record lands in the
@@ -463,10 +464,10 @@ class ProgressEngine:
                 waiting=sorted(state.waiting),
                 idle_us=self.sim.now - self._last_event_at,
             )
-        self._arm_watchdog()
+        self._arm_watchdog(period_us)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<ProgressEngine rank={self.comm.rank} "
+            f"<ProgressEngine port={self.port.endpoint} "
             f"outstanding={len(self._outstanding)}>"
         )

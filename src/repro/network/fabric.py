@@ -204,6 +204,12 @@ class Network:
         """All attached NIC ids, sorted (the failure detector's peer set)."""
         return sorted(self._nic_tx)
 
+    def close(self) -> None:
+        """Unplug every switch output channel (``Cluster.close``)."""
+        for switch in self._switches.values():
+            for channel in switch._outputs.values():
+                channel.sink = None
+
     # -- test / experiment hooks ----------------------------------------
     def tx_channel(self, nic_id: int) -> Channel:
         """The NIC's transmit channel (for counters in tests)."""

@@ -60,7 +60,6 @@ class CrossbarSwitch:
         self.switch_id = switch_id
         self.name = name or f"switch{switch_id}"
         self._outputs: Dict[int, Channel] = {}
-        self._inputs: Dict[int, _SwitchInput] = {}
         #: Optional tracer; set by the fabric so routed ctx-carrying
         #: packets leave a ``switch.route`` record.
         self.tracer = None
@@ -82,9 +81,7 @@ class CrossbarSwitch:
         if port_index in self._outputs:
             raise ValueError(f"{self.name} port {port_index} already attached")
         self._outputs[port_index] = output_channel
-        sink = _SwitchInput(self, port_index)
-        self._inputs[port_index] = sink
-        return sink
+        return _SwitchInput(self, port_index)
 
     def output_channel(self, port_index: int) -> Optional[Channel]:
         """The channel cabled to a port, if attached."""

@@ -103,7 +103,7 @@ class FailureDetector:
             self._schedule_tick()
 
     def stop(self) -> None:
-        """Permanently silence the detector (shutdown / own crash)."""
+        """Permanently silence the detector (its own NIC crashed)."""
         self._stopped = True
         self.armed = False
 

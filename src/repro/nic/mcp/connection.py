@@ -216,6 +216,14 @@ class Connection:
         self.sent_list_high_water = 0
         self.barrier_unacked_high_water = 0
 
+    def cancel_timers(self) -> None:
+        """Cancel the three protocol timers (dead peer, crashed NIC)."""
+        for name in ("retransmit_timer", "ack_timer", "barrier_retransmit_timer"):
+            timer = getattr(self, name)
+            if timer is not None:
+                timer.cancel()
+                setattr(self, name, None)
+
     # ------------------------------------------------------------------
     # Regular stream, send side
     # ------------------------------------------------------------------

@@ -24,7 +24,6 @@ class StateMachine:
 
     def __init__(self, nic: "Nic") -> None:
         self.nic = nic
-        self.sim = nic.sim
         self.process = Process(
             nic.sim,
             self._guarded_run(),
@@ -55,7 +54,3 @@ class StateMachine:
             self.nic.tracer.record(
                 f"nic{self.nic.node_id}", f"{self.machine_name}.{label}", **payload
             )
-
-    def stop(self) -> None:
-        """Kill the machine's process (shutdown/cleanup)."""
-        self.process.kill()

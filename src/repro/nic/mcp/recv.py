@@ -119,7 +119,7 @@ class RecvMachine(StateMachine):
         conn = nic.connection(packet.src_node)
         for entry in conn.entries_from(packet.payload["expected_seqno"]):
             nic.sdma_inbox.put(("retransmit", conn.remote_node, entry))
-        nic.manage_retransmit_timer(conn, restart=True)
+        nic.manage_retransmit_timer(conn)
 
     # ------------------------------------------------------------------
     def _handle_data(self, packet: Packet):

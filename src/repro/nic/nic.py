@@ -178,10 +178,7 @@ class Nic:
         self.barrier_engine: "NicBarrierEngine" = NicBarrierEngine(self)
 
         # -- the four MCP state machines -------------------------------------------
-        self.sdma_machine = SdmaMachine(self)
-        self.send_machine = SendMachine(self)
-        self.recv_machine = RecvMachine(self)
-        self.rdma_machine = RdmaMachine(self)
+        self._start_machines()
 
         # -- fail-stop state ---------------------------------------------------
         #: Set by :meth:`crash`: a crashed NIC neither receives nor injects.
@@ -449,17 +446,6 @@ class Nic:
         MCP machines post to ``port_id``'s event ring."""
         self._host_event_listeners.setdefault(port_id, []).append(listener)
 
-    def remove_host_event_listener(self, port_id: int, listener) -> None:
-        """Unregister a host-event listener (missing listeners are a
-        no-op, so teardown paths can call this unconditionally)."""
-        listeners = self._host_event_listeners.get(port_id)
-        if listeners is None:
-            return
-        if listener in listeners:
-            listeners.remove(listener)
-        if not listeners:
-            del self._host_event_listeners[port_id]
-
     def on_port_open(self, port_id: int) -> None:
         """Hook for the driver: replay closed-port barrier rejections."""
         self.barrier_engine.on_port_open(port_id)
@@ -492,15 +478,12 @@ class Nic:
                 self.params.retransmit_timeout_us, self._on_retransmit_timeout, conn
             )
 
-    def manage_retransmit_timer(self, conn: Connection, restart: bool = False) -> None:
+    def manage_retransmit_timer(self, conn: Connection) -> None:
         """Cancel/restart the go-back-N timer after ACK/NACK processing."""
         if conn.retransmit_timer is not None:
             conn.retransmit_timer.cancel()
             conn.retransmit_timer = None
-        if conn.sent_list:
-            conn.retransmit_timer = self.sim.schedule_timer(
-                self.params.retransmit_timeout_us, self._on_retransmit_timeout, conn
-            )
+        self.ensure_retransmit_timer(conn)
 
     def _raise_alarm(self, conn: Connection, stream: str, entry) -> None:
         """Give up on a wedged reliability stream: record + raise."""
@@ -626,13 +609,7 @@ class Nic:
         port leaks a send token -- the shrink protocol immediately needs
         the full send budget.
         """
-        for timer_name in (
-            "retransmit_timer", "ack_timer", "barrier_retransmit_timer"
-        ):
-            timer = getattr(conn, timer_name)
-            if timer is not None:
-                timer.cancel()
-                setattr(conn, timer_name, None)
+        conn.cancel_timers()
         entries, conn.sent_list = conn.sent_list, []
         conn.barrier_unacked = []
         conn.nack_outstanding = False
@@ -684,21 +661,10 @@ class Nic:
             self.tracer.record(f"nic{self.node_id}", "nic.crash")
         if self.detector is not None:
             self.detector.stop()
-        for machine in (
-            self.sdma_machine,
-            self.send_machine,
-            self.recv_machine,
-            self.rdma_machine,
-        ):
-            machine.stop()
+        for machine in self.machines:
+            machine.kill()
         for conn in self._connections.values():
-            for timer_name in (
-                "retransmit_timer", "ack_timer", "barrier_retransmit_timer"
-            ):
-                timer = getattr(conn, timer_name)
-                if timer is not None:
-                    timer.cancel()
-                    setattr(conn, timer_name, None)
+            conn.cancel_timers()
 
     def restart(self) -> None:
         """Bring a crashed NIC back with fresh firmware state.
@@ -712,10 +678,7 @@ class Nic:
         if not self.crashed:
             return
         self.crashed = False
-        self.sdma_machine = SdmaMachine(self)
-        self.send_machine = SendMachine(self)
-        self.recv_machine = RecvMachine(self)
-        self.rdma_machine = RdmaMachine(self)
+        self._start_machines()
         if self.tracer is not None:
             self.tracer.record(f"nic{self.node_id}", "nic.restart")
 
@@ -724,17 +687,23 @@ class Nic:
         """Charge ``operation`` against the NIC processor (generator)."""
         yield self.cpu_resource.hold(self.model.time(operation))
 
-    def shutdown(self) -> None:
-        """Stop the state-machine processes (end-of-test cleanup)."""
+    def _start_machines(self) -> None:
+        #: The four MCP machines' processes (a machine object itself is
+        #: referenced by its running generator alone).
+        self.machines = tuple(
+            machine(self).process
+            for machine in (SdmaMachine, SendMachine, RecvMachine, RdmaMachine)
+        )
+
+    def close(self) -> None:
+        """End of life (``Cluster.close``): close the machines, drop the
+        listeners, cut the references back to this NIC."""
+        for machine in self.machines:
+            machine.close()
+        self._host_event_listeners.clear()
+        self.barrier_engine.nic = None
         if self.detector is not None:
-            self.detector.stop()
-        for machine in (
-            self.sdma_machine,
-            self.send_machine,
-            self.recv_machine,
-            self.rdma_machine,
-        ):
-            machine.stop()
+            self.detector.nic = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Nic node={self.node_id} model={self.model.name}>"

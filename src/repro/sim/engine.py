@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import time
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.metrics import MetricsRegistry
 from repro.telemetry import DEFAULT_SAMPLE_US, Telemetry
@@ -607,6 +607,21 @@ class Simulator:
         no ``max_events`` error is raised."""
         self._stop_requested = True
 
+    def close(self) -> None:
+        """Drop every pending event unrun, each made inert like an
+        executed one, and detach metrics and telemetry.  No counter
+        moves (see "Cluster lifecycle" in ``docs/engine.md``)."""
+        for queue in (self._cur, self._ovf, *self._cal.values()):
+            for handle in queue:
+                handle[3] = handle[4] = handle[5] = None
+        for entry in self._wheel.values():
+            for handle in entry[2]:
+                handle[3] = handle[4] = handle[5] = handle[6] = None
+        self._cur, self._ovf, self._cal, self._wheel = [], [], {}, {}
+        self._live = 0
+        self.metrics.close()
+        self.telemetry.close()
+
     # ------------------------------------------------------------------
     # Profiling
     # ------------------------------------------------------------------
@@ -680,24 +695,6 @@ class Simulator:
             if not self._advance_bucket():
                 return None
             cur = self._cur
-
-    def process(self, generator: Iterable) -> "Process":
-        """Convenience: wrap a generator into a running :class:`Process`."""
-        from repro.sim.process import Process
-
-        return Process(self, generator)
-
-    def timeout(self, delay: float) -> "Timeout":
-        """Convenience: create a :class:`Timeout` bound to this simulator."""
-        from repro.sim.primitives import Timeout
-
-        return Timeout(delay)
-
-    def event(self) -> "SimEvent":
-        """Convenience: create a :class:`SimEvent` bound to this simulator."""
-        from repro.sim.primitives import SimEvent
-
-        return SimEvent(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator t={self.now:.3f} pending={self._live}>"

@@ -27,6 +27,7 @@ Design rules:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
@@ -287,6 +288,14 @@ class MetricsRegistry:
             return
         self._claim(name, "observed")
         self._observed[name] = fn
+
+    def close(self) -> None:
+        """Detach from the closed simulator: ``observe`` callbacks are
+        dropped, busy times read a clock stopped at its final instant."""
+        self.sim = clock = SimpleNamespace(now=self.sim.now)
+        for busy in self._busy.values():
+            busy._sim = clock
+        self._observed.clear()
 
     # -- collection ------------------------------------------------------
     def snapshot(self) -> Dict[str, float]:

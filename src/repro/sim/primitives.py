@@ -282,7 +282,6 @@ class AnyOf:
             raise ValueError("AnyOf needs at least one child")
 
     def _subscribe(self, handle: Any) -> None:
-        sim = handle.sim
         state = {"fired": False}
         disposers: List[Callable[[], None]] = []
 
@@ -308,19 +307,7 @@ class AnyOf:
 
             return deliver
 
-        for i, child in enumerate(self.children):
-            deliver = make_deliver(i)
-            if isinstance(child, Timeout):
-                # Subscribe the timeout directly as a cancellable timer
-                # instead of wrapping it in an un-cancellable SimEvent.
-                timer = sim.schedule(child.delay, deliver, child.value, None)
-                disposers.append(timer.cancel)
-            else:
-                ev = _as_event(sim, child)
-                ev.add_callback(deliver)
-                disposers.append(lambda ev=ev, cb=deliver: _dispose_event_sub(ev, cb))
-        # If the waiting process is interrupted/killed, tear everything down.
-        _attach_abandon_hook(handle, dispose)
+        _subscribe_children(handle, self.children, make_deliver, disposers, dispose)
 
 
 class AllOf:
@@ -367,42 +354,38 @@ class AllOf:
 
             return deliver
 
-        for i, child in enumerate(self.children):
-            deliver = make_deliver(i)
-            if isinstance(child, Timeout):
-                timer = sim.schedule(child.delay, deliver, child.value, None)
-                disposers.append(timer.cancel)
-            else:
-                ev = _as_event(sim, child)
-                ev.add_callback(deliver)
-                # _dispose_event_sub (not plain remove_callback): a child
-                # that already delivered its value into ``values`` has
-                # that value salvaged back to its owner when the wait
-                # dies -- an AllOf that collected a Resource grant and
-                # then failed must not leak the grant.
-                disposers.append(lambda ev=ev, cb=deliver: _dispose_event_sub(ev, cb))
-        _attach_abandon_hook(handle, dispose)
+        _subscribe_children(handle, self.children, make_deliver, disposers, dispose)
 
 
-def _as_event(sim: Simulator, waitable: Any) -> SimEvent:
-    """Adapt any waitable into a SimEvent (for the combinators).
+def _subscribe_children(handle, children, make_deliver, disposers, dispose) -> None:
+    """Subscribe a combinator's children, recording one disposer each,
+    and tear them all down if the waiting process is abandoned.
 
-    Note: adapting a ``Timeout`` schedules an un-cancellable ``succeed``;
-    the combinators therefore special-case timeouts and subscribe them as
-    cancellable timers directly -- this adapter is kept for events,
-    processes, and external callers.
+    A ``Timeout`` child is a cancellable timer, never an un-cancellable
+    ``SimEvent`` wrapper.  Any other child is disposed through
+    ``_dispose_event_sub`` (not plain ``remove_callback``): a child that
+    already delivered has its value salvaged back to its owner when the
+    wait dies -- an AllOf that collected a Resource grant and then failed
+    must not leak the grant.
     """
     from repro.sim.process import Process
 
-    if isinstance(waitable, SimEvent):
-        return waitable
-    if isinstance(waitable, Timeout):
-        ev: SimEvent = SimEvent(sim, name=f"timeout({waitable.delay})")
-        sim.schedule(waitable.delay, ev.succeed, waitable.value)
-        return ev
-    if isinstance(waitable, Process):
-        return waitable.completion_event
-    raise TypeError(f"cannot wait on {waitable!r}")
+    sim = handle.sim
+    for i, child in enumerate(children):
+        deliver = make_deliver(i)
+        if isinstance(child, Timeout):
+            timer = sim.schedule(child.delay, deliver, child.value, None)
+            disposers.append(timer.cancel)
+            continue
+        if isinstance(child, Process):
+            ev = child.completion_event
+        elif isinstance(child, SimEvent):
+            ev = child
+        else:
+            raise TypeError(f"cannot wait on {child!r}")
+        ev.add_callback(deliver)
+        disposers.append(lambda ev=ev, cb=deliver: _dispose_event_sub(ev, cb))
+    _attach_abandon_hook(handle, dispose)
 
 
 class Store(Generic[T]):

@@ -262,6 +262,20 @@ class Process:
             0.0, self._advance, None, ProcessKilled(), priority=PRIORITY_HIGH
         )
 
+    def close(self) -> None:
+        """End the process now, with no event (``Cluster.close``): the
+        wait is abandoned as on :meth:`kill`, the completion event is
+        marked fired without waking anyone, the generator is closed."""
+        wait, self._current_wait = self._current_wait, None
+        if wait is not None:
+            wait.abandon()
+        held, self._held = self._held, None
+        if held is not None:
+            held.release()
+        self.completion_event._triggered = True
+        self.completion_event._callbacks = None
+        self._generator.close()
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.alive else "done"
         return f"<Process {self.name!r} {state}>"

@@ -117,11 +117,11 @@ class Telemetry:
             return
         self._arm(0.0)
 
-    def stop(self) -> None:
-        """Cancel any pending tick; series are retained."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+    def close(self) -> None:
+        """Detach from the closed simulator (which dropped the pending
+        tick): probes are dropped, series kept."""
+        self._probes = []
+        self.sim = None
 
     def _arm(self, delay: float) -> None:
         self._handle = self.sim.schedule(delay, self._tick, priority=_PRIORITY_LOW)
