@@ -29,15 +29,10 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.cluster.builder import ClusterConfig, build_cluster
-from repro.cluster.runner import run_on_group
 from repro.faults.inject import CRASH_SUSPECT_AFTER_US
-from repro.faults.plan import FaultPlan, NodeCrash
-from repro.faults.soak import combo_seed
-from repro.gm.events import PeerFailure
-from repro.nic.nic import NicParams
+from repro.faults.soak import combo_seed, run_soak_combo
 
 #: (label, algorithm) scenarios the bench sweeps -- one host algorithm,
 #: one NIC engine and the non-blocking schedule engine, to cover all
@@ -66,80 +61,42 @@ def run_reliability_scenario(
 ) -> dict:
     """Kill one node mid-barrier; measure detection and recovery.
 
-    Returns ``{"detect_us": [...], "recover_us": [...],
-    "shrunken_size": int, "victim": int}`` with one detect sample per
-    surviving NIC and one recover sample per surviving rank.
+    Runs one crash-family soak combination with a single post-shrink
+    barrier (the soak checks the fail-stop contract) and reads its
+    detectors and barrier timeline.  Returns ``{"detect_us": [...],
+    "recover_us": [...], "shrunken_size": int, "victim": int}`` with one
+    detect sample per surviving NIC and one recover sample per surviving
+    rank.
     """
-    from repro.mpi.communicator import Communicator
-    from repro.sim.primitives import Timeout
-
-    victim = seed % num_nodes
-    cluster = build_cluster(
-        ClusterConfig(
-            num_nodes=num_nodes,
-            seed=seed,
-            nic_params=NicParams(
-                retransmit_timeout_us=300.0,
-                barrier_retransmit_timeout_us=200.0,
-            ),
-            fault_plan=FaultPlan(
-                seed=seed,
-                crashes=[NodeCrash(node=victim, at_us=crash_at_us)],
-            ),
-        )
+    run = run_soak_combo(
+        family="crash",
+        seed=seed,
+        label=label,
+        algorithm=algorithm,
+        num_nodes=num_nodes,
+        phase="mid",
+        crash_at_us=crash_at_us,
+        repetitions=repetitions,
+        post_shrink=1,
+        max_events=max_events,
     )
-    recovered_at: Dict[int, float] = {}
-    final_sizes: Dict[int, int] = {}
-
-    def one_barrier(ctx, comm):
-        if algorithm == "nbc":
-            request = yield from comm.ibarrier()
-            for _ in range(4):
-                yield from ctx.node.compute(10.0)
-                yield from request.test()
-            yield from request.wait()
-        else:
-            old = comm.params
-            comm.params = old.with_(
-                nic_collectives=label.startswith("nic-")
-            )
-            try:
-                yield from comm.barrier(algorithm=algorithm)
-            finally:
-                comm.params = old
-
-    def program(ctx):
-        yield Timeout(float((ctx.rank * 7) % num_nodes))
-        comm = Communicator(ctx.port, ctx.group, ctx.rank)
-        for _ in range(repetitions):
-            try:
-                yield from one_barrier(ctx, comm)
-            except PeerFailure as failure:
-                ctx.port.acknowledge_failures(set(failure.suspects))
-                break
-        yield from comm.shrink()
-        yield from one_barrier(ctx, comm)
-        recovered_at[ctx.rank] = ctx.now
-        final_sizes[ctx.rank] = len(comm.group)
-
-    run_on_group(cluster, program, max_events=max_events)
-
-    detect_us: List[float] = []
-    for node in cluster.nodes:
-        if node.node_id == victim:
-            continue
-        detector = node.nic.detector
-        if detector is not None and victim in detector.suspected_at:
-            detect_us.append(detector.suspected_at[victim] - crash_at_us)
-    recover_us = [
-        at - crash_at_us for rank, at in sorted(recovered_at.items())
+    victim = run.row.victim
+    detectors = [
+        node.nic.detector
+        for node in run.cluster.nodes
+        if node.node_id != victim and node.nic.detector is not None
     ]
-    sizes = set(final_sizes.values())
-    assert len(sizes) == 1, f"survivors disagree on group size: {sizes}"
+    recovered_at = run.exits[repetitions]
     return {
-        "detect_us": detect_us,
-        "recover_us": recover_us,
-        "shrunken_size": sizes.pop(),
+        "detect_us": [
+            d.suspected_at[victim] - crash_at_us
+            for d in detectors
+            if victim in d.suspected_at
+        ],
+        "recover_us": [
+            recovered_at[rank] - crash_at_us for rank in sorted(recovered_at)
+        ],
+        "shrunken_size": run.row.shrunken_size,
         "victim": victim,
     }
 
@@ -170,7 +127,11 @@ def run_reliability_bench(seed: int = 42) -> dict:
                 algorithm=algorithm,
                 num_nodes=num_nodes,
             )
-            assert sample["shrunken_size"] == num_nodes - 1
+            if sample["shrunken_size"] != num_nodes - 1:
+                raise AssertionError(
+                    f"{label} n={num_nodes}: survivors shrank to "
+                    f"{sample['shrunken_size']}, not {num_nodes - 1}"
+                )
             detect_all.extend(sample["detect_us"])
             recover_all.extend(sample["recover_us"])
             scenarios += 1

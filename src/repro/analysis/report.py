@@ -21,19 +21,18 @@ busy time, link utilization, resend counters); ``--trace-out`` also
 writes the run as Chrome trace_event JSON for ``chrome://tracing`` /
 Perfetto (see ``docs/observability.md``).
 
-``python -m repro.analysis.report --faults SEED`` runs the chaos soak:
-every barrier algorithm (host and NIC, both reliability designs) under
-a fault plan derived from SEED -- seeded packet loss and corruption,
-a link flap, a switch port stall, a NIC pause and an ACK-loss burst --
-and prints the recovery table (injected losses, retransmits, duplicate
-suppressions, alarms).  Same seed, same table (see
-``docs/reliability.md``).
-
-``python -m repro.analysis.report --crashes SEED`` runs the crash soak
-instead: every barrier algorithm under a seeded fail-stop *node crash*
-at every phase and cluster size, checking that survivors abort with
-typed failures, shrink to the agreed smaller group and resume (see the
-fail-stop section of ``docs/reliability.md``).
+``python -m repro.analysis.report --faults SEED`` and ``--crashes SEED``
+run the fault soak (``repro.faults.soak``) in one of its two families.
+``--faults`` is the loss family: every barrier algorithm (host and NIC,
+both reliability designs) under a fault plan derived from SEED --
+seeded packet loss and corruption, a link flap, a switch port stall, a
+NIC pause and an ACK-loss burst -- and prints the recovery table
+(injected losses, retransmits, duplicate suppressions, alarms).
+``--crashes`` is the crash family: every barrier algorithm under a
+seeded fail-stop *node crash* at every phase and cluster size, checking
+that survivors abort with typed failures, shrink to the agreed smaller
+group and resume.  Same seed, same table (see the "Fault soaks" section
+of ``docs/reliability.md``).
 """
 
 from __future__ import annotations
@@ -364,8 +363,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
         )
-        print(f"chaos soak: seed={result.seed} nodes={result.num_nodes} "
-              f"reps={result.repetitions}")
+        print(f"chaos soak: seed={result.seed} nodes={args.nodes} "
+              f"reps={args.reps}")
         print(result.table())
         print(f"total injected={result.total_injected} "
               f"retransmits={result.total_retransmits}; all barriers safe")

@@ -115,11 +115,8 @@ def _execute_job_payload(job: dict) -> dict:
             ).to_dict()
         elif kind == "soak":
             from repro.faults.soak import run_soak_combo
-            from repro.gm.constants import BarrierReliability
 
-            kwargs = dict(params)
-            kwargs["reliability"] = BarrierReliability[kwargs["reliability"]]
-            value = run_soak_combo(**kwargs).to_dict()
+            value = run_soak_combo(**params).row.to_dict()
         elif kind == "_probe":
             # Test hook: lets the executor's failure paths be exercised
             # without a real simulation.  "crash" kills the worker

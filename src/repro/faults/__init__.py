@@ -24,16 +24,16 @@ Usage::
 With ``fault_plan=None`` (the default) nothing is wired and the
 simulation is bit-identical to an unfaulted build.
 
-``repro.faults.soak`` runs every barrier algorithm to completion under a
-seeded plan (the chaos-soak harness behind ``report.py --faults SEED``);
-``repro.faults.crash_soak`` does the same under fail-stop node crashes
-(``report.py --crashes SEED``): plans may carry :class:`NodeCrash` /
-:class:`NicCrash` rules, which arm the NIC heartbeat failure detectors
-over a bounded window around the planned crashes so survivors abort
-with typed :class:`PeerFailure` and shrink instead of hanging.
+``repro.faults.soak`` runs every barrier algorithm to completion under
+one of two fault families: a seeded loss plan (the chaos soak behind
+``report.py --faults SEED``) or a fail-stop node crash (the crash soak
+behind ``report.py --crashes SEED``).  Plans may carry
+:class:`NodeCrash` / :class:`NicCrash` rules, which arm the NIC
+heartbeat failure detectors over a bounded window around the planned
+crashes so survivors abort with typed :class:`PeerFailure` and shrink
+instead of hanging.
 """
 
-from repro.faults.crash_soak import CrashSoakResult, run_crash_soak
 from repro.faults.inject import FaultController, install_fault_plan
 from repro.faults.plan import (
     AckLoss,
@@ -45,12 +45,11 @@ from repro.faults.plan import (
     NodeCrash,
     PortStall,
 )
-from repro.faults.soak import SoakResult, run_chaos_soak
+from repro.faults.soak import SoakResult, run_chaos_soak, run_crash_soak
 from repro.gm.events import PeerFailure
 
 __all__ = [
     "AckLoss",
-    "CrashSoakResult",
     "FaultController",
     "FaultPlan",
     "LinkFlap",

@@ -189,7 +189,7 @@ class TestSoakDefinition:
         assert len(jobs) == 9
         assert all(j.kind == "soak" for j in jobs)
         labels = {j.params["label"] for j in jobs}
-        assert labels == {label for label, _, _ in ALGORITHMS}
+        assert labels == {label for label, _ in ALGORITHMS}
 
     def test_combo_filter_and_distinct_seeds(self):
         jobs = soak_jobs(

@@ -16,10 +16,14 @@ from repro.faults import (
     NodeCrash,
     PeerFailure,
 )
-from repro.faults.crash_soak import run_crash_combo
 from repro.faults.inject import (
     CRASH_DETECTOR_SLACK_US,
     CRASH_SUSPECT_AFTER_US,
+)
+from repro.faults.soak import (
+    check_barrier_safety,
+    combo_seed,
+    run_soak_combo,
 )
 from repro.gm.constants import BarrierReliability
 from repro.nic.detector import FailureDetector
@@ -100,17 +104,18 @@ class TestShrinkAndResume:
         typed PeerFailure, the shrink converges on the same 15-member
         group, and the whole run is bit-identical across reruns."""
         kwargs = dict(
+            family="crash",
             seed=42, label="nic-dissemination", algorithm="dissemination",
             phase="mid", crash_at_us=90.0, num_nodes=16,
         )
-        row = run_crash_combo(**kwargs)
+        row = run_soak_combo(**kwargs).row
         assert row.observed_failure
         assert row.shrunken_size == 15
         assert row.suspects_declared == 15  # every survivor's NIC agrees
         # Prompt detection: the run (abort + shrink + 2 fresh barriers)
         # ends ~1.6 ms after the crash, nowhere near a retransmit hang.
         assert row.final_time_us < 10_000.0
-        assert run_crash_combo(**kwargs) == row  # bit-identical rerun
+        assert run_soak_combo(**kwargs).row == row  # bit-identical rerun
 
     def test_detection_within_the_suspect_window(self):
         sample = run_reliability_scenario(
@@ -298,3 +303,26 @@ class TestAlarmDiagnostics:
         assert isinstance(exc.value.flight_records, list)
         assert exc.value.peer == exc.value.remote_node
         assert exc.value.peer in (0, 1)
+
+
+class TestPostShrinkSafety:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known defect: a survivor can leave a post-shrink barrier "
+               "before the last survivor entered it (ROADMAP item 4)",
+    )
+    def test_no_rank_leaves_a_post_shrink_barrier_early(self):
+        """Crash-soak combination 39 of seed 7 (victim 3): rank 0 leaves
+        post-shrink barrier 0 at ~754 us while rank 2 is still inside
+        ``shrink()`` and only enters that barrier at ~867 us.  Likely
+        cause: stale messages from the barriers the crash aborted."""
+        run = run_soak_combo(
+            family="crash", seed=combo_seed(7, 39),
+            label="nic-dissemination", algorithm="dissemination",
+            phase="mid", crash_at_us=90.0, num_nodes=4,
+        )
+        first = run.row.repetitions
+        post_shrink = {k: v for k, v in run.exits.items() if k >= first}
+        assert post_shrink and all(post_shrink.values())
+        check_barrier_safety("post-shrink", run.enters, post_shrink)

@@ -149,18 +149,29 @@ class TestCampaignIntegration:
         assert job["flight"][-1]["label"] == "reliability.alarm"
 
 
+#: One small combination of each soak family.
+SOAK_COMBOS = {
+    "loss": dict(
+        family="loss", seed=3, label="nic-pe", algorithm="pe",
+        reliability="SEPARATE", num_nodes=4, repetitions=1,
+    ),
+    "crash": dict(
+        family="crash", seed=3, label="nic-pe", algorithm="pe",
+        phase="mid", crash_at_us=90.0, num_nodes=4, repetitions=1,
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SOAK_COMBOS))
 class TestSoakDump:
-    def test_failed_soak_combo_dumps_to_disk(self, tmp_path, monkeypatch):
+    def test_failed_soak_combo_dumps_to_disk(self, family, tmp_path):
         """A soak combo that cannot finish (tiny event budget) leaves
         its black box as files and on the exception."""
         from repro.faults.soak import run_soak_combo
-        from repro.gm.constants import BarrierReliability
 
         with pytest.raises(RuntimeError) as excinfo:
             run_soak_combo(
-                seed=3, label="nic-pe", nic_based=True, algorithm="pe",
-                reliability=BarrierReliability.SEPARATE, num_nodes=4,
-                repetitions=1, max_events=200,
+                **SOAK_COMBOS[family], max_events=200,
                 flight_dump_dir=str(tmp_path),
             )
         exc = excinfo.value
@@ -170,15 +181,14 @@ class TestSoakDump:
         assert str(dumped[0]) == exc.flight_dump
         assert (tmp_path / (dumped[0].stem + ".txt")).exists()
 
-    def test_no_files_when_disabled(self, tmp_path):
+    def test_no_files_when_disabled(self, family, tmp_path, monkeypatch):
         from repro.faults.soak import run_soak_combo
-        from repro.gm.constants import BarrierReliability
 
-        with pytest.raises(RuntimeError):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(RuntimeError) as excinfo:
             run_soak_combo(
-                seed=3, label="nic-pe", nic_based=True, algorithm="pe",
-                reliability=BarrierReliability.SEPARATE, num_nodes=4,
-                repetitions=1, max_events=200,
+                **SOAK_COMBOS[family], max_events=200,
                 flight_dump_dir=None,
             )
+        assert excinfo.value.flight_records
         assert list(tmp_path.glob("flight-*")) == []
