@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -28,19 +27,35 @@ class LatencyStats:
         )
 
 
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """Linear-interpolation percentile ``q`` (0..100) of sorted data
+    (Hyndman and Fan's definition 7, the usual "linear" method)."""
+    index = q / 100 * (len(ordered) - 1)
+    lo = math.floor(index)
+    a = ordered[lo]
+    b = ordered[min(lo + 1, len(ordered) - 1)]
+    t = index - lo
+    # Lerp from the nearer end, which keeps the result within [a, b].
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def summarize(samples: Sequence[float]) -> LatencyStats:
     """Compute summary statistics for a latency sample."""
     if not len(samples):
         raise ValueError("empty sample")
-    arr = np.asarray(samples, dtype=float)
+    values = [float(x) for x in samples]
+    n = len(values)
+    mean = math.fsum(values) / n
+    var = math.fsum((x - mean) ** 2 for x in values) / (n - 1) if n > 1 else 0.0
+    ordered = sorted(values)
     return LatencyStats(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        minimum=float(arr.min()),
-        p50=float(np.percentile(arr, 50)),
-        p95=float(np.percentile(arr, 95)),
-        maximum=float(arr.max()),
+        count=n,
+        mean=mean,
+        std=math.sqrt(var),
+        minimum=ordered[0],
+        p50=_percentile(ordered, 50),
+        p95=_percentile(ordered, 95),
+        maximum=ordered[-1],
     )
 
 
