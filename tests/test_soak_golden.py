@@ -1,13 +1,15 @@
 """Bit-identical gate for the fault-soak harness.
 
 Each entry of ``tests/data/soak_golden.json`` pins one soak sweep: a
-sha256 digest of its rows and, with its own assertion, the summed
-``events_executed`` of its combinations.  A row is projected onto the
-field names listed in the entry before hashing, so the pin does not
-depend on which other fields the row type carries.  A digest diff means
-some combination now runs differently (other fault timing, another
-final simulated time, different recovery counters) and must be fixed,
-not re-recorded.
+sha256 digest of its rows without their ``events`` field and, with
+their own assertion, each combination's ``events_executed`` in row
+order and their sum.  A row is projected onto the field names listed in
+the entry before hashing, so the pin does not depend on which other
+fields the row type carries.  A digest diff means some combination now
+runs differently (other fault timing, another final simulated time,
+different recovery counters) and must be fixed, not re-recorded; an
+events diff with identical rows means the engine runs more or fewer
+callbacks for the same behaviour.
 
 Record the pins with ``PYTHONPATH=src:. python tests/test_soak_golden.py``
 on a known-good tree.
@@ -30,20 +32,21 @@ SWEEPS = {
     "chaos_soak_11_n4_r2": (
         lambda: run_chaos_soak(11, num_nodes=4, repetitions=2),
         ["label", "reliability", "seed", "repetitions", "final_time_us",
-         "events", "drops", "corruptions", "retransmits", "duplicates",
+         "drops", "corruptions", "retransmits", "duplicates",
          "future_dropped", "nacks", "alarms"],
     ),
     "crash_soak_7_sizes_4_8": (
         lambda: run_crash_soak(7, sizes=(4, 8)),
         ["label", "phase", "num_nodes", "seed", "victim", "crash_at_us",
-         "observed_failure", "shrunken_size", "final_time_us", "events",
+         "observed_failure", "shrunken_size", "final_time_us",
          "suspects_declared"],
     ),
 }
 
 
 def measure(name: str, fields=None) -> dict:
-    """Run one sweep; return its rows digest, event total and fields."""
+    """Run one sweep; return its rows digest, per-row and total events
+    and the pinned fields."""
     sweep, default_fields = SWEEPS[name]
     fields = fields or default_fields
     rows = [row.to_dict() for row in sweep().rows]
@@ -52,6 +55,7 @@ def measure(name: str, fields=None) -> dict:
     return {
         "rows": hashlib.sha256(blob.encode()).hexdigest(),
         "events": sum(row["events"] for row in rows),
+        "events_per_row": [row["events"] for row in rows],
         "count": len(rows),
         "fields": list(fields),
     }
@@ -73,6 +77,9 @@ def test_soak_rows_match_pin(name, golden):
         f"rows digest changed for {name!r}: some combination's outcome, "
         f"final time or recovery counters differ (expected "
         f"{pinned['rows'][:16]}…, got {got['rows'][:16]}…)"
+    )
+    assert got["events_per_row"] == pinned["events_per_row"], (
+        f"per-row events_executed changed for {name!r} with identical rows"
     )
     assert got["events"] == pinned["events"], (
         f"summed events_executed changed for {name!r}: expected "
