@@ -55,6 +55,7 @@ from repro.gm.port import NicPort
 from repro.gm.tokens import BarrierSendToken, Endpoint
 from repro.network.packet import Packet, PacketType
 from repro.nic.mcp.connection import BarrierUnacked, SentEntry, UnexpectedRecord
+from repro.sim.primitives import Hold
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nic.nic import Nic
@@ -91,9 +92,11 @@ class NicBarrierEngine:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def cpu(self, operation: str):
-        """Charge one firmware operation against the NIC processor."""
-        yield from self.nic.cpu_time(operation)
+    def cpu(self, operation: str) -> Hold:
+        """Charge one firmware operation against the NIC processor:
+        ``yield self.cpu("barrier_check")``."""
+        nic = self.nic
+        return Hold(nic.cpu_resource, nic.model.costs[operation])
 
     def trace(self, label: str, **payload) -> None:
         """Record a trace event if tracing is enabled."""
@@ -124,7 +127,7 @@ class NicBarrierEngine:
     def initiate(self, port_id: int, token: BarrierSendToken):
         """Process a barrier/collective send token from the host (SDMA)."""
         nic = self.nic
-        yield from self.cpu(
+        yield self.cpu(
             "barrier_initiate" if token.algorithm == "pe" else "gb_initiate"
         )
         port = nic.port(port_id)
@@ -175,14 +178,14 @@ class NicBarrierEngine:
             if step.send:
                 yield from self._send_packet(token, step.peer, PacketType.BARRIER_PE)
             if not step.recv:
-                yield from self.cpu("barrier_advance")
+                yield self.cpu("barrier_advance")
                 token.node_index += 1
                 continue
             # "it checks to see if a barrier packet has been received from
             # that same destination" -- the post-prepare record check.
             # CPU first, then atomic check + mutation (see
             # on_barrier_packet for the atomicity discipline).
-            yield from self.cpu("barrier_check")
+            yield self.cpu("barrier_check")
             conn = nic.connection(step.peer[0])
             recorded = conn.unexpected.check_clear(step.peer[1])
             if recorded:
@@ -193,7 +196,7 @@ class NicBarrierEngine:
                     "advance", port=port.port_id, src=step.peer,
                     seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
                 )
-                yield from self.cpu("barrier_advance")
+                yield self.cpu("barrier_advance")
                 continue
             token.awaiting_recv = True
             return
@@ -207,7 +210,7 @@ class NicBarrierEngine:
         re-checks that the gather phase is still ours to finish.
         """
         for child in sorted(token.gather_pending):
-            yield from self.cpu("gb_gather_check")
+            yield self.cpu("gb_gather_check")
             if token.phase != "gather" or not self._token_live(port, token):
                 return  # the RDMA side finished the gather phase for us
             taken = self._record(child[0], token.up_type).take(child[1])
@@ -219,7 +222,7 @@ class NicBarrierEngine:
             token.gather_pending.discard(child)
             if token.op is not None:
                 token.accumulator = REDUCE_OPS[token.op](token.accumulator, value)
-                yield from self.cpu("coll_combine")
+                yield self.cpu("coll_combine")
                 if token.phase != "gather" or not self._token_live(port, token):
                     return
         if token.phase == "gather" and not token.gather_pending:
@@ -257,7 +260,7 @@ class NicBarrierEngine:
     def _await_recorded_bcast(self, port: NicPort, token: BarrierSendToken):
         """Down-phase-only tree below the root (bcast): the parent's
         message may already be recorded."""
-        yield from self.cpu("gb_gather_check")
+        yield self.cpu("gb_gather_check")
         if token.phase != "await_bcast" or not self._token_live(port, token):
             return
         parent = token.parent
@@ -279,7 +282,7 @@ class NicBarrierEngine:
             return
         child = token.children[token.bcast_index]
         yield from self._send_packet(token, child, token.down_type)
-        yield from self.cpu("gb_token_requeue")
+        yield self.cpu("gb_token_requeue")
         token.bcast_index += 1
         if token.bcast_index < len(token.children):
             self.nic.sdma_inbox.put(("firmware", self._bcast_step, port, token))
@@ -312,7 +315,7 @@ class NicBarrierEngine:
         # The dereference + inspection cost (Section 5.2: "the RDMA state
         # machine can access the state of the barrier by simply
         # dereferencing the pointer").
-        yield from self.cpu("barrier_check")
+        yield self.cpu("barrier_check")
 
         # ---- atomic decision + mutation (no yields in this block) ----
         port = nic.ports.get(packet.dst_port)
@@ -325,7 +328,7 @@ class NicBarrierEngine:
                 "closed_port_record", src=src, port=packet.dst_port,
                 ctx=packet.ctx,
             )
-            yield from self.cpu("barrier_record")
+            yield self.cpu("barrier_record")
             return
 
         ptype = packet.ptype
@@ -347,7 +350,7 @@ class NicBarrierEngine:
                     seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
                 )
                 # ---- end of atomic block ----
-                yield from self.cpu("barrier_advance")
+                yield self.cpu("barrier_advance")
                 if completed:
                     yield from self.complete(port.port_id, token)
                 else:
@@ -378,7 +381,7 @@ class NicBarrierEngine:
                     key=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
                 )
             # ---- end of atomic block ----
-            yield from self.cpu(
+            yield self.cpu(
                 "gb_gather_check" if token.op is None else "coll_combine"
             )
             if all_in:
@@ -422,7 +425,7 @@ class NicBarrierEngine:
         )
         self.unexpected_recorded += 1
         self.trace("recorded", src=src, port=packet.dst_port, ctx=packet.ctx)
-        yield from self.cpu("barrier_record")
+        yield self.cpu("barrier_record")
 
     def complete(self, port_id: int, token: BarrierSendToken):
         """Post the completion notification to the host (RDMA context).
@@ -436,7 +439,7 @@ class NicBarrierEngine:
         port = nic.port(port_id)
         if not self._token_live(port, token):
             return
-        yield from self.cpu("barrier_complete")
+        yield self.cpu("barrier_complete")
         buf = port.take_barrier_buffer()
         if buf is None:
             raise RuntimeError(
@@ -445,7 +448,7 @@ class NicBarrierEngine:
                 "gm_provide_barrier_buffer before initiating)"
             )
         yield from nic.rdma_engine.transfer(COMPLETION_DMA_BYTES + token.result_bytes)
-        yield from self.cpu("post_event")
+        yield self.cpu("post_event")
         nic_complete_time = nic.sim.now
         setattr(port, token.slot, None)
         port.barriers_completed += 1
@@ -544,7 +547,7 @@ class NicBarrierEngine:
         """
         nic = self.nic
         dst_node, dst_port = endpoint
-        yield from self.cpu("barrier_packet_prep")
+        yield self.cpu("barrier_packet_prep")
 
         base = cause_ctx or token.cause_ctx or token.ctx
         pctx = base.child() if base is not None else None
@@ -623,7 +626,7 @@ class NicBarrierEngine:
 
     def _send_reject(self, target: Endpoint, local_port: int, cause_ctx=None):
         """Build + queue a BARRIER_REJECT to a recorded sender (SDMA)."""
-        yield from self.cpu("packet_prep")
+        yield self.cpu("packet_prep")
         pctx = cause_ctx.child() if cause_ctx is not None else None
         packet = self.nic.make_packet(
             PacketType.BARRIER_REJECT,

@@ -10,6 +10,16 @@ A channel transmits one packet at a time.  ``serialization = size /
 bandwidth`` occupies the channel; the packet is delivered to the sink
 ``serialization + propagation`` after transmission starts.  Bandwidth is
 in MB/s which, with microsecond time units, conveniently equals bytes/us.
+
+The end of a transmission is an event only when something must happen
+then.  Transmission start reserves the engine key ``(end, seq)`` its
+transmit-done event would take; the event is scheduled there only when
+a packet queues behind the transmission or the packet is lost (a run
+that ends on a drop still ends at that instant).  Otherwise the busy
+flag is settled lazily by comparing the reserved key with the engine's
+position (:meth:`~repro.sim.engine.Simulator.dispatched`), so a packet
+crossing an idle channel costs one event, its delivery, and every start
+time, delivery and ``seq`` is what an always-scheduled end event gives.
 """
 
 from __future__ import annotations
@@ -85,7 +95,13 @@ class Channel:
         #: Fault-injection hook: ``fn(packet) -> None | "drop" | "corrupt"``.
         self.fault_filter: Optional[Callable[[Packet], Optional[str]]] = None
         self._queue: Deque[Packet] = deque()
+        #: A packet is on the wire -- or was, if ``_tx_seq`` is set and
+        #: the engine has passed the reserved end (see :meth:`_on_wire`).
         self._busy = False
+        #: Reserved transmit-done key ``(_tx_end, _tx_seq)``; ``_tx_seq``
+        #: is None while the end event is scheduled (or nothing is sent).
+        self._tx_end = 0.0
+        self._tx_seq: Optional[int] = None
         self._paused = False
         #: Link-flap state: a down channel loses everything sent into it.
         self.is_down = False
@@ -112,16 +128,32 @@ class Channel:
         if self.sink is None:
             raise RuntimeError(f"channel {self.name!r} has no sink connected")
         self._queue.append(packet)
-        depth = self.queue_depth
+        busy = self._on_wire()
+        depth = len(self._queue) + busy
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
-        if not self._busy:
+        if not busy:
             self._start_next()
+        elif self._tx_seq is not None:
+            # The packet waits behind the transmission: its end must run.
+            self.sim.schedule_reserved(self._tx_end, self._tx_seq, self._tx_done)
+            self._tx_seq = None
 
     @property
     def queue_depth(self) -> int:
         """Packets queued or on the wire."""
-        return len(self._queue) + (1 if self._busy else 0)
+        return len(self._queue) + self._on_wire()
+
+    def _on_wire(self) -> bool:
+        """Whether a packet is on the wire; clears a busy flag whose
+        unscheduled transmit end the engine has already passed."""
+        if (
+            self._busy
+            and self._tx_seq is not None
+            and self.sim.dispatched(self._tx_end, self._tx_seq)
+        ):
+            self._busy = False
+        return self._busy
 
     def serialization_time(self, packet: Packet) -> float:
         """Wire occupancy time for one packet."""
@@ -173,6 +205,7 @@ class Channel:
             self._busy = False
             return
         self._busy = True
+        sim = self.sim
         packet = self._queue.popleft()
         ser = self.serialization_time(packet)
         self.busy_us += ser
@@ -186,11 +219,14 @@ class Channel:
         else:
             self.packets_sent += 1
             self.bytes_sent += packet.size_bytes
-            self.sim.schedule(
-                ser + self.propagation_us, self._deliver, packet
-            )
+            sim.schedule(ser + self.propagation_us, self._deliver, packet)
         # Channel frees up when the tail leaves the transmitter.
-        self.sim.schedule(ser, self._tx_done)
+        if verdict is not None or self._queue:
+            self._tx_seq = None
+            sim.schedule(ser, self._tx_done)
+        else:
+            self._tx_end = sim.now + ser
+            self._tx_seq = sim.reserve_seq()
 
     def _deliver(self, packet: Packet) -> None:
         assert self.sink is not None

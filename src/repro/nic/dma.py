@@ -99,7 +99,7 @@ class DmaEngine:
         try:
             yield hold
         finally:
-            if hold.handle is None:  # granted: the busy interval is open
+            if hold.timer is not None:  # granted: the busy interval is open
                 busy.end()
         self.transfers += 1
         self.bytes_moved += size_bytes

@@ -21,6 +21,7 @@ encode that asymmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict
 
 #: Canonical operation names charged against the NIC processor.
@@ -74,10 +75,16 @@ class LanaiModel:
         if self.clock_mhz <= 0:
             raise ValueError("clock must be positive")
 
+    @cached_property
+    def costs(self) -> Dict[str, float]:
+        """Operation -> its cost in microseconds on this card, computed
+        once per model (every NIC charge looks one up)."""
+        return {op: cycles / self.clock_mhz for op, cycles in self.cycles.items()}
+
     def time(self, operation: str) -> float:
         """Cost of ``operation`` in microseconds on this card."""
         try:
-            return self.cycles[operation] / self.clock_mhz
+            return self.costs[operation]
         except KeyError:
             raise KeyError(f"unknown NIC operation {operation!r}") from None
 

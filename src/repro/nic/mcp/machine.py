@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.sim.primitives import Hold
 from repro.sim.process import Process, ProcessKilled
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,12 +42,13 @@ class StateMachine:
         yield  # make it a generator
 
     # ------------------------------------------------------------------
-    def cpu(self, operation: str):
+    def cpu(self, operation: str) -> Hold:
         """Charge one firmware operation against the NIC processor.
 
-        Usage: ``yield from self.cpu("recv_packet")``.
+        Usage: ``yield self.cpu("recv_packet")``.
         """
-        yield self.nic.cpu_resource.hold(self.nic.model.time(operation))
+        nic = self.nic
+        return Hold(nic.cpu_resource, nic.model.costs[operation])
 
     def trace(self, label: str, **payload) -> None:
         """Record a trace event if tracing is enabled."""

@@ -61,10 +61,10 @@ class RdmaMachine(StateMachine):
     def _deliver(self, packet, recv_token):
         """DMA an accepted message into its host buffer + post the event."""
         nic = self.nic
-        yield from self.cpu("rdma_process")
+        yield self.cpu("rdma_process")
         yield from nic.rdma_engine.transfer(packet.payload_bytes, ctx=packet.ctx)
         nic.rx_buffers.release()
-        yield from self.cpu("post_event")
+        yield self.cpu("post_event")
         yield from nic.rdma_engine.transfer(EVENT_DMA_BYTES, ctx=packet.ctx)
         port = nic.ports.get(packet.dst_port)
         if port is not None and port.is_open:
@@ -90,7 +90,7 @@ class RdmaMachine(StateMachine):
 
         nic = self.nic
         port = nic.ports.get(packet.dst_port)
-        yield from self.cpu("rdma_process")
+        yield self.cpu("rdma_process")
         if packet.ptype is PacketType.PUT:
             region = None if port is None else port.exposed_regions.get(
                 packet.payload["region_id"]
@@ -106,7 +106,7 @@ class RdmaMachine(StateMachine):
             nic.rx_buffers.release()
             region.data[packet.payload["offset"]] = packet.payload["value"]
             if packet.payload.get("notify") and port.is_open:
-                yield from self.cpu("post_event")
+                yield self.cpu("post_event")
                 yield from nic.rdma_engine.transfer(EVENT_DMA_BYTES)
                 nic.post_host_event(
                     port,
@@ -137,7 +137,7 @@ class RdmaMachine(StateMachine):
             # answer on the reliable stream -- the remote host never runs.
             yield from nic.sdma_engine.transfer(size)
             nic.rx_buffers.release()
-            yield from self.cpu("packet_prep")
+            yield self.cpu("packet_prep")
             conn = nic.connection(packet.src_node)
             reply = nic.make_packet(
                 PacketType.GET_REPLY,
@@ -161,7 +161,7 @@ class RdmaMachine(StateMachine):
             yield from nic.rdma_engine.transfer(packet.payload_bytes)
             nic.rx_buffers.release()
             if port is not None and port.is_open:
-                yield from self.cpu("post_event")
+                yield self.cpu("post_event")
                 yield from nic.rdma_engine.transfer(EVENT_DMA_BYTES)
                 nic.post_host_event(
                     port,
@@ -178,7 +178,7 @@ class RdmaMachine(StateMachine):
     def _send_ack(self, remote_node: int):
         nic = self.nic
         conn = nic.connection(remote_node)
-        yield from self.cpu("ack_gen")
+        yield self.cpu("ack_gen")
         packet = nic.make_packet(
             PacketType.ACK,
             dst_node=remote_node,
@@ -191,7 +191,7 @@ class RdmaMachine(StateMachine):
     def _send_nack(self, remote_node: int):
         nic = self.nic
         conn = nic.connection(remote_node)
-        yield from self.cpu("ack_gen")
+        yield self.cpu("ack_gen")
         packet = nic.make_packet(
             PacketType.NACK,
             dst_node=remote_node,
@@ -203,7 +203,7 @@ class RdmaMachine(StateMachine):
 
     def _send_barrier_ack(self, barrier_packet):
         nic = self.nic
-        yield from self.cpu("ack_gen")
+        yield self.cpu("ack_gen")
         packet = nic.make_packet(
             PacketType.BARRIER_ACK,
             dst_node=barrier_packet.src_node,

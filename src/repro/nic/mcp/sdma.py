@@ -86,7 +86,7 @@ class SdmaMachine(StateMachine):
     def _process_send_token(self, port_id: int, token: SendToken):
         """Ordinary reliable send: DMA payload in, prepare, hand to SEND."""
         nic = self.nic
-        yield from self.cpu("token_process")
+        yield self.cpu("token_process")
         if token.dst_node in nic.suspected_peers:
             self._fake_ack(token, token.dst_node, token.dst_port)
             return
@@ -95,9 +95,9 @@ class SdmaMachine(StateMachine):
 
         # Stage the payload into a transmit buffer (blocks if pool empty).
         yield nic.tx_buffers.acquire()
-        yield from self.cpu("dma_setup")
+        yield self.cpu("dma_setup")
         yield from nic.sdma_engine.transfer(token.size_bytes, ctx=token.ctx)
-        yield from self.cpu("packet_prep")
+        yield self.cpu("packet_prep")
 
         wire_type = token.wire_type or PacketType.DATA
         packet = nic.make_packet(
@@ -116,7 +116,7 @@ class SdmaMachine(StateMachine):
             ),
             ctx=token.ctx.child() if token.ctx is not None else None,
         )
-        yield from self.cpu("send_queue_manage")
+        yield self.cpu("send_queue_manage")
         conn.record_sent(SentEntry(seqno=token.seqno, packet=packet, token=token))
         nic.ensure_retransmit_timer(conn)
         self.trace("prepared", key=packet.packet_id, dst=token.dst_node,
@@ -127,7 +127,7 @@ class SdmaMachine(StateMachine):
         """NIC-assisted multidestination send (the paper's reference [2]):
         one host DMA, one packet prepared and queued per destination."""
         nic = self.nic
-        yield from self.cpu("token_process")
+        yield self.cpu("token_process")
         live = [
             dest for dest in token.destinations
             if dest[0] not in nic.suspected_peers
@@ -137,12 +137,12 @@ class SdmaMachine(StateMachine):
             return
         # Stage the payload once.
         yield nic.tx_buffers.acquire()
-        yield from self.cpu("dma_setup")
+        yield self.cpu("dma_setup")
         yield from nic.sdma_engine.transfer(token.size_bytes, ctx=token.ctx)
         token.remaining_acks = len(live)
         last_index = len(live) - 1
         for i, (dst_node, dst_port) in enumerate(live):
-            yield from self.cpu("packet_prep")
+            yield self.cpu("packet_prep")
             conn = nic.connection(dst_node)
             seqno = conn.assign_seqno()
             packet = nic.make_packet(
@@ -155,7 +155,7 @@ class SdmaMachine(StateMachine):
                 payload={"body": token.payload},
                 ctx=token.ctx.child() if token.ctx is not None else None,
             )
-            yield from self.cpu("send_queue_manage")
+            yield self.cpu("send_queue_manage")
             conn.record_sent(SentEntry(seqno=seqno, packet=packet, token=token))
             nic.ensure_retransmit_timer(conn)
             # The SRAM buffer is released when the *last* replica has been
@@ -170,13 +170,13 @@ class SdmaMachine(StateMachine):
         conn = nic.connection(remote_node)
         if entry not in conn.sent_list:
             return  # ACKed while the retransmit work item was queued.
-        yield from self.cpu("token_process")
+        yield self.cpu("token_process")
         yield nic.tx_buffers.acquire()
-        yield from self.cpu("dma_setup")
+        yield self.cpu("dma_setup")
         yield from nic.sdma_engine.transfer(
             entry.packet.payload_bytes, ctx=entry.packet.ctx
         )
-        yield from self.cpu("packet_prep")
+        yield self.cpu("packet_prep")
         entry.retransmits += 1
         conn.packets_retransmitted += 1
         packet = nic.clone_packet(entry.packet)

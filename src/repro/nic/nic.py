@@ -683,10 +683,6 @@ class Nic:
             self.tracer.record(f"nic{self.node_id}", "nic.restart")
 
     # ------------------------------------------------------------------
-    def cpu_time(self, operation: str):
-        """Charge ``operation`` against the NIC processor (generator)."""
-        yield self.cpu_resource.hold(self.model.time(operation))
-
     def _start_machines(self) -> None:
         #: The four MCP machines' processes (a machine object itself is
         #: referenced by its running generator alone).

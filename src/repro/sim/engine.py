@@ -167,9 +167,15 @@ class TimerHandle(EventHandle):
 
 
 def _callback_owner(callback: Callable[..., None]) -> str:
-    """Profiling label for a callback: its bound object, else its name."""
+    """Profiling label for a callback: its bound object, else its name.
+
+    A wait record (a ``Hold``, a ``Store.get()`` event, a wait handle)
+    wakes the process waiting on it, so its callbacks are charged to
+    that process, as ``Process._advance`` is.
+    """
     obj = getattr(callback, "__self__", None)
     if obj is not None:
+        obj = getattr(obj, "process", None) or obj
         name = getattr(obj, "name", "")
         cls = type(obj).__name__
         return f"{cls}:{name}" if name else cls
@@ -230,6 +236,10 @@ class Simulator:
         # sweep, amortized O(1) per insert, so cancel-heavy buckets can't
         # build GC-visible garbage mountains while they wait to flush).
         self._wheel: Dict[float, list] = {}
+        #: The entry being (or last) dispatched, or None when every event
+        #: at or before ``now`` has run: the engine's position in
+        #: ``(time, priority, seq)`` order, read by :meth:`dispatched`.
+        self._at: Optional[EventHandle] = None
         #: Number of callbacks executed; useful for profiling and for
         #: detecting runaway simulations in tests.
         self.events_executed: int = 0
@@ -379,6 +389,43 @@ class Simulator:
                 self._wheel_compact(entry)
         return handle
 
+    def reserve_seq(self) -> int:
+        """Allocate the ``seq`` the next scheduled event would take,
+        for an event that may never need to run.
+
+        The caller keeps the key and either places the event there
+        later with :meth:`schedule_reserved`, or asks :meth:`dispatched`
+        whether the engine has already passed it -- an event that would
+        only have found nothing to do need never be queued (a channel's
+        transmit end, see ``network/link.py``).
+        """
+        self._seq = seq = self._seq + 1
+        return seq
+
+    def schedule_reserved(
+        self, time: float, seq: int, callback: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` at the reserved key ``(time,
+        PRIORITY_NORMAL, seq)``, which must not have been passed yet.
+
+        It fires exactly where :meth:`schedule` would have fired it had
+        it been scheduled when ``seq`` was reserved.
+        """
+        self._live += 1
+        handle = EventHandle((time, PRIORITY_NORMAL, seq, callback, args, self))
+        self._insert(handle)
+        return handle
+
+    def dispatched(self, time: float, seq: int) -> bool:
+        """Whether an event at ``(time, PRIORITY_NORMAL, seq)`` would
+        already have run: it orders before the entry being dispatched,
+        or, outside ``run()``, it is due at or before ``now``.
+        """
+        at = self._at
+        if at is None:
+            return time <= self.now
+        return [time, PRIORITY_NORMAL, seq] < at
+
     def _insert(self, handle: EventHandle) -> None:
         """Route an entry into the right tier (time already validated)."""
         t = handle[0]
@@ -480,6 +527,7 @@ class Simulator:
             return False
         handle = heappop(self._cur)
         self.now = handle[0]
+        self._at = handle
         callback = handle[3]
         args = handle[4]
         handle[3] = None
@@ -576,6 +624,7 @@ class Simulator:
                         "likely livelock"
                     )
                 self.now = t
+                self._at = handle
                 args = handle[4]
                 handle[3] = None
                 handle[4] = None
@@ -589,6 +638,9 @@ class Simulator:
                 cur = self._cur
             if until is not None and self.now < until:
                 self.now = until
+            # Every event at or before the clock has run; a stop() or an
+            # error leaves ``_at`` on the last entry dispatched instead.
+            self._at = None
             return self.now
         finally:
             self.events_executed += executed
