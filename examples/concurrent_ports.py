@@ -36,11 +36,11 @@ def job(cluster, tag, port_id, stall_us, log):
 
 
 def main() -> None:
-    cluster = build_cluster(ClusterConfig(num_nodes=NODES, lanai_model=LANAI_4_3))
     log = []
-    job(cluster, "A", port_id=2, stall_us=0.0, log=log)
-    job(cluster, "B", port_id=4, stall_us=400.0, log=log)
-    cluster.run(max_events=10_000_000)
+    with build_cluster(ClusterConfig(num_nodes=NODES, lanai_model=LANAI_4_3)) as cluster:
+        job(cluster, "A", port_id=2, stall_us=0.0, log=log)
+        job(cluster, "B", port_id=4, stall_us=400.0, log=log)
+        cluster.run(max_events=10_000_000)
 
     print(f"two jobs x {BARRIERS_PER_JOB} barriers on shared NICs "
           f"({NODES} nodes, LANai 4.3); job B's rank 0 stalls 400 us\n")

@@ -46,12 +46,12 @@ def main() -> None:
     for grain in grains:
         totals = {}
         for nic_based in (False, True):
-            cluster = build_cluster(
+            with build_cluster(
                 ClusterConfig(num_nodes=NODES, lanai_model=LANAI_4_3)
-            )
-            results = run_on_group(
-                cluster, bsp_program, grain_us=grain, nic_based=nic_based
-            )
+            ) as cluster:
+                results = run_on_group(
+                    cluster, bsp_program, grain_us=grain, nic_based=nic_based
+                )
             totals[nic_based] = max(results)
         rows.append(
             [

@@ -45,11 +45,10 @@ def fuzzy_program(ctx):
 
 def main() -> None:
     def run(program):
-        cluster = build_cluster(
+        with build_cluster(
             ClusterConfig(num_nodes=8, lanai_model=LANAI_4_3)
-        )
-        results = run_on_group(cluster, program)
-        return max(results)
+        ) as cluster:
+            return max(run_on_group(cluster, program))
 
     blocking = run(blocking_program)
     fuzzy = run(fuzzy_program)

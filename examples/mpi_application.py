@@ -48,10 +48,10 @@ def main() -> None:
           f"{NODES} nodes, LANai 4.3\n")
     totals = {}
     for nic in (False, True):
-        cluster = build_cluster(
+        with build_cluster(
             ClusterConfig(num_nodes=NODES, lanai_model=LANAI_4_3)
-        )
-        results = run_on_group(cluster, solver, nic_collectives=nic)
+        ) as cluster:
+            results = run_on_group(cluster, solver, nic_collectives=nic)
         finish = max(t for t, _ in results)
         dot = results[0][1]
         assert abs(dot - expected_dot) < 1e-9, "allreduce result wrong!"

@@ -53,10 +53,10 @@ def pipelined_program(ctx):
 
 def main() -> None:
     def run(program):
-        cluster = build_cluster(
+        with build_cluster(
             ClusterConfig(num_nodes=NODES, lanai_model=LANAI_4_3)
-        )
-        results = run_on_group(cluster, program)
+        ) as cluster:
+            results = run_on_group(cluster, program)
         finish = max(now for now, _, _ in results)
         return finish, results[0]
 

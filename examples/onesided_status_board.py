@@ -23,7 +23,12 @@ SLOT_BYTES = 64
 
 
 def main() -> None:
-    cluster = build_cluster(ClusterConfig(num_nodes=NODES, lanai_model=LANAI_4_3))
+    with build_cluster(ClusterConfig(num_nodes=NODES, lanai_model=LANAI_4_3)) as cluster:
+        status_board(cluster)
+
+
+def status_board(cluster) -> None:
+    """Run the board on ``cluster`` and print what the controller saw."""
     ports = [cluster.open_port(i, 2) for i in range(NODES)]
     onesided = [OneSidedPort(p) for p in ports]
 

@@ -20,10 +20,8 @@ def program(ctx):
 
 
 def main() -> None:
-    cluster = build_cluster(
-        ClusterConfig(num_nodes=8, lanai_model=LANAI_7_2)
-    )
-    results = run_on_group(cluster, program)
+    with build_cluster(ClusterConfig(num_nodes=8, lanai_model=LANAI_7_2)) as cluster:
+        results = run_on_group(cluster, program)
 
     print("NIC-based PE barrier on 8 nodes (LANai 7.2, 66 MHz):")
     for rank, (enter, exit_) in enumerate(results):

@@ -328,7 +328,8 @@ def traced_barrier_run(
     max_events: Optional[int] = 20_000_000,
 ):
     """Run ONE fault-free barrier with tracing on; return
-    ``(cluster, critical_path, end_to_end_us)``.
+    ``(cluster, critical_path, end_to_end_us)``.  The cluster comes back
+    closed; its tracer and counters stay readable.
 
     ``end_to_end_us`` is the measured barrier latency -- last rank's
     ``barrier.exit`` minus first rank's ``barrier.queue`` -- and with
@@ -342,7 +343,6 @@ def traced_barrier_run(
     if config is None:
         config = ClusterConfig(num_nodes=num_nodes)
     config = config.with_(num_nodes=num_nodes, trace=True)
-    cluster = build_cluster(config)
 
     def program(ctx):
         yield from nic_barrier_op(
@@ -351,9 +351,11 @@ def traced_barrier_run(
         )
         return ctx.now
 
-    run_on_group(
-        cluster, program, group=default_group(cluster), max_events=max_events
-    )
+    with build_cluster(config) as cluster:
+        run_on_group(
+            cluster, program, group=default_group(cluster),
+            max_events=max_events,
+        )
     events = cluster.tracer.events
     path = extract_critical_path(events)
     queues = [e.time for e in events if e.label == "barrier.queue"]

@@ -153,8 +153,7 @@ def measure_barrier(
     """
     if telemetry and not config.telemetry:
         config = config.with_(telemetry=True)
-    cluster = build_cluster(config)
-    try:
+    with build_cluster(config) as cluster:
         if group is None:
             group = default_group(cluster)
         enter_times: Dict[int, List[float]] = {}
@@ -176,8 +175,6 @@ def measure_barrier(
         tel_summary: Optional[dict] = None
         if cluster.telemetry.enabled:
             tel_summary = cluster.telemetry.summary()
-    finally:
-        cluster.close()
     per_barrier = []
     for rep in range(warmup, total):
         start = max(enter_times[rep])

@@ -161,15 +161,12 @@ def measure_nbc_overlap(
     """
 
     def run(program, **kwargs):
-        cluster = build_cluster(config)
-        try:
+        with build_cluster(config) as cluster:
             results = run_on_group(
                 cluster, program, group=default_group(cluster),
                 max_events=max_events, iterations=iterations,
                 skew_max_us=skew_max_us, params=params, **kwargs,
             )
-        finally:
-            cluster.close()
         return (
             max(now for now, _ in results),
             results[0][1],

@@ -153,9 +153,17 @@ class Cluster:
                     pass
             raise
 
+    def __enter__(self) -> "Cluster":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def close(self) -> None:
         """End of life, running no event, so refcounting frees the
-        cluster; counters stay readable (see ``docs/engine.md``)."""
+        cluster; counters stay readable (see ``docs/engine.md``).
+        ``with build_cluster(...) as cluster:`` closes it on exit,
+        also when the run raised."""
         for process in self.processes:
             process.close()
         for node in self.nodes:

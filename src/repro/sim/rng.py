@@ -8,20 +8,15 @@ the skew sequence.
 
 Each named stream is a PCG64 generator (128-bit LCG state, XSL-RR 64-bit
 output) seeded from ``(seed, name)`` by the SeedSequence hash, with the
-name's UTF-8 bytes as the spawn key.  ``random``, ``uniform``,
-``integers`` and ``shuffle`` reproduce the reference PCG64 ``Generator``
-draw for draw (``tests/test_rng_parity.py``); ``exponential`` uses
-inversion (``-log1p(-u)``), not the reference's ziggurat, so its values
-differ from the reference ``exponential``.  The seed derivation is a
-pure function of ``(seed, name)`` and is memoized, because many clusters
+name's UTF-8 bytes as the spawn key.  ``random``, ``uniform`` and
+``integers`` reproduce the reference PCG64 ``Generator`` draw for draw
+(``tests/test_rng_parity.py``).  The seed derivation is a pure function of ``(seed, name)`` and is memoized, because many clusters
 of one experiment derive the same streams.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import MutableSequence
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -158,13 +153,6 @@ class RngStream:
         low = float(low)
         return low + (float(high) - low) * self.random()
 
-    def exponential(self, mean: float) -> float:
-        """Exponential variate with the given mean, by inversion of one
-        ``random()`` draw.  The reference ``Generator.exponential`` uses a
-        ziggurat instead, so for the same seed the values differ from the
-        reference's."""
-        return mean * -math.log1p(-self.random())
-
     def integers(self, low: int, high: int) -> int:
         """Integer in [low, high) as an int64 draw: Lemire's rejection on a
         32-bit output when the range fits, else on a 64-bit one."""
@@ -187,16 +175,6 @@ class RngStream:
             while m & mask < threshold:
                 m = draw() * excl
         return low + (m >> bits)
-
-    def shuffle(self, items: MutableSequence) -> None:
-        """Shuffle ``items`` in place (Fisher-Yates from the end)."""
-        for i in range(len(items) - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            draw = self.next32 if i <= _MASK32 else self.next64
-            j = draw() & mask
-            while j > i:
-                j = draw() & mask
-            items[i], items[j] = items[j], items[i]
 
 
 class _Streams(dict):
@@ -232,10 +210,6 @@ class SimRng:
         """Uniform float in [low, high) from the named stream."""
         return self._streams[stream].uniform(low, high)
 
-    def exponential(self, stream: str, mean: float) -> float:
-        """Exponential variate with the given mean."""
-        return self._streams[stream].exponential(mean)
-
     def random(self, stream: str) -> float:
         """Uniform float in [0, 1)."""
         return self._streams[stream].random()
@@ -243,9 +217,3 @@ class SimRng:
     def integers(self, stream: str, low: int, high: int) -> int:
         """Integer in [low, high)."""
         return self._streams[stream].integers(low, high)
-
-    def shuffle(self, stream: str, items: list) -> list:
-        """A shuffled copy of ``items`` (input untouched)."""
-        out = list(items)
-        self._streams[stream].shuffle(out)
-        return out

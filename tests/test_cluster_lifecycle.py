@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis import figure5
 from repro.analysis.calibration import LANAI_4_3_SYSTEM
+from repro.analysis.critical_path import traced_barrier_run
 from repro.analysis.experiments import measure_barrier
 from repro.analysis.nbc_overlap import measure_nbc_overlap
 from repro.campaign.executor import run_campaign
@@ -84,6 +85,10 @@ class TestNoCyclicGarbage:
                 LANAI_4_3_SYSTEM.cluster_config(8), iterations=4,
                 skew_max_us=50.0,
             )
+
+    def test_traced_barrier_run_8(self):
+        with no_cyclic_repro_garbage():
+            traced_barrier_run(8, algorithm="pe")
 
     def test_inline_fig5_job(self):
         spec = figure5.figure5_spec(LANAI_4_3_SYSTEM, sizes=(16,))

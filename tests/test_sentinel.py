@@ -161,10 +161,34 @@ class TestRealArtifacts:
         assert "no regressions" in out
 
 
+#: A steady engine trajectory, recorded on one machine: the history the
+#: synthetic slowdown is judged against.  A fixture, not the committed
+#: ``BENCH_engine.json``, so appending a real stage -- faster, or from
+#: another machine -- cannot widen the band until a 20% slowdown hides.
+ENGINE_HISTORY = {
+    "benchmark": "engine_speed",
+    "trajectory": [
+        {
+            "stage": f"steady-{i}",
+            "python": "3.11.7",
+            "raw_dispatch_eps": eps,
+            "producer_consumer_eps": 0.35 * eps,
+            "timer_churn_eps": 0.2 * eps,
+            "loaded_fabric_eps": 0.07 * eps,
+            "barrier16_wall_s": wall,
+            "barrier16_mean_latency_us": 100.828,
+        }
+        for i, (eps, wall) in enumerate(
+            [(1_300_000.0, 0.050), (1_320_000.0, 0.049), (1_280_000.0, 0.051)]
+        )
+    ],
+}
+
+
 class TestSyntheticRegression:
     @staticmethod
     def degraded_engine_doc(wall_factor=1.2, eps_factor=0.8):
-        doc = json.loads((REPO / "BENCH_engine.json").read_text())
+        doc = copy.deepcopy(ENGINE_HISTORY)
         stage = copy.deepcopy(doc["trajectory"][-1])
         stage["stage"] = "synthetic-regression"
         stage["barrier16_wall_s"] = round(

@@ -88,14 +88,3 @@ class TestSimRng:
         r = SimRng(0)
         vals = [r.integers("i", 0, 10) for _ in range(100)]
         assert all(0 <= v < 10 for v in vals)
-
-    def test_shuffle_returns_permutation(self):
-        r = SimRng(0)
-        items = list(range(20))
-        out = r.shuffle("p", items)
-        assert sorted(out) == items
-        assert items == list(range(20))  # input untouched
-
-    def test_exponential_positive(self):
-        r = SimRng(0)
-        assert all(r.exponential("e", 5.0) >= 0 for _ in range(50))
