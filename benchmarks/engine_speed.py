@@ -10,13 +10,16 @@ across PRs::
 
 Numbers are wall-clock (best of N interleaved rounds, minimum, so
 scheduler noise cancels); everything else in ``benchmarks/`` reports
-*simulated* microseconds.
+*simulated* microseconds.  Each stage carries a ``machine`` key, and the
+regression sentinel judges a stage only against earlier stages recorded
+on the same kind of machine.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from datetime import datetime, timezone
@@ -27,6 +30,15 @@ from repro.sim.primitives import Store, Timeout
 from repro.sim.process import Process
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+
+
+def machine_key() -> str:
+    """What a stage's wall-clock numbers depend on besides the code:
+    Python implementation and version, architecture, CPU count."""
+    return (
+        f"{platform.python_implementation()}-{platform.python_version()}"
+        f"-{platform.machine()}-{os.cpu_count()}cpu"
+    )
 
 
 def bench_raw_dispatch(count: int = 100_000) -> float:
@@ -204,6 +216,7 @@ def main() -> None:
         "stage": args.stage,
         "recorded": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "python": platform.python_version(),
+        "machine": machine_key(),
         **{k: round(v, 3) for k, v in results.items()},
     }
 

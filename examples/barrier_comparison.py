@@ -11,7 +11,7 @@ Run:  python examples/barrier_comparison.py [--lanai 4.3|7.2] [--reps N]
 import argparse
 
 from repro.analysis.calibration import LANAI_4_3_SYSTEM, LANAI_7_2_SYSTEM
-from repro.analysis.experiments import measure_barrier_sweep
+from repro.analysis.figure5 import run_measure_sweep
 from repro.analysis.tables import format_table
 
 
@@ -28,7 +28,7 @@ def main() -> None:
     print(f"sweeping N in {system.sizes} "
           f"(GB minimized over tree dimensions 1..N-1) ...")
 
-    sweep = measure_barrier_sweep(
+    sweep, _ = run_measure_sweep(
         system.cluster_config(max(system.sizes)),
         sizes=system.sizes,
         repetitions=args.reps,

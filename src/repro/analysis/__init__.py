@@ -9,7 +9,6 @@ from repro.analysis.experiments import (
     BarrierMeasurement,
     best_gb_dimension,
     measure_barrier,
-    measure_barrier_sweep,
 )
 from repro.analysis.model import BarrierModel, ModelParams
 from repro.analysis.stats import LatencyStats, summarize
@@ -26,6 +25,5 @@ __all__ = [
     "best_gb_dimension",
     "format_table",
     "measure_barrier",
-    "measure_barrier_sweep",
     "summarize",
 ]

@@ -246,39 +246,3 @@ def best_gb_dimension(
     assert best is not None
     return best
 
-
-def measure_barrier_sweep(
-    config: ClusterConfig,
-    sizes: Sequence[int],
-    *,
-    repetitions: int = DEFAULT_REPS,
-    warmup: int = DEFAULT_WARMUP,
-    gb_dimensions: Optional[Sequence[int]] = None,
-    jobs: int = 1,
-    store=None,
-    cache_dir=None,
-) -> Dict[str, Dict[int, BarrierMeasurement]]:
-    """The full Figure-5 style sweep: all four barrier variants across
-    system sizes.  Returns ``results[variant][n]`` with variants
-    ``host-pe``, ``nic-pe``, ``host-gb``, ``nic-gb`` (GB at the best
-    dimension per size).
-
-    The sweep is submitted through :mod:`repro.campaign` -- one job per
-    (size, variant, GB dimension) -- so it can fan out over ``jobs``
-    worker processes and reuse cached results from ``store`` /
-    ``cache_dir``.  The default (``jobs=1``, no store) runs everything
-    inline and is bit-identical to the historical serial loop.
-    """
-    from repro.analysis.figure5 import run_measure_sweep
-
-    sweep, _ = run_measure_sweep(
-        config,
-        sizes,
-        repetitions=repetitions,
-        warmup=warmup,
-        gb_dimensions=gb_dimensions,
-        jobs=jobs,
-        store=store,
-        cache_dir=cache_dir,
-    )
-    return sweep

@@ -11,11 +11,19 @@ configurable band:
 
     band = max(mad_k * MAD, rel_tol * |median|)
 
+Wall-clock numbers from different machines do not compare, so a
+trajectory stage may carry a ``machine`` key (``benchmarks/engine_speed.py``
+stamps one: implementation, Python version, architecture, CPU count).
+The newest entry is judged only against earlier entries with the same
+key; entries without one form a single legacy group.
+
 Whether a delta is a *regression* or an *improvement* depends on the
 metric's direction, inferred from its name (``*_eps``/``*speedup``/
 ``*overlap_pct`` are higher-is-better; ``*_us``/``*_s``/``*latency``/
 ``*failed`` lower-is-better; anything else flags on either side).
-Metrics with no prior history report ``no_history`` and never fail.
+Metrics with no prior history -- including every metric of a stage
+whose machine ran no earlier stage -- report ``no_history`` and never
+fail.
 
 CLI (the CI gate)::
 
@@ -187,7 +195,8 @@ def _numeric_items(mapping: Dict[str, object]) -> Dict[str, float]:
 def extract_entries(doc: dict) -> Tuple[str, List[dict]]:
     """Normalize any BENCH artifact to ``(style, [{label, metrics}])``.
 
-    - engine-style ``trajectory`` → one entry per stage;
+    - engine-style ``trajectory`` → one entry per stage, with the
+      stage's ``machine`` key (None when it has none);
     - nbc-style ``rows`` → one entry, metrics keyed per sweep cell;
     - campaign-style ``totals``/``jobs`` → one entry: totals, elapsed,
       and each successful job's mean latency keyed by tag;
@@ -200,6 +209,7 @@ def extract_entries(doc: dict) -> Tuple[str, List[dict]]:
                 {
                     "label": str(stage.get("stage", f"entry{len(entries)}")),
                     "metrics": _numeric_items(stage),
+                    "machine": stage.get("machine"),
                 }
             )
         return "trajectory", entries
@@ -249,11 +259,13 @@ def check_entries(
     rel_tol: float = DEFAULT_REL_TOL,
     mad_k: float = DEFAULT_MAD_K,
 ) -> List[MetricCheck]:
-    """Judge the last entry's metrics against all earlier entries."""
+    """Judge the last entry's metrics against the earlier entries that
+    share its ``machine`` key (absent counts as one legacy machine)."""
     if not entries:
         return []
     newest = entries[-1]
-    history = entries[:-1]
+    machine = newest.get("machine")
+    history = [e for e in entries[:-1] if e.get("machine") == machine]
     checks: List[MetricCheck] = []
     for metric, value in sorted(newest["metrics"].items()):
         prior = [

@@ -4,10 +4,10 @@
 an explicit list of :class:`~repro.campaign.spec.JobSpec`) and executes
 every job that misses the :class:`~repro.campaign.store.ResultStore`,
 serially (``jobs=1``) or on a ``concurrent.futures`` process pool
-(``jobs=N``).  Results come back in submission order regardless of
-completion order, so the parallel path is bit-identical to the serial
-one: each job is a self-contained simulation whose outcome depends only
-on its spec.
+(``jobs=N``; the pool machinery is imported only when a run starts
+one).  Results come back in submission order regardless of completion
+order, so the parallel path is bit-identical to the serial one: each job
+is a self-contained simulation whose outcome depends only on its spec.
 
 Failure containment: the worker entry point catches everything a job
 raises and returns the error + traceback as data, so one hostile fault
@@ -33,8 +33,6 @@ from __future__ import annotations
 import logging
 import time
 import traceback as traceback_module
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
@@ -166,6 +164,7 @@ def _retry_broken_job(
     first_error: str,
     max_retries: int,
     registry: MetricsRegistry,
+    code_version: str,
 ) -> dict:
     """Re-run a job whose worker died, up to ``max_retries`` times.
 
@@ -175,13 +174,18 @@ def _retry_broken_job(
     the first surviving attempt, or a failure payload quoting the first
     death when every attempt dies too.
     """
+    from concurrent.futures.process import (
+        BrokenProcessPool,
+        ProcessPoolExecutor,
+    )
+
     error = first_error
     for attempt in range(1, max_retries + 1):
         registry.counter("campaign.retries").inc()
         logger.warning(
             "[%s] worker died on %s (%s); retry %d/%d on a fresh pool",
-            name, spec.tag or spec.cache_key()[:12], error, attempt,
-            max_retries,
+            name, spec.tag or spec.cache_key(code_version=code_version)[:12],
+            error, attempt, max_retries,
         )
         with ProcessPoolExecutor(max_workers=1) as pool:
             try:
@@ -212,7 +216,6 @@ class JobResult:
     """Outcome of one job: a value (fresh or cached) or an error."""
 
     spec: JobSpec
-    key: str
     ok: bool
     cached: bool = False
     value: Optional[dict] = None
@@ -223,6 +226,22 @@ class JobResult:
     #: records before the crash; see :mod:`repro.sim.tracing`).
     flight: Optional[list] = None
     elapsed_s: float = 0.0
+    #: Code version the job's cache key is computed under: the store's
+    #: when the run had one, else ``run_campaign``'s ``code_version``.
+    code_version: str = CODE_VERSION
+    _key: Optional[str] = field(default=None, repr=False, compare=False)
+
+    @property
+    def key(self) -> str:
+        """The job's content-addressed cache key.
+
+        A run with a store passes in the key it looked up; otherwise the
+        key is computed here on first read and kept, so a storeless run
+        that never reads it hashes nothing.
+        """
+        if self._key is None:
+            self._key = self.spec.cache_key(code_version=self.code_version)
+        return self._key
 
 
 @dataclass
@@ -327,30 +346,30 @@ def run_campaign(
     )
     registry.counter("campaign.jobs").inc(len(specs))
 
+    # The key is the store's lookup; without a store it is computed only
+    # if someone reads JobResult.key (never on a tagged, storeless run).
+    version = store.code_version if store is not None else code_version
     results: List[Optional[JobResult]] = [None] * len(specs)
-    pending: List[tuple] = []  # (index, spec, key)
+    pending: List[tuple] = []  # (index, spec, key or None)
     for index, spec in enumerate(specs):
-        key = (
-            store.key_for(spec)
-            if store is not None
-            else spec.cache_key(code_version=code_version)
-        )
+        key = store.key_for(spec) if store is not None else None
         record = store.get(key) if store is not None else None
         if record is not None:
             registry.counter("campaign.cache_hits").inc()
             logger.info("[%s] cache hit %s", name, spec.tag or key[:12])
             results[index] = JobResult(
-                spec=spec, key=key, ok=True, cached=True,
-                value=record["result"],
+                spec=spec, ok=True, cached=True, value=record["result"],
+                code_version=version, _key=key,
             )
         else:
             pending.append((index, spec, key))
 
-    def finish(index: int, spec: JobSpec, key: str, payload: dict) -> None:
+    def finish(
+        index: int, spec: JobSpec, key: Optional[str], payload: dict
+    ) -> None:
         ok = payload.get("ok", False)
         result = JobResult(
             spec=spec,
-            key=key,
             ok=ok,
             cached=False,
             value=payload.get("value"),
@@ -359,6 +378,8 @@ def run_campaign(
             traceback=payload.get("traceback"),
             flight=payload.get("flight"),
             elapsed_s=payload.get("elapsed_s", 0.0),
+            code_version=version,
+            _key=key,
         )
         results[index] = result
         if ok:
@@ -366,13 +387,14 @@ def run_campaign(
             if store is not None:
                 store.put(spec, result.value)
             logger.info(
-                "[%s] done %s (%.2fs)", name, spec.tag or key[:12],
+                "[%s] done %s (%.2fs)", name, spec.tag or result.key[:12],
                 result.elapsed_s,
             )
         else:
             registry.counter("campaign.failed").inc()
             logger.warning(
-                "[%s] FAILED %s: %s", name, spec.tag or key[:12], result.error
+                "[%s] FAILED %s: %s", name, spec.tag or result.key[:12],
+                result.error,
             )
 
     if pending:
@@ -381,11 +403,26 @@ def run_campaign(
             for index, spec, key in pending:
                 finish(index, spec, key, _execute_job_payload(spec.to_dict()))
         else:
+            from concurrent.futures import Future
+            from concurrent.futures.process import (
+                BrokenProcessPool,
+                ProcessPoolExecutor,
+            )
+
+            def submit(pool, spec: JobSpec) -> Future:
+                # A worker can die while later jobs are still being
+                # submitted; those jobs then fail like its siblings.
+                try:
+                    return pool.submit(_execute_job_payload, spec.to_dict())
+                except BrokenProcessPool as exc:
+                    future = Future()
+                    future.set_exception(exc)
+                    return future
+
             broken: List[tuple] = []  # (index, spec, key, error text)
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    (index, spec, key,
-                     pool.submit(_execute_job_payload, spec.to_dict()))
+                    (index, spec, key, submit(pool, spec))
                     for index, spec, key in pending
                 ]
                 for index, spec, key, future in futures:
@@ -417,7 +454,8 @@ def run_campaign(
                 finish(
                     index, spec, key,
                     _retry_broken_job(
-                        name, spec, first_error, max_retries, registry
+                        name, spec, first_error, max_retries, registry,
+                        version,
                     ),
                 )
 

@@ -25,7 +25,6 @@ Stability contract (tested in ``tests/test_campaign_cachekey.py``):
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict
 from typing import Any, Dict, Optional
@@ -236,5 +235,7 @@ def canonical_json(obj: Any) -> str:
 
 def content_key(payload: Any, code_version: str = CODE_VERSION) -> str:
     """The content-addressed cache key for a JSON-able payload."""
+    import hashlib  # on first use: a run without a store never hashes
+
     text = canonical_json({"code_version": code_version, "payload": payload})
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

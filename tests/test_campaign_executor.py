@@ -137,6 +137,40 @@ class TestCachingAndDeterminism:
             r.key for r in parallel.results
         ]
 
+    def test_key_without_store_is_the_runs_content_key(self, monkeypatch):
+        spec = probe("echo")
+        computed = []
+        real = JobSpec.cache_key
+
+        def counting(self, code_version):
+            computed.append(code_version)
+            return real(self, code_version=code_version)
+
+        monkeypatch.setattr(JobSpec, "cache_key", counting)
+        result = run_campaign([spec], code_version="v-storeless").results[0]
+        assert computed == []  # a tagged, storeless run hashes nothing
+        assert result.key == real(spec, code_version="v-storeless")
+        assert result.key == real(spec, code_version="v-storeless")
+        assert computed == ["v-storeless"]  # computed once, then kept
+
+    def test_key_with_store_uses_the_stores_code_version(self, tmp_path):
+        spec = probe("echo")
+        store = ResultStore(tmp_path, code_version="v-store")
+        result = run_campaign([spec], store=store).results[0]
+        assert not result.cached
+        assert result.key == spec.cache_key(code_version="v-store")
+        assert result.key != spec.cache_key()
+        assert store.path_for(result.key).exists()
+
+    def test_key_on_cache_hit_is_the_stored_key(self, tmp_path):
+        spec = probe("echo")
+        store = ResultStore(tmp_path, code_version="v-hit")
+        run_campaign([spec], store=store)
+        hit = run_campaign([spec], store=store).results[0]
+        assert hit.cached
+        assert hit.key == spec.cache_key(code_version="v-hit")
+        assert store.get(hit.key)["key"] == hit.key
+
     def test_cache_dir_convenience_creates_store(self, tmp_path):
         cache = tmp_path / "deep" / "cache"
         run_campaign([probe("echo")], cache_dir=cache)

@@ -77,3 +77,29 @@ class TestRetryOnWorkerDeath:
         assert spec.to_dict()["max_retries"] == 3
         assert CampaignSpec.from_dict(spec.to_dict()).max_retries == 3
         assert CampaignSpec().max_retries == 1  # default: one retry
+
+    def test_death_during_submission_is_retried(self, monkeypatch):
+        """A worker that dies while later jobs are still being submitted
+        breaks the pool under ``submit()`` itself; that job is retried
+        like any poisoned sibling instead of escaping run_campaign."""
+        from concurrent.futures.process import (
+            BrokenProcessPool,
+            ProcessPoolExecutor,
+        )
+
+        real_submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def submit(pool, fn, *args, **kwargs):
+            calls.append(fn)
+            if len(calls) == 2:
+                raise BrokenProcessPool("worker died during submission")
+            return real_submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        result = run_campaign([probe("echo"), probe("echo")], jobs=2)
+        assert all(r.ok for r in result.results)
+        snap = result.metrics.snapshot()
+        assert snap["campaign.worker_deaths"] == 1
+        assert snap["campaign.retries"] == 1
+        assert len(calls) == 3  # two submissions, one retry

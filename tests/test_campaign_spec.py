@@ -5,17 +5,14 @@ which must reproduce the historical serial harnesses exactly."""
 import pytest
 
 from repro.analysis.calibration import LANAI_7_2_SYSTEM
-from repro.analysis.experiments import (
-    best_gb_dimension,
-    measure_barrier,
-    measure_barrier_sweep,
-)
+from repro.analysis.experiments import best_gb_dimension, measure_barrier
 from repro.analysis.figure5 import (
     BENCH_REPS,
     BENCH_WARMUP,
     assemble_sweep,
     figure5_spec,
     run_figure5,
+    run_measure_sweep,
     sweep_points,
 )
 from repro.campaign import CampaignSpec, JobSpec, run_campaign
@@ -131,7 +128,7 @@ class TestFigure5Definition:
         reproduces direct measure_barrier / best_gb_dimension calls
         bit-for-bit, including the GB best-dimension tie-break."""
         cfg = LANAI_7_2_SYSTEM.cluster_config(4)
-        sweep = measure_barrier_sweep(cfg, sizes=(4,), repetitions=2, warmup=1)
+        sweep, _ = run_measure_sweep(cfg, sizes=(4,), repetitions=2, warmup=1)
         direct_pe = measure_barrier(
             cfg, nic_based=True, algorithm="pe", repetitions=2, warmup=1
         )

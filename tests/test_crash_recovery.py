@@ -310,7 +310,7 @@ class TestPostShrinkSafety:
         strict=True,
         raises=AssertionError,
         reason="known defect: a survivor can leave a post-shrink barrier "
-               "before the last survivor entered it (ROADMAP item 4)",
+               "before the last survivor entered it (ROADMAP item 1)",
     )
     def test_no_rank_leaves_a_post_shrink_barrier_early(self):
         """Crash-soak combination 39 of seed 7 (victim 3): rank 0 leaves

@@ -7,11 +7,8 @@ from repro.analysis.calibration import (
     LANAI_7_2_SYSTEM,
     PAPER_ANCHORS,
 )
-from repro.analysis.experiments import (
-    best_gb_dimension,
-    measure_barrier,
-    measure_barrier_sweep,
-)
+from repro.analysis.experiments import best_gb_dimension, measure_barrier
+from repro.analysis.figure5 import run_measure_sweep
 from repro.cluster.builder import ClusterConfig
 
 
@@ -89,7 +86,7 @@ class TestGbDimensionSweep:
 
 class TestSweep:
     def test_full_sweep_structure(self):
-        results = measure_barrier_sweep(
+        results, _ = run_measure_sweep(
             ClusterConfig(num_nodes=4), sizes=[2, 4],
             repetitions=2, warmup=1, gb_dimensions=[1, 2],
         )

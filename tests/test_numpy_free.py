@@ -1,9 +1,15 @@
-"""The simulator runs with numpy unimportable.
+"""The simulator runs with numpy unimportable, and loads only what it runs.
 
 numpy is not a runtime dependency: every seeded draw (loss injection,
 barrier-entry skew, random fault plans) and the latency statistics are
 pure Python.  A subprocess poisons ``sys.modules["numpy"]`` so any import
 of it raises, then drives each path that draws random numbers.
+
+The same subprocess guards the import footprint: an inline campaign
+without a result store (a Figure-5 sweep) starts no process pool and
+computes no cache key, so ``hashlib``, ``concurrent.futures.process``
+and ``multiprocessing`` stay unloaded -- unless interpreter start-up
+(a site ``.pth`` file, say) had loaded them already.
 """
 
 import os
@@ -15,7 +21,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PROGRAM = textwrap.dedent("""
-    import sys
+    import sys; preloaded = set(sys.modules)
     sys.modules["numpy"] = None
 
     from repro.analysis.experiments import measure_barrier
@@ -60,8 +66,17 @@ PROGRAM = textwrap.dedent("""
         job = soak_jobs(7, family=family)[0]
         run_soak_combo(**job.params, flight_dump_dir=None)
 
+    # An inline Figure-5 sweep without a store.
+    from repro.analysis.calibration import LANAI_4_3_SYSTEM
+    from repro.analysis.figure5 import run_figure5
+    run_figure5(LANAI_4_3_SYSTEM, sizes=(2, 4))
+
     assert sys.modules.get("numpy") is None
     print("numpy-free ok")
+    unused = ("hashlib", "concurrent.futures.process", "multiprocessing")
+    loaded = [m for m in unused if m in sys.modules and m not in preloaded]
+    assert not loaded, f"loaded without being used: {loaded}"
+    print("footprint ok")
 """)
 
 
@@ -76,3 +91,4 @@ def test_simulator_runs_without_numpy(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert "numpy-free ok" in out.stdout
+    assert "footprint ok" in out.stdout

@@ -249,3 +249,77 @@ class TestSyntheticRegression:
         assert any(
             c.metric.endswith(".mean_latency_us") for c in judged.regressions
         )
+
+
+def machine_stage(stage, machine, speed=1.0, wall_factor=1.0):
+    """A steady engine stage on ``machine``; ``speed`` scales every
+    wall-clock rate, ``wall_factor`` the barrier wall time on top."""
+    base = ENGINE_HISTORY["trajectory"][1]
+    return {
+        **base,
+        "stage": stage,
+        "machine": machine,
+        **{
+            key: base[key] * speed
+            for key in base
+            if key.endswith("_eps")
+        },
+        "barrier16_wall_s": base["barrier16_wall_s"] / speed * wall_factor,
+    }
+
+
+class TestMachineKey:
+    """A stage is judged only against stages from its own machine."""
+
+    FAST, SLOW = "CPython-3.11.7-x86_64-8cpu", "CPython-3.11.7-x86_64-2cpu"
+
+    def history(self):
+        # Interleaved, as stages from two boxes land in one trajectory.
+        # Pooled, the two machines' wall times span 0.048..0.100 s: a
+        # band wide enough to hide a 20% slowdown on either of them.
+        stages = []
+        for i, jitter in enumerate((0.98, 1.0, 1.02)):
+            stages.append(machine_stage(f"fast-{i}", self.FAST, 1.0 * jitter))
+            stages.append(machine_stage(f"slow-{i}", self.SLOW, 0.5 * jitter))
+        return stages
+
+    def judge(self, tmp_path, newest):
+        path = tmp_path / "BENCH_engine.json"
+        doc = {"benchmark": "engine_speed",
+               "trajectory": self.history() + [newest]}
+        path.write_text(json.dumps(doc))
+        return check_file(str(path))
+
+    def test_extract_keeps_the_machine(self):
+        _, entries = extract_entries({"trajectory": self.history()})
+        assert [e["machine"] for e in entries[:2]] == [self.FAST, self.SLOW]
+        assert "machine" not in entries[0]["metrics"]
+
+    @pytest.mark.parametrize("machine,speed", [("FAST", 1.0), ("SLOW", 0.5)])
+    def test_same_machine_slowdown_is_flagged(self, tmp_path, machine, speed):
+        newest = machine_stage("new", getattr(self, machine), speed,
+                               wall_factor=1.2)
+        flagged = {c.metric for c in self.judge(tmp_path, newest).regressions}
+        assert flagged == {"barrier16_wall_s"}
+
+    def test_same_machine_steady_stage_is_ok(self, tmp_path):
+        report = self.judge(tmp_path, machine_stage("new", self.SLOW, 0.5))
+        assert not report.has_regressions
+        assert {c.history for c in report.checks} == {3}
+
+    def test_slower_machine_is_not_judged_against_faster_one(self, tmp_path):
+        # Half the speed of every earlier stage, on a machine none of
+        # them ran on: nothing to compare with, so nothing regresses.
+        newest = machine_stage("new", "CPython-3.12.1-aarch64-2cpu", 0.25)
+        report = self.judge(tmp_path, newest)
+        assert not report.has_regressions
+        assert {c.status for c in report.checks} == {"no_history"}
+
+    def test_keyed_stage_is_not_judged_against_legacy_stages(self):
+        legacy = [entry(f"h{i}", wall_s=1.0) for i in range(3)]
+        keyed = dict(entry("new", wall_s=5.0), machine=self.SLOW)
+        checks = check_entries(legacy + [keyed])
+        assert [c.status for c in checks] == ["no_history"]
+        # Unkeyed stages stay one group, judged as before.
+        checks = check_entries(legacy + [entry("new", wall_s=5.0)])
+        assert [c.status for c in checks] == ["regression"]
