@@ -95,7 +95,7 @@ def bench_timer_churn(count: int = 30_000) -> float:
 
     def tick(i):
         for h in timers:
-            h.cancel()
+            sim.cancel(h)
         timers.clear()
         if i < count:
             for k in range(4):
@@ -139,7 +139,7 @@ def bench_loaded_fabric(
     def tick(n, cadence):
         mine = windows[n]
         for h in mine:
-            h.cancel()
+            sim.cancel(h)
         mine.clear()
         if state["left"] > 0:
             state["left"] -= 1

@@ -385,7 +385,7 @@ def run_campaign(
         if ok:
             registry.counter("campaign.completed").inc()
             if store is not None:
-                store.put(spec, result.value)
+                store.put(spec, key, result.value)
             logger.info(
                 "[%s] done %s (%.2fs)", name, spec.tag or result.key[:12],
                 result.elapsed_s,

@@ -65,14 +65,14 @@ class ResultStore:
             return None  # file renamed or truncated mid-write: treat as miss
         return record
 
-    def put(self, job: JobSpec, result: dict) -> dict:
-        """Store a successful job result; returns the full record.
+    def put(self, job: JobSpec, key: str, result: dict) -> dict:
+        """Store a successful job result under ``key``, the job's
+        :meth:`key_for`; returns the full record.
 
         The write is atomic (temp file + ``os.replace``) so a crashed or
         parallel writer can never leave a half-record that a later run
         would trust.
         """
-        key = self.key_for(job)
         record = {
             "key": key,
             "code_version": self.code_version,

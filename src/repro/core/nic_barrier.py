@@ -60,6 +60,10 @@ from repro.sim.primitives import Hold
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nic.nic import Nic
 
+#: ``{label: "barrier.label"}``: each trace label is built once, not on
+#: every record.
+_LABELS: Dict[str, str] = {}
+
 #: Size of the completion notification DMAed to the host (a collective's
 #: result value rides along and adds its own bytes).
 COMPLETION_DMA_BYTES = 16
@@ -100,10 +104,12 @@ class NicBarrierEngine:
 
     def trace(self, label: str, **payload) -> None:
         """Record a trace event if tracing is enabled."""
-        if self.nic.tracer is not None:
-            self.nic.tracer.record(
-                f"nic{self.nic.node_id}", f"barrier.{label}", **payload
-            )
+        nic = self.nic
+        if nic.tracer is not None:
+            full = _LABELS.get(label)
+            if full is None:
+                full = _LABELS[label] = f"barrier.{label}"
+            nic.tracer.record(nic.trace_category, full, **payload)
 
     def _token_live(self, port: NicPort, token: BarrierSendToken) -> bool:
         return port.is_open and getattr(port, token.slot) is token

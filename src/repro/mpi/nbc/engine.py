@@ -437,7 +437,7 @@ class ProgressEngine:
 
     def _disarm_watchdog(self) -> None:
         if self._watchdog is not None:
-            self._watchdog.cancel()
+            self.sim.cancel(self._watchdog)
             self._watchdog = None
 
     def _watchdog_fire(self, period_us: float) -> None:

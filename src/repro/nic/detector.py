@@ -163,7 +163,7 @@ class FailureDetector:
         nic = self.nic
         if nic.tracer is not None:
             nic.tracer.record(
-                f"nic{nic.node_id}", "fd.suspect", peer=peer,
+                nic.trace_category, "fd.suspect", peer=peer,
                 last_seen=self.last_seen.get(peer),
                 suspect_after=self.suspect_after,
             )

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.gm.constants import MAX_PORTS
 from repro.gm.tokens import SendToken
 from repro.network.packet import Packet
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 
 
 class UnexpectedRecord:
@@ -176,7 +176,7 @@ class Connection:
         # -- regular stream, send side -------------------------------------
         self.next_send_seqno = 1
         self.sent_list: List[SentEntry] = []
-        self.retransmit_timer: Optional[EventHandle] = None
+        self.retransmit_timer: Optional[list] = None
 
         # -- regular stream, receive side ------------------------------------
         self.expected_seqno = 1
@@ -185,7 +185,7 @@ class Connection:
         self.nack_outstanding = False
         #: Delayed-ACK timer (GM coalesces ACKs instead of acking every
         #: packet); None when no ACK is owed.
-        self.ack_timer: Optional[EventHandle] = None
+        self.ack_timer: Optional[list] = None
 
         # -- unexpected-barrier-message record (Sections 3.1 / 4.3) ---------
         self.unexpected = UnexpectedRecord(num_ports)
@@ -199,7 +199,7 @@ class Connection:
         self.barrier_next_seq: Dict[int, int] = {}
         #: Unacked barrier packets (SEPARATE mode), in send order.
         self.barrier_unacked: List[BarrierUnacked] = []
-        self.barrier_retransmit_timer: Optional[EventHandle] = None
+        self.barrier_retransmit_timer: Optional[list] = None
         #: Highest barrier seqno seen per *remote* sending port (dedup).
         self.barrier_last_seen: Dict[int, int] = {}
 
@@ -221,7 +221,7 @@ class Connection:
         for name in ("retransmit_timer", "ack_timer", "barrier_retransmit_timer"):
             timer = getattr(self, name)
             if timer is not None:
-                timer.cancel()
+                self.sim.cancel(timer)
                 setattr(self, name, None)
 
     # ------------------------------------------------------------------

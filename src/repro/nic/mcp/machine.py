@@ -8,13 +8,17 @@ exactly as the real MCP's cooperative dispatch loop does.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict
 
 from repro.sim.primitives import Hold
 from repro.sim.process import Process, ProcessKilled
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nic.nic import Nic
+
+#: ``{machine_name: {label: "machine_name.label"}}``: each trace label
+#: is built once, not on every record.
+_LABELS: Dict[str, Dict[str, str]] = {}
 
 
 class StateMachine:
@@ -52,7 +56,11 @@ class StateMachine:
 
     def trace(self, label: str, **payload) -> None:
         """Record a trace event if tracing is enabled."""
-        if self.nic.tracer is not None:
-            self.nic.tracer.record(
-                f"nic{self.nic.node_id}", f"{self.machine_name}.{label}", **payload
-            )
+        nic = self.nic
+        if nic.tracer is not None:
+            try:
+                full = _LABELS[self.machine_name][label]
+            except KeyError:
+                full = f"{self.machine_name}.{label}"
+                _LABELS.setdefault(self.machine_name, {})[label] = full
+            nic.tracer.record(nic.trace_category, full, **payload)

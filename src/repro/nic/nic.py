@@ -125,6 +125,8 @@ class Nic:
         self.network = network
         self.params = params or NicParams()
         self.tracer = tracer
+        #: Category of this NIC's trace records, built once.
+        self.trace_category = f"nic{node_id}"
         self.num_ports = num_ports
 
         # -- hardware resources ---------------------------------------------
@@ -465,7 +467,7 @@ class Nic:
             conn.drop_barrier_unacked_for_port(port_id)
             conn.clear_unexpected_for_port(port_id)
             if not conn.barrier_unacked and conn.barrier_retransmit_timer is not None:
-                conn.barrier_retransmit_timer.cancel()
+                self.sim.cancel(conn.barrier_retransmit_timer)
                 conn.barrier_retransmit_timer = None
 
     # ------------------------------------------------------------------
@@ -481,7 +483,7 @@ class Nic:
     def manage_retransmit_timer(self, conn: Connection) -> None:
         """Cancel/restart the go-back-N timer after ACK/NACK processing."""
         if conn.retransmit_timer is not None:
-            conn.retransmit_timer.cancel()
+            self.sim.cancel(conn.retransmit_timer)
             conn.retransmit_timer = None
         self.ensure_retransmit_timer(conn)
 
@@ -497,7 +499,7 @@ class Nic:
         self.alarms.append(alarm)
         if self.tracer is not None:
             self.tracer.record(
-                f"nic{self.node_id}", "reliability.alarm",
+                self.trace_category, "reliability.alarm",
                 stream=stream, peer=conn.remote_node,
                 retransmits=entry.retransmits,
                 ctx=getattr(entry.packet, "ctx", None),
@@ -542,7 +544,7 @@ class Nic:
     def manage_barrier_retransmit_timer(self, conn: Connection) -> None:
         """Restart/cancel the SEPARATE-mode barrier timer."""
         if conn.barrier_retransmit_timer is not None:
-            conn.barrier_retransmit_timer.cancel()
+            self.sim.cancel(conn.barrier_retransmit_timer)
             conn.barrier_retransmit_timer = None
         if conn.barrier_unacked:
             conn.barrier_retransmit_timer = self.sim.schedule_timer(
@@ -586,7 +588,7 @@ class Nic:
         self.suspected_peers.add(peer)
         if self.tracer is not None:
             self.tracer.record(
-                f"nic{self.node_id}", "peer.failed", peer=peer
+                self.trace_category, "peer.failed", peer=peer
             )
         conn = self._connections.get(peer)
         if conn is not None:
@@ -658,7 +660,7 @@ class Nic:
                 )
         self.crashed = True
         if self.tracer is not None:
-            self.tracer.record(f"nic{self.node_id}", "nic.crash")
+            self.tracer.record(self.trace_category, "nic.crash")
         if self.detector is not None:
             self.detector.stop()
         for machine in self.machines:
@@ -680,7 +682,7 @@ class Nic:
         self.crashed = False
         self._start_machines()
         if self.tracer is not None:
-            self.tracer.record(f"nic{self.node_id}", "nic.restart")
+            self.tracer.record(self.trace_category, "nic.restart")
 
     # ------------------------------------------------------------------
     def _start_machines(self) -> None:

@@ -28,7 +28,7 @@ produces the identical event interleaving.  All randomness flows through
 :mod:`repro.sim.rng` which is seeded explicitly.
 """
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.metrics import (
     BusyTime,
     Counter,
@@ -55,7 +55,6 @@ __all__ = [
     "AnyOf",
     "BusyTime",
     "Counter",
-    "EventHandle",
     "Gauge",
     "Histogram",
     "Hold",

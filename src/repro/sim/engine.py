@@ -13,22 +13,24 @@ The engine is a two-tier calendar-queue DES core:
 * **Timer wheel** -- ``schedule_timer`` parks far-future timers (the
   retransmission pattern: armed constantly, cancelled almost always) in
   coarse wheel buckets that never touch the hot queues.  Cancelling a
-  timer is O(1) and reclaims the whole bucket once its last live timer
-  is cancelled, so cancelled timers cause *zero* churn in the dispatch
-  path.  A wheel bucket is only flushed into the calendar when the clock
-  approaches the earliest time it could contain.
+  parked timer is O(1), and the dead timer is dropped when its bucket is
+  compacted or flushed, so cancelled timers cause *zero* churn in the
+  dispatch path.  A wheel bucket is only flushed into the calendar when
+  the clock approaches the earliest time it could contain.
 
 Events execute in exactly ``(time, priority, seq)`` order, identical to
 the classic single-heap engine this replaced -- sequence numbers are
 allocated at schedule time regardless of which tier an event lands in,
 so traces are bit-identical (see ``tests/test_engine_trace_regression``).
 
-Hot-path representation: an :class:`EventHandle` *is* its queue entry --
-a ``list`` subclass ``[time, priority, seq, callback, args, sim]`` -- so
-heap comparisons run entirely in C (floats/ints compared element-wise;
-``seq`` is unique, so comparison never reaches the callback).  This
-replaced a ``__slots__`` object with a Python-level ``__lt__`` that
-dominated the old profile.
+Hot-path representation: a queue entry is a plain ``list`` ``[time,
+priority, seq, callback, args]`` (a timer parked in the wheel carries
+its wheel key as a sixth item), and :meth:`Simulator.schedule` returns
+the entry itself as the handle to pass to :meth:`Simulator.cancel`.
+Heap comparisons run entirely in C (floats/ints compared element-wise;
+``seq`` is unique, so comparison never reaches the callback), and
+CPython specialises subscripts and stores only for an exact ``list``,
+which a ``list`` subclass or a ``__slots__`` object would forgo.
 
 Time is a ``float`` in **microseconds** throughout this project; the
 Myrinet/GM latencies the paper reports are all in the 1--250 us range, so
@@ -66,104 +68,11 @@ WHEEL_GRANULE = 256.0
 
 _INF = float("inf")
 
-
-def _noop(*_args: Any) -> None:
-    return None
-
-
-class EventHandle(list):
-    """A cancellable handle for a scheduled callback.
-
-    The handle *is* the queue entry: ``[time, priority, seq, callback,
-    args, sim]``.  Comparison is C-level ``list`` comparison and always
-    terminates at ``seq`` (unique), never reaching the callback.
-
-    Cancellation is lazy: the entry stays in its queue and is skipped
-    when popped, making :meth:`cancel` O(1) -- retransmission timers are
-    cancelled far more often than they fire.  A handle that has already
-    executed is inert: cancelling it is a no-op.
-    """
-
-    __slots__ = ()
-
-    _TIME, _PRIO, _SEQ, _CB, _ARGS, _SIM = range(6)
-
-    @property
-    def time(self) -> float:
-        """Absolute simulated time (us) the callback fires at."""
-        return self[0]
-
-    @property
-    def priority(self) -> int:
-        """Same-instant ordering class (``PRIORITY_HIGH``/``NORMAL``/``LOW``)."""
-        return self[1]
-
-    @property
-    def seq(self) -> int:
-        """Schedule-order tiebreak: unique, monotone per simulator."""
-        return self[2]
-
-    @property
-    def callback(self) -> Callable[..., None]:
-        """The scheduled callable (a no-op once cancelled or executed)."""
-        cb = self[3]
-        return cb if cb is not None else _noop
-
-    @property
-    def args(self) -> tuple:
-        """Positional arguments the callback fires with (``()`` if inert)."""
-        a = self[4]
-        return a if a is not None else ()
-
-    @property
-    def cancelled(self) -> bool:
-        """True once the handle will never fire (cancelled *or* spent)."""
-        return self[3] is None
-
-    def cancel(self) -> None:
-        """Prevent the callback from running.  Idempotent.
-
-        Drops the callback/args references immediately so cancelled
-        timers don't pin large objects until the entry is reaped.
-        """
-        if self[3] is None:
-            return
-        self[3] = None
-        self[4] = ()
-        sim = self[5]
-        self[5] = None
-        sim._live -= 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self[3] is None else "pending"
-        return f"<EventHandle t={self[0]:.3f} prio={self[1]} {state}>"
-
-
-class TimerHandle(EventHandle):
-    """An :class:`EventHandle` parked in the timer wheel.
-
-    Entry layout gains a 7th element: the wheel-bucket key, or ``None``
-    once flushed into the main queues.  Cancelling while still parked
-    reclaims the timer without it ever touching the dispatch queues; the
-    wheel bucket itself is freed when its last live timer is cancelled.
-    """
-
-    __slots__ = ()
-
-    def cancel(self) -> None:
-        """Cancel the timer; while parked this never touches a queue."""
-        if self[3] is None:
-            return
-        self[3] = None
-        self[4] = ()
-        sim = self[5]
-        self[5] = None
-        if self[6] is not None:
-            # Still parked: it was never counted live, nothing to adjust.
-            self[6] = None
-            sim.timers_reclaimed += 1
-        else:
-            sim._live -= 1
+#: Layout of a queue entry.  ``schedule*`` return the entry itself; the
+#: hot paths spell these indices as literals.  ``callback`` is None once
+#: the entry was cancelled or ran, and ``WHEEL_KEY`` exists only while a
+#: timer is parked in the wheel.
+TIME, PRIORITY, SEQ, CALLBACK, ARGS, WHEEL_KEY = range(6)
 
 
 def _callback_owner(callback: Callable[..., None]) -> str:
@@ -222,12 +131,12 @@ class Simulator:
         self._stop_requested: bool = False
         # Near tier: current bucket (heap) + future buckets (unsorted lists).
         idx = start_time // BUCKET_WIDTH
-        self._cur: List[EventHandle] = []
+        self._cur: List[list] = []
         self._cur_end: float = (idx + 1.0) * BUCKET_WIDTH
-        self._cal: Dict[float, List[EventHandle]] = {}
+        self._cal: Dict[float, List[list]] = {}
         self._horizon_idx: float = idx + HORIZON_BUCKETS
         # Overflow tier: far-future events.
-        self._ovf: List[EventHandle] = []
+        self._ovf: List[list] = []
         # Timer wheel: key -> [lb, cap, handles] where lb is the lowest
         # time ever parked there (a lower bound on its live contents,
         # maintained on insert only -- cancellation must stay O(1), so it
@@ -239,7 +148,7 @@ class Simulator:
         #: The entry being (or last) dispatched, or None when every event
         #: at or before ``now`` has run: the engine's position in
         #: ``(time, priority, seq)`` order, read by :meth:`dispatched`.
-        self._at: Optional[EventHandle] = None
+        self._at: Optional[list] = None
         #: Number of callbacks executed; useful for profiling and for
         #: detecting runaway simulations in tests.
         self.events_executed: int = 0
@@ -262,7 +171,7 @@ class Simulator:
             unit="events/us",
         )
         #: Queue pops that hit a lazily-cancelled entry (the cost of O(1)
-        #: ``EventHandle.cancel``); compare against ``events_executed``
+        #: :meth:`cancel`); compare against ``events_executed``
         #: for the cancelled-pop ratio.
         self.cancelled_pops: int = 0
         #: Timers cancelled while still parked in the wheel -- reclaimed
@@ -284,7 +193,7 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = PRIORITY_NORMAL,
-    ) -> EventHandle:
+    ) -> list:
         """Schedule ``callback(*args)`` to run ``delay`` us from now.
 
         Negative delays are a programming error and raise ``ValueError``;
@@ -304,7 +213,7 @@ class Simulator:
         t = self.now + delay
         self._seq = seq = self._seq + 1
         self._live += 1
-        handle = EventHandle((t, priority, seq, callback, args, self))
+        handle = [t, priority, seq, callback, args]
         if t < self._cur_end:
             heappush(self._cur, handle)
         else:
@@ -325,7 +234,7 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = PRIORITY_NORMAL,
-    ) -> EventHandle:
+    ) -> list:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise ValueError(
@@ -333,7 +242,7 @@ class Simulator:
             )
         self._seq = seq = self._seq + 1
         self._live += 1
-        handle = EventHandle((time, priority, seq, callback, args, self))
+        handle = [time, priority, seq, callback, args]
         self._insert(handle)
         return handle
 
@@ -343,17 +252,17 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = PRIORITY_NORMAL,
-    ) -> EventHandle:
+    ) -> list:
         """Schedule a *timer*: semantically identical to :meth:`schedule`
         (same clock, same ``(time, priority, seq)`` ordering, same lazy
-        :meth:`~EventHandle.cancel`), but optimized for callbacks that
-        are usually cancelled before they fire.
+        :meth:`cancel`), but optimized for callbacks that are usually
+        cancelled before they fire.
 
         Far-future timers park in a coarse wheel bucket instead of the
-        dispatch queues; cancellation there is O(1) and frees the bucket
-        wholesale once its last live timer dies, so the churn of
-        arm/cancel cycles (the NIC retransmission pattern) never reaches
-        the hot path.  A timer that *does* survive is flushed into the
+        dispatch queues; cancellation there is O(1), and dead timers are
+        dropped in batches when the bucket is compacted or flushed, so
+        the churn of arm/cancel cycles (the NIC retransmission pattern)
+        never reaches the hot path.  A timer that *does* survive is flushed into the
         normal queues just before the clock reaches its wheel bucket and
         fires in exactly the order :meth:`schedule` would have fired it.
         """
@@ -369,14 +278,14 @@ class Simulator:
         if t < self._cur_end:
             # Near timer: the wheel can't help (its bucket is already due).
             self._live += 1
-            handle = TimerHandle((t, priority, seq, callback, args, self, None))
+            handle = [t, priority, seq, callback, args]
             heappush(self._cur, handle)
             return handle
         # Parked timers are *not* counted into ``_live`` until flushed --
         # arming and cancelling must stay free of simulator bookkeeping;
         # ``pending_events`` folds the wheel in lazily instead.
         key = t // WHEEL_GRANULE
-        handle = TimerHandle((t, priority, seq, callback, args, self, key))
+        handle = [t, priority, seq, callback, args, key]
         entry = self._wheel.get(key)
         if entry is None:
             self._wheel[key] = [t, 2048, [handle]]
@@ -404,7 +313,7 @@ class Simulator:
 
     def schedule_reserved(
         self, time: float, seq: int, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
+    ) -> list:
         """Schedule ``callback(*args)`` at the reserved key ``(time,
         PRIORITY_NORMAL, seq)``, which must not have been passed yet.
 
@@ -412,7 +321,7 @@ class Simulator:
         it been scheduled when ``seq`` was reserved.
         """
         self._live += 1
-        handle = EventHandle((time, PRIORITY_NORMAL, seq, callback, args, self))
+        handle = [time, PRIORITY_NORMAL, seq, callback, args]
         self._insert(handle)
         return handle
 
@@ -426,7 +335,27 @@ class Simulator:
             return time <= self.now
         return [time, PRIORITY_NORMAL, seq] < at
 
-    def _insert(self, handle: EventHandle) -> None:
+    def cancel(self, handle: list) -> None:
+        """Keep a scheduled entry from running.  Idempotent, and a
+        no-op once the entry has run or the simulator was closed.
+
+        Cancellation is lazy and O(1): the entry stays where it is and
+        is skipped when popped (a ``cancelled_pops``), or, for a timer
+        still parked in the wheel, when its bucket is flushed (a
+        ``timers_reclaimed``).  The callback and its arguments are
+        dropped at once, so a cancelled timer pins nothing until then.
+        """
+        if handle[CALLBACK] is None:
+            return
+        handle[CALLBACK] = None
+        handle[ARGS] = ()
+        if len(handle) > WHEEL_KEY:
+            # Still parked: it was never counted live.
+            self.timers_reclaimed += 1
+        else:
+            self._live -= 1
+
+    def _insert(self, handle: list) -> None:
         """Route an entry into the right tier (time already validated)."""
         t = handle[0]
         if t < self._cur_end:
@@ -462,14 +391,14 @@ class Simulator:
 
         Cancelled timers are skipped here in one batched sweep -- a plain
         ``is None`` test per entry, instead of a heap pop each -- which
-        is what makes :meth:`TimerHandle.cancel` queue-free.
+        is what keeps :meth:`cancel` of a parked timer queue-free.
         """
         bucket = self._wheel.pop(key)[2]
         insert = self._insert
         live = 0
         for handle in bucket:
             if handle[3] is not None:
-                handle[6] = None
+                del handle[WHEEL_KEY]
                 insert(handle)
                 live += 1
         self._live += live
@@ -532,7 +461,6 @@ class Simulator:
         args = handle[4]
         handle[3] = None
         handle[4] = None
-        handle[5] = None
         self._live -= 1
         self.events_executed += 1
         if self._profile:
@@ -628,7 +556,6 @@ class Simulator:
                 args = handle[4]
                 handle[3] = None
                 handle[4] = None
-                handle[5] = None
                 executed += 1
                 if profiled:
                     self._dispatch_profiled(callback, args, executed)
@@ -663,12 +590,10 @@ class Simulator:
         """Drop every pending event unrun, each made inert like an
         executed one, and detach metrics and telemetry.  No counter
         moves (see "Cluster lifecycle" in ``docs/engine.md``)."""
-        for queue in (self._cur, self._ovf, *self._cal.values()):
+        parked = [entry[2] for entry in self._wheel.values()]
+        for queue in (self._cur, self._ovf, *self._cal.values(), *parked):
             for handle in queue:
-                handle[3] = handle[4] = handle[5] = None
-        for entry in self._wheel.values():
-            for handle in entry[2]:
-                handle[3] = handle[4] = handle[5] = handle[6] = None
+                handle[3] = handle[4] = None
         self._cur, self._ovf, self._cal, self._wheel = [], [], {}, {}
         self._live = 0
         self.metrics.close()

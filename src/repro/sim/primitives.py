@@ -371,7 +371,7 @@ def _subscribe_children(handle, children, make_deliver, disposers, dispose) -> N
         deliver = make_deliver(i)
         if isinstance(child, Timeout):
             timer = sim.schedule(child.delay, deliver, child.value, None)
-            disposers.append(timer.cancel)
+            disposers.append(lambda timer=timer: sim.cancel(timer))
             continue
         if isinstance(child, Process):
             ev = child.completion_event
@@ -726,7 +726,7 @@ class Hold:
         else:
             # The unit is released when the exception reaches the
             # generator.
-            timer.cancel()
+            self.resource.sim.cancel(timer)
             self.process._held = self.resource
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

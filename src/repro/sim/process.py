@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional
 
-from repro.sim.engine import PRIORITY_HIGH, EventHandle, Simulator
+from repro.sim.engine import PRIORITY_HIGH, Simulator
 from repro.sim.primitives import (
     AllOf,
     AnyOf,
@@ -67,7 +67,7 @@ class _WaitHandle:
         self.process = process
         self.sim = process.sim
         self.active = True
-        self.timer: Optional[EventHandle] = None
+        self.timer: Optional[list] = None
         self.event: Optional[SimEvent] = None
         self.hooks: Optional[List] = None
 
@@ -96,7 +96,7 @@ class _WaitHandle:
         timer = self.timer
         if timer is not None:
             self.timer = None
-            timer.cancel()
+            self.sim.cancel(timer)
         event = self.event
         if event is not None:
             self.event = None

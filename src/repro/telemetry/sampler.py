@@ -78,7 +78,7 @@ class Telemetry:
         self.samples_taken = 0
         self._probes: List[Probe] = []
         self._series: Dict[str, TimeSeries] = {}
-        self._handle = None  # pending tick EventHandle, or None
+        self._handle = None  # pending tick entry, or None
 
     # -- registration ---------------------------------------------------
 

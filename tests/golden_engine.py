@@ -98,7 +98,7 @@ def engine_storm() -> Pinned:
             handles.append(h)
         # Cancel a random earlier handle now and then (timer churn).
         if handles and rng.random() < 0.4:
-            handles.pop(rng.randrange(len(handles))).cancel()
+            sim.cancel(handles.pop(rng.randrange(len(handles))))
 
     for i in range(40):
         sim.schedule(rng.random() * 10.0, fire, i)

@@ -171,7 +171,7 @@ class TestKeyDiscrimination:
         records written under the old one."""
         job = job_for(ClusterConfig(num_nodes=2))
         old = ResultStore(tmp_path)
-        old.put(job, {"mean_latency_us": 1.0})
+        old.put(job, old.key_for(job), {"mean_latency_us": 1.0})
         assert old.get(old.key_for(job)) is not None
         bumped = ResultStore(tmp_path, code_version=CODE_VERSION + "-next")
         assert bumped.get(bumped.key_for(job)) is None

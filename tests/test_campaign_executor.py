@@ -162,6 +162,22 @@ class TestCachingAndDeterminism:
         assert result.key != spec.cache_key()
         assert store.path_for(result.key).exists()
 
+    def test_cold_job_is_hashed_once(self, tmp_path, monkeypatch):
+        spec = probe("echo")
+        computed = []
+        real = JobSpec.cache_key
+
+        def counting(self, code_version):
+            computed.append(code_version)
+            return real(self, code_version=code_version)
+
+        monkeypatch.setattr(JobSpec, "cache_key", counting)
+        result = run_campaign([spec], cache_dir=tmp_path).results[0]
+        assert not result.cached
+        assert len(computed) == 1  # the lookup's key is the one stored
+        assert (tmp_path / f"{result.key}.json").exists()
+        assert len(computed) == 1
+
     def test_key_on_cache_hit_is_the_stored_key(self, tmp_path):
         spec = probe("echo")
         store = ResultStore(tmp_path, code_version="v-hit")

@@ -129,7 +129,7 @@ class TestWheelFlush:
             for i in range(10)
         ]
         for h in handles:
-            h.cancel()
+            sim.cancel(h)
         assert sim.timers_reclaimed == 10
         sim.schedule(WHEEL_GRANULE * 3, lambda: None)  # force time past wheel
         sim.run()
@@ -155,7 +155,7 @@ class TestWheelFlush:
         a = sim.schedule_timer(WHEEL_GRANULE * 2, lambda: None)
         sim.schedule_timer(WHEEL_GRANULE * 2 + 1, lambda: None)
         assert sim.pending_events == 2
-        a.cancel()
+        sim.cancel(a)
         assert sim.pending_events == 1
 
 
@@ -164,7 +164,7 @@ class TestWheelCompaction:
         """Arm/cancel churn inside one granule can't grow its bucket."""
         t = WHEEL_GRANULE * 3
         for _ in range(10_000):
-            sim.schedule_timer(t, lambda: None).cancel()
+            sim.cancel(sim.schedule_timer(t, lambda: None))
         (entry,) = sim._wheel.values()
         assert len(entry[2]) < 5_000  # compacted, not 10k dead handles
         assert sim.timers_reclaimed == 10_000
@@ -175,7 +175,7 @@ class TestWheelCompaction:
         (entry,) = sim._wheel.values()
         assert entry[1] > 3_000  # cap grew past the live population
         for h in live:
-            h.cancel()
+            sim.cancel(h)
         assert sim.pending_events == 0
 
 
@@ -190,7 +190,7 @@ class TestTimerSemantics:
     def test_cancel_after_fire_is_noop(self, sim):
         h = sim.schedule_timer(WHEEL_GRANULE * 1.5, lambda: None)
         sim.run()
-        h.cancel()
+        sim.cancel(h)
         assert sim.timers_reclaimed == 0
         assert sim.pending_events == 0
 
@@ -199,7 +199,7 @@ class TestTimerSemantics:
         # Timer at granule+boundary+6; the cancel runs at boundary+1,
         # inside the calendar bucket whose opening flushed the wheel.
         h = sim.schedule_timer(WHEEL_GRANULE + 6.0, lambda: None)
-        sim.schedule(WHEEL_GRANULE + 1.0, h.cancel)
+        sim.schedule(WHEEL_GRANULE + 1.0, sim.cancel, h)
         sim.run()
         assert sim.timers_reclaimed == 0  # was already flushed
         assert sim.cancelled_pops == 1  # lazily dropped at pop time

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.network.routing import compute_route
 from repro.network.topology import multi_switch_topology
-from repro.sim.engine import Simulator
+from repro.sim.engine import BUCKET_WIDTH, PRIORITY_HIGH, WHEEL_GRANULE, Simulator
 
 
 class TestEngineAgainstReference:
@@ -43,22 +43,59 @@ class TestEngineAgainstReference:
     @given(
         st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=40),
         st.sets(st.integers(min_value=0, max_value=39)),
+        st.lists(
+            st.tuples(
+                # Past the first calendar bucket, so every timer parks.
+                st.floats(min_value=BUCKET_WIDTH, max_value=3 * WHEEL_GRANULE),
+                st.sampled_from(["keep", "parked", "flushed"]),
+            ),
+            max_size=20,
+        ),
     )
     @settings(max_examples=100, deadline=None)
-    def test_cancellation_subset(self, delays, to_cancel):
-        """Cancelled events never fire; all others fire exactly once."""
+    def test_cancellation_subset(self, delays, to_cancel, timers):
+        """Cancelled events and timers never fire; all others fire
+        exactly once.  A timer is cancelled while parked in the wheel
+        (reclaimed there) or at its own instant, after its wheel bucket
+        flushed into the calendar (a lazy cancelled pop).  A repeated
+        cancel, and a cancel after execution, change nothing."""
         sim = Simulator()
         fired = []
         handles = [
             sim.schedule(d, fired.append, i) for i, d in enumerate(delays)
         ]
-        for i in to_cancel:
-            if i < len(handles):
-                handles[i].cancel()
-        sim.run()
+        cancelled = [h for i, h in enumerate(handles) if i in to_cancel]
+        timer_handles = []
+        for j, (delay, fate) in enumerate(timers):
+            h = sim.schedule_timer(delay, fired.append, ("timer", j))
+            timer_handles.append(h)
+            if fate == "parked":
+                cancelled.append(h)
+            elif fate == "flushed":
+                sim.schedule_at(delay, sim.cancel, h, priority=PRIORITY_HIGH)
+        fates = [fate for _, fate in timers]
+        parked, flushed = fates.count("parked"), fates.count("flushed")
+        for h in cancelled:
+            sim.cancel(h)
         expected = {i for i in range(len(delays)) if i not in to_cancel}
+        expected |= {("timer", j) for j, fate in enumerate(fates) if fate == "keep"}
+        # Flushed-fate timers stay live until their cancel event runs.
+        pending = len(expected) + 2 * flushed
+        assert (sim.pending_events, sim.timers_reclaimed) == (pending, parked)
+        for h in cancelled:
+            sim.cancel(h)
+        assert (sim.pending_events, sim.timers_reclaimed) == (pending, parked)
+
+        sim.run()
         assert set(fired) == expected
         assert len(fired) == len(expected)
+        counters = (sim.events_executed, sim.cancelled_pops, sim.timers_reclaimed)
+        dead = len([i for i in to_cancel if i < len(delays)])
+        assert counters == (len(expected) + flushed, dead + flushed, parked)
+        for h in handles + timer_handles:
+            sim.cancel(h)
+        assert sim.pending_events == 0
+        assert (sim.events_executed, sim.cancelled_pops, sim.timers_reclaimed) == counters
 
     @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)

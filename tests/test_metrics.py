@@ -223,7 +223,7 @@ class TestEngineIntegration:
     def test_cancelled_pop_ratio(self, sim):
         handles = [sim.schedule(1.0, lambda: None) for _ in range(4)]
         for h in handles[:3]:
-            h.cancel()
+            sim.cancel(h)
         sim.run()
         assert sim.events_executed == 1
         assert sim.cancelled_pops == 3

@@ -4,7 +4,7 @@ import pytest
 
 from repro.network.link import Channel, Link
 from repro.network.packet import HEADER_BYTES, Packet, PacketType
-from repro.sim.engine import PRIORITY_HIGH, Simulator
+from repro.sim.engine import PRIORITY_HIGH, SEQ, Simulator
 
 
 class Collector:
@@ -207,7 +207,7 @@ def replay(channel_cls, scenario):
     return {
         "rows": log.rows,
         "now": sim.now,
-        "next_seq": marker.seq,
+        "next_seq": marker[SEQ],
         "max_depth": ch.max_queue_depth,
         "counters": (ch.packets_sent, ch.packets_dropped, ch.busy_us),
     }, sim.events_executed

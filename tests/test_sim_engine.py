@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from repro.sim.engine import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, Simulator
+from repro.sim.engine import (
+    ARGS,
+    PRIORITY_HIGH,
+    PRIORITY_LOW,
+    PRIORITY_NORMAL,
+    Simulator,
+)
 
 
 class TestScheduling:
@@ -84,26 +90,26 @@ class TestCancellation:
     def test_cancelled_event_does_not_run(self, sim):
         seen = []
         handle = sim.schedule(1.0, seen.append, 1)
-        handle.cancel()
+        sim.cancel(handle)
         sim.run()
         assert seen == []
 
     def test_cancel_is_idempotent(self, sim):
         handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        sim.cancel(handle)
+        sim.cancel(handle)
         sim.run()
 
     def test_cancel_releases_references(self, sim):
         big = object()
         handle = sim.schedule(1.0, lambda x: None, big)
-        handle.cancel()
-        assert handle.args == ()
+        sim.cancel(handle)
+        assert handle[ARGS] == ()
 
     def test_pending_events_excludes_cancelled(self, sim):
         h1 = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        h1.cancel()
+        sim.cancel(h1)
         assert sim.pending_events == 1
 
 
@@ -159,7 +165,7 @@ class TestRun:
         h = sim.schedule(3.0, lambda: None)
         sim.schedule(7.0, lambda: None)
         assert sim.peek() == 3.0
-        h.cancel()
+        sim.cancel(h)
         assert sim.peek() == 7.0
 
 
@@ -263,7 +269,7 @@ def _storm(sim: Simulator, log: list, seed: int = 1234, budget: int = 3000) -> N
             delay = rng.choice([300.0, 2000.0, 9000.0])
             handles.append(sim.schedule_timer(delay, fire, -len(log)))
         if handles and rng.random() < 0.45:
-            handles.pop(rng.randrange(len(handles))).cancel()
+            sim.cancel(handles.pop(rng.randrange(len(handles))))
 
     for i in range(30):
         sim.schedule(rng.random() * 20.0, fire, i)
@@ -362,7 +368,7 @@ class TestCountersOnException:
         ran = []
         for i in range(5):
             sim.schedule(float(i), ran.append, i)
-        sim.schedule(2.5, ran.append, "cancelled").cancel()
+        sim.cancel(sim.schedule(2.5, ran.append, "cancelled"))
 
         def boom():
             ran.append("boom")
