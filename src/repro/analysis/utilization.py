@@ -60,7 +60,6 @@ def measure_utilization(
     """Run the compute+barrier workload in the given ``mode``."""
     if mode not in ("host", "nic", "fuzzy"):
         raise ValueError(f"unknown mode {mode!r}")
-    cluster = build_cluster(config or ClusterConfig(num_nodes=num_nodes))
     computed: Dict[int, float] = {}
 
     def program(ctx):
@@ -85,8 +84,9 @@ def measure_utilization(
                     yield from host_barrier(ctx.port, ctx.group, ctx.rank)
         computed[ctx.rank] = done
 
-    run_on_group(cluster, program, max_events=20_000_000)
-    total = cluster.sim.now
+    with build_cluster(config or ClusterConfig(num_nodes=num_nodes)) as cluster:
+        run_on_group(cluster, program, max_events=20_000_000)
+        total = cluster.sim.now
     mean_compute = sum(computed.values()) / len(computed)
     return UtilizationResult(
         mode=mode,

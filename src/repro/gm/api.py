@@ -46,6 +46,8 @@ class GmPort:
         self.nic = nic
         self.port_id = port_id
         self.port = nic.port(port_id)
+        #: Category of this port's host-side trace records.
+        self.trace_category = f"host{node.node_id}"
         #: Events received but not yet consumed by ``receive_where``.
         self._stash: List[GmEvent] = []
         #: Host-side guard: a barrier initiated on this port whose
@@ -65,7 +67,7 @@ class GmPort:
         """Host-side trace record (category ``host<node_id>``)."""
         tracer = self.nic.tracer
         if tracer is not None:
-            tracer.record(f"host{self.node.node_id}", label, **payload)
+            tracer.record(self.trace_category, label, **payload)
 
     # ------------------------------------------------------------------
     @property

@@ -44,6 +44,10 @@ class DmaEngine:
         #: Optional tracer (set by the owning NIC); transfers carrying a
         #: trace context leave a ``{sdma,rdma}.dma`` record on completion.
         self.tracer = None
+        # Name "nic3.rdma" -> trace category "nic3", label "rdma.dma".
+        category, _, engine = name.rpartition(".")
+        self._trace_category = category or "dma"
+        self._trace_label = f"{engine or 'dma'}.dma"
         self.transfers = 0
         self.bytes_moved = 0
         metrics = sim.metrics
@@ -104,10 +108,8 @@ class DmaEngine:
         self.transfers += 1
         self.bytes_moved += size_bytes
         if ctx is not None and self.tracer is not None:
-            # Name "nic3.rdma" -> category "nic3", label "rdma.dma".
-            category, _, engine = self.name.rpartition(".")
             self.tracer.record(
-                category or "dma", f"{engine or 'dma'}.dma",
+                self._trace_category, self._trace_label,
                 size=size_bytes, wait_us=self.sim.now - requested_at,
                 ctx=ctx,
             )

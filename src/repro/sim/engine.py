@@ -1,27 +1,22 @@
 """The simulation event loop.
 
-The engine is a two-tier calendar-queue DES core:
+The engine is one binary heap plus a timer wheel:
 
-* **Near tier** -- a calendar of fixed-width time buckets.  The *current*
-  bucket is a small binary heap (``_cur``); future buckets within the
-  horizon are plain unsorted lists in a dict (``_cal``), so scheduling
-  into them is a single ``list.append``.  A bucket is heapified only when
-  the clock enters it.
-* **Overflow tier** -- events beyond the calendar horizon live in one
-  binary heap (``_ovf``) and migrate into the calendar as the clock
-  approaches them.
+* **Dispatch heap** (``_heap``) -- every scheduled entry is pushed onto
+  one binary heap, and the run loop pops its head.
 * **Timer wheel** -- ``schedule_timer`` parks far-future timers (the
   retransmission pattern: armed constantly, cancelled almost always) in
-  coarse wheel buckets that never touch the hot queues.  Cancelling a
-  parked timer is O(1), and the dead timer is dropped when its bucket is
+  coarse wheel buckets that never touch the heap.  Cancelling a parked
+  timer is O(1), and the dead timer is dropped when its bucket is
   compacted or flushed, so cancelled timers cause *zero* churn in the
-  dispatch path.  A wheel bucket is only flushed into the calendar when
-  the clock approaches the earliest time it could contain.
+  dispatch path.  Before the head is dispatched, every wheel bucket
+  whose lower bound is at or before the head's time is flushed onto the
+  heap, so the head is always the global minimum.
 
 Events execute in exactly ``(time, priority, seq)`` order, identical to
-the classic single-heap engine this replaced -- sequence numbers are
-allocated at schedule time regardless of which tier an event lands in,
-so traces are bit-identical (see ``tests/test_engine_trace_regression``).
+the classic single-heap engine -- sequence numbers are allocated at
+schedule time whether an entry is pushed or parked, so traces are
+bit-identical (see ``tests/test_engine_trace_regression``).
 
 Hot-path representation: a queue entry is a plain ``list`` ``[time,
 priority, seq, callback, args]`` (a timer parked in the wheel carries
@@ -40,7 +35,7 @@ microseconds keep the numbers legible in traces and results tables.
 from __future__ import annotations
 
 import time
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.metrics import MetricsRegistry
@@ -54,15 +49,9 @@ PRIORITY_HIGH = -1
 #: Priority for events that must run after all normal activity at an instant.
 PRIORITY_LOW = 1
 
-#: Calendar bucket width in simulated microseconds.  A power of two so
-#: ``t // BUCKET_WIDTH`` and ``(idx + 1) * BUCKET_WIDTH`` are exact float
-#: arithmetic -- bucket indices are floats (floor-division results) used
-#: as dict keys, which is both exact and the fastest bucketing CPython
-#: offers (no int() round-trip).
-BUCKET_WIDTH = 16.0
-#: Calendar horizon in buckets; events further out go to the overflow heap.
-HORIZON_BUCKETS = 64.0
-#: Timer-wheel bucket width (coarse: timers batch by ~granule).
+#: Timer-wheel bucket width (coarse: timers batch by ~granule).  A power
+#: of two, so the bucket key ``t // WHEEL_GRANULE`` is exact float
+#: arithmetic; keys are floats used as dict keys (no int() round-trip).
 WHEEL_GRANULE = 256.0
 
 
@@ -92,7 +81,7 @@ def _callback_owner(callback: Callable[..., None]) -> str:
 
 
 class Simulator:
-    """Owns the virtual clock and the two-tier pending-event queues.
+    """Owns the virtual clock, the dispatch heap and the timer wheel.
 
     Parameters
     ----------
@@ -125,18 +114,11 @@ class Simulator:
     ) -> None:
         self.now: float = start_time
         self._seq: int = 0
-        #: Live (non-cancelled, non-executed) entries across all tiers.
+        #: Live (non-cancelled, non-executed) entries on the heap.
         self._live: int = 0
         self._running: bool = False
         self._stop_requested: bool = False
-        # Near tier: current bucket (heap) + future buckets (unsorted lists).
-        idx = start_time // BUCKET_WIDTH
-        self._cur: List[list] = []
-        self._cur_end: float = (idx + 1.0) * BUCKET_WIDTH
-        self._cal: Dict[float, List[list]] = {}
-        self._horizon_idx: float = idx + HORIZON_BUCKETS
-        # Overflow tier: far-future events.
-        self._ovf: List[list] = []
+        self._heap: List[list] = []
         # Timer wheel: key -> [lb, cap, handles] where lb is the lowest
         # time ever parked there (a lower bound on its live contents,
         # maintained on insert only -- cancellation must stay O(1), so it
@@ -145,6 +127,9 @@ class Simulator:
         # sweep, amortized O(1) per insert, so cancel-heavy buckets can't
         # build GC-visible garbage mountains while they wait to flush).
         self._wheel: Dict[float, list] = {}
+        #: The lowest ``lb`` in the wheel (inf when it is empty): the head
+        #: of the heap may be dispatched only while it is below this.
+        self._wheel_lo: float = _INF
         #: The entry being (or last) dispatched, or None when every event
         #: at or before ``now`` has run: the engine's position in
         #: ``(time, priority, seq)`` order, read by :meth:`dispatched`.
@@ -161,8 +146,8 @@ class Simulator:
         )
         # The engine's own activity probe.  ``events_executed`` is
         # batched in the run loop (flushed on exit), so the live
-        # signal is the schedule-time sequence counter: events entering
-        # the calendar per simulated microsecond.
+        # signal is the schedule-time sequence counter: events scheduled
+        # per simulated microsecond.
         self.telemetry.register(
             "engine.events_per_us",
             lambda: float(self._seq),
@@ -214,18 +199,7 @@ class Simulator:
         self._seq = seq = self._seq + 1
         self._live += 1
         handle = [t, priority, seq, callback, args]
-        if t < self._cur_end:
-            heappush(self._cur, handle)
-        else:
-            idx = t // BUCKET_WIDTH
-            if idx < self._horizon_idx:
-                bucket = self._cal.get(idx)
-                if bucket is None:
-                    self._cal[idx] = [handle]
-                else:
-                    bucket.append(handle)
-            else:
-                heappush(self._ovf, handle)
+        heappush(self._heap, handle)
         return handle
 
     def schedule_at(
@@ -243,7 +217,7 @@ class Simulator:
         self._seq = seq = self._seq + 1
         self._live += 1
         handle = [time, priority, seq, callback, args]
-        self._insert(handle)
+        heappush(self._heap, handle)
         return handle
 
     def schedule_timer(
@@ -258,34 +232,29 @@ class Simulator:
         :meth:`cancel`), but optimized for callbacks that are usually
         cancelled before they fire.
 
-        Far-future timers park in a coarse wheel bucket instead of the
-        dispatch queues; cancellation there is O(1), and dead timers are
-        dropped in batches when the bucket is compacted or flushed, so
-        the churn of arm/cancel cycles (the NIC retransmission pattern)
-        never reaches the hot path.  A timer that *does* survive is flushed into the
-        normal queues just before the clock reaches its wheel bucket and
-        fires in exactly the order :meth:`schedule` would have fired it.
+        A timer due in a later wheel granule than the clock's parks in
+        a coarse wheel bucket instead of the heap; cancellation there is
+        O(1), and dead timers are dropped in batches when the bucket is
+        compacted or flushed, so the churn of arm/cancel cycles (the NIC
+        retransmission pattern) never reaches the hot path.  A timer that
+        *does* survive is flushed onto the heap before any later event
+        is dispatched and fires in exactly the order :meth:`schedule`
+        would have fired it.
         """
-        if delay < 0:
-            if delay >= -1e-9:
-                delay = 0.0
-            else:
-                raise ValueError(
-                    f"cannot schedule into the past (delay={delay})"
-                )
         t = self.now + delay
+        key = t // WHEEL_GRANULE
+        if key <= self.now // WHEEL_GRANULE:
+            # Near timer: due within the clock's own granule, too soon
+            # for parking to pay, so it goes straight onto the heap (a
+            # negative delay lands here too, for schedule() to judge).
+            return self.schedule(delay, callback, *args, priority=priority)
         self._seq = seq = self._seq + 1
-        if t < self._cur_end:
-            # Near timer: the wheel can't help (its bucket is already due).
-            self._live += 1
-            handle = [t, priority, seq, callback, args]
-            heappush(self._cur, handle)
-            return handle
         # Parked timers are *not* counted into ``_live`` until flushed --
         # arming and cancelling must stay free of simulator bookkeeping;
         # ``pending_events`` folds the wheel in lazily instead.
-        key = t // WHEEL_GRANULE
         handle = [t, priority, seq, callback, args, key]
+        if t < self._wheel_lo:
+            self._wheel_lo = t
         entry = self._wheel.get(key)
         if entry is None:
             self._wheel[key] = [t, 2048, [handle]]
@@ -322,7 +291,7 @@ class Simulator:
         """
         self._live += 1
         handle = [time, PRIORITY_NORMAL, seq, callback, args]
-        self._insert(handle)
+        heappush(self._heap, handle)
         return handle
 
     def dispatched(self, time: float, seq: int) -> bool:
@@ -355,22 +324,6 @@ class Simulator:
         else:
             self._live -= 1
 
-    def _insert(self, handle: list) -> None:
-        """Route an entry into the right tier (time already validated)."""
-        t = handle[0]
-        if t < self._cur_end:
-            heappush(self._cur, handle)
-        else:
-            idx = t // BUCKET_WIDTH
-            if idx < self._horizon_idx:
-                bucket = self._cal.get(idx)
-                if bucket is None:
-                    self._cal[idx] = [handle]
-                else:
-                    bucket.append(handle)
-            else:
-                heappush(self._ovf, handle)
-
     # ------------------------------------------------------------------
     # Timer wheel internals
     # ------------------------------------------------------------------
@@ -386,66 +339,33 @@ class Simulator:
         bucket[:] = [h for h in bucket if h[3] is not None]
         entry[1] = 2 * len(bucket) + 2048
 
-    def _wheel_flush(self, key: float) -> None:
-        """Move a due wheel bucket's live timers into the main queues.
+    def _wheel_flush(self, t: float) -> None:
+        """Move the live timers of every wheel bucket whose lower bound
+        is at or before ``t`` onto the heap; ``_wheel_lo`` becomes the
+        lowest bound left.
 
         Cancelled timers are skipped here in one batched sweep -- a plain
         ``is None`` test per entry, instead of a heap pop each -- which
         is what keeps :meth:`cancel` of a parked timer queue-free.
         """
-        bucket = self._wheel.pop(key)[2]
-        insert = self._insert
-        live = 0
-        for handle in bucket:
-            if handle[3] is not None:
-                del handle[WHEEL_KEY]
-                insert(handle)
-                live += 1
-        self._live += live
-
-    # ------------------------------------------------------------------
-    # Bucket advance (the only place the clock crosses bucket boundaries)
-    # ------------------------------------------------------------------
-    def _advance_bucket(self) -> bool:
-        """Refill the empty current bucket from the other tiers.
-
-        Returns False when no events remain anywhere.  Flushes every
-        wheel bucket that could contain an event at or before the chosen
-        bucket's end, so the current bucket's heap top is always the
-        global minimum by ``(time, priority, seq)``.
-        """
-        cal = self._cal
-        ovf = self._ovf
         wheel = self._wheel
-        while True:
-            nxt = min(cal) if cal else None
-            if ovf:
-                oidx = ovf[0][0] // BUCKET_WIDTH
-                if nxt is None or oidx < nxt:
-                    nxt = oidx
-            if wheel:
-                key = min(wheel, key=lambda k: wheel[k][0])
-                if nxt is None or wheel[key][0] < (nxt + 1.0) * BUCKET_WIDTH:
-                    self._wheel_flush(key)
-                    if self._cur:
-                        # Flushed timers landed in the *current* bucket
-                        # (it is still open: its end hasn't been reached).
-                        return True
-                    continue
-            break
-        if nxt is None:
-            return False
-        bucket = cal.pop(nxt, None)
-        if bucket is None:
-            bucket = []
-        end = (nxt + 1.0) * BUCKET_WIDTH
-        while ovf and ovf[0][0] < end:
-            bucket.append(heappop(ovf))
-        heapify(bucket)
-        self._cur = bucket
-        self._cur_end = end
-        self._horizon_idx = nxt + HORIZON_BUCKETS
-        return True
+        heap = self._heap
+        lo = _INF
+        live = 0
+        for key, entry in list(wheel.items()):
+            lb = entry[0]
+            if lb > t:
+                if lb < lo:
+                    lo = lb
+                continue
+            del wheel[key]
+            for handle in entry[2]:
+                if handle[3] is not None:
+                    del handle[WHEEL_KEY]
+                    heappush(heap, handle)
+                    live += 1
+        self._live += live
+        self._wheel_lo = lo
 
     # ------------------------------------------------------------------
     # Execution
@@ -454,7 +374,7 @@ class Simulator:
         """Execute the next pending event.  Returns False if idle."""
         if self.peek() is None:
             return False
-        handle = heappop(self._cur)
+        handle = heappop(self._heap)
         self.now = handle[0]
         self._at = handle
         callback = handle[3]
@@ -525,26 +445,31 @@ class Simulator:
         executed = 0
         dead = 0
         pop = heappop
+        heap = self._heap
+        wheel = self._wheel
         try:
-            cur = self._cur
             while True:
-                if not cur:
-                    if not self._advance_bucket():
+                if not heap:
+                    if not wheel:
                         break
-                    cur = self._cur
+                    self._wheel_flush(self._wheel_lo)
                     continue
                 if self._stop_requested:
                     return self.now
-                handle = pop(cur)
+                handle = pop(heap)
                 callback = handle[3]
                 if callback is None:
                     dead += 1
                     continue
                 t = handle[0]
-                if t > limit or executed == budget:
-                    # Not ours to run: put it back.  Entries are totally
-                    # ordered by (time, priority, seq), so nothing moves.
-                    heappush(cur, handle)
+                if t >= self._wheel_lo or t > limit or executed == budget:
+                    # Not ours to run yet: put it back.  Entries are
+                    # totally ordered by (time, priority, seq), so nothing
+                    # moves.  Parked timers due by ``t`` go first.
+                    heappush(heap, handle)
+                    if t >= self._wheel_lo:
+                        self._wheel_flush(t)
+                        continue
                     if t > limit:
                         break
                     raise RuntimeError(
@@ -561,8 +486,6 @@ class Simulator:
                     self._dispatch_profiled(callback, args, executed)
                 else:
                     callback(*args)
-                # Callbacks may advance the calendar via peek(); re-read.
-                cur = self._cur
             if until is not None and self.now < until:
                 self.now = until
             # Every event at or before the clock has run; a stop() or an
@@ -591,10 +514,12 @@ class Simulator:
         executed one, and detach metrics and telemetry.  No counter
         moves (see "Cluster lifecycle" in ``docs/engine.md``)."""
         parked = [entry[2] for entry in self._wheel.values()]
-        for queue in (self._cur, self._ovf, *self._cal.values(), *parked):
+        for queue in (self._heap, *parked):
             for handle in queue:
                 handle[3] = handle[4] = None
-        self._cur, self._ovf, self._cal, self._wheel = [], [], {}, {}
+        self._heap.clear()
+        self._wheel.clear()
+        self._wheel_lo = _INF
         self._live = 0
         self.metrics.close()
         self.telemetry.close()
@@ -647,9 +572,9 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of live (non-cancelled) pending entries.
 
-        O(1) in the queue tiers (a maintained counter); parked wheel
-        timers are folded in by a scan so that arming/cancelling timers
-        never pays for this introspection counter.
+        O(1) for the heap (a maintained counter); parked wheel timers
+        are folded in by a scan so that arming/cancelling timers never
+        pays for this introspection counter.
         """
         live = self._live
         for entry in self._wheel.values():
@@ -660,18 +585,23 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next live event, or None if idle."""
-        cur = self._cur
+        heap = self._heap
         while True:
-            while cur:
-                head = cur[0]
-                if head[3] is None:
-                    heappop(cur)
-                    self.cancelled_pops += 1
-                    continue
-                return head[0]
-            if not self._advance_bucket():
-                return None
-            cur = self._cur
+            if not heap:
+                if not self._wheel:
+                    return None
+                self._wheel_flush(self._wheel_lo)
+                continue
+            head = heap[0]
+            if head[3] is None:
+                heappop(heap)
+                self.cancelled_pops += 1
+                continue
+            t = head[0]
+            if t >= self._wheel_lo:
+                self._wheel_flush(t)
+                continue
+            return t
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator t={self.now:.3f} pending={self._live}>"

@@ -131,7 +131,7 @@ class Telemetry:
         self.sample()
         # Reschedule only while other live work exists; otherwise go
         # dormant so run() drains.  peek() is callback-safe (it may
-        # advance calendar buckets, which the run loop re-reads).
+        # flush wheel buckets onto the heap the run loop pops from).
         if self.sim.peek() is not None:
             self._arm(self.sample_us)
 

@@ -1,7 +1,7 @@
 """Deterministic engine workloads for the bit-identical-trace gate.
 
-The event-engine rewrite (two-tier scheduler + timer wheel) must not
-change a single observable event: same `(time, priority, seq)` execution
+The event engine (one dispatch heap + timer wheel) must not change a
+single observable event: same `(time, priority, seq)` execution
 order, same trace records, same measured latencies.  This module defines
 a handful of deterministic workloads and reduces each to two parts:
 

@@ -19,6 +19,7 @@ from repro.analysis.calibration import LANAI_4_3_SYSTEM
 from repro.analysis.critical_path import traced_barrier_run
 from repro.analysis.experiments import measure_barrier
 from repro.analysis.nbc_overlap import measure_nbc_overlap
+from repro.analysis.utilization import measure_utilization
 from repro.campaign.executor import run_campaign
 from repro.cluster.builder import build_cluster
 from repro.cluster.runner import run_on_group, spawn_group
@@ -85,6 +86,10 @@ class TestNoCyclicGarbage:
                 LANAI_4_3_SYSTEM.cluster_config(8), iterations=4,
                 skew_max_us=50.0,
             )
+
+    def test_measure_utilization_4(self):
+        with no_cyclic_repro_garbage():
+            measure_utilization("nic", num_nodes=4, iterations=3)
 
     def test_traced_barrier_run_8(self):
         with no_cyclic_repro_garbage():

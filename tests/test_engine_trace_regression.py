@@ -1,6 +1,6 @@
 """Bit-identical-trace gate for the event-engine rewrite.
 
-The two-tier scheduler + timer wheel must be an invisible optimization:
+The dispatch heap + timer wheel must be an invisible optimization:
 every workload in ``tests/golden_engine.py`` has to execute the exact
 same events in the exact same order as the pre-rewrite single-heap
 engine.  Each entry of ``tests/data/engine_golden.json`` pins a rows

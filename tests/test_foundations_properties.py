@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.network.routing import compute_route
 from repro.network.topology import multi_switch_topology
-from repro.sim.engine import BUCKET_WIDTH, PRIORITY_HIGH, WHEEL_GRANULE, Simulator
+from repro.sim.engine import PRIORITY_HIGH, WHEEL_GRANULE, Simulator
 
 
 class TestEngineAgainstReference:
@@ -45,8 +45,8 @@ class TestEngineAgainstReference:
         st.sets(st.integers(min_value=0, max_value=39)),
         st.lists(
             st.tuples(
-                # Past the first calendar bucket, so every timer parks.
-                st.floats(min_value=BUCKET_WIDTH, max_value=3 * WHEEL_GRANULE),
+                # Past the clock's own wheel granule, so every timer parks.
+                st.floats(min_value=WHEEL_GRANULE, max_value=3 * WHEEL_GRANULE),
                 st.sampled_from(["keep", "parked", "flushed"]),
             ),
             max_size=20,
@@ -57,7 +57,7 @@ class TestEngineAgainstReference:
         """Cancelled events and timers never fire; all others fire
         exactly once.  A timer is cancelled while parked in the wheel
         (reclaimed there) or at its own instant, after its wheel bucket
-        flushed into the calendar (a lazy cancelled pop).  A repeated
+        flushed onto the heap (a lazy cancelled pop).  A repeated
         cancel, and a cancel after execution, change nothing."""
         sim = Simulator()
         fired = []
