@@ -262,8 +262,9 @@ def run_telemetry_barrier(
 ):
     """Build a traced + sampled cluster, run barriers, attribute hotspots.
 
-    Returns ``(cluster, report)``; the cluster is kept alive so callers
-    can export ``cluster.telemetry`` series or the Chrome trace.
+    Returns ``(cluster, report)``.  The cluster is closed; its
+    ``cluster.telemetry`` series and tracer events stay readable, so
+    callers can still export them or the Chrome trace.
     """
     from repro.cluster.builder import ClusterConfig, build_cluster
     from repro.cluster.runner import run_on_group
@@ -277,13 +278,13 @@ def run_telemetry_barrier(
         telemetry=True,
         telemetry_sample_us=sample_us,
     )
-    cluster = build_cluster(config)
 
     def program(ctx):
         for _ in range(repetitions):
             yield from barrier(ctx.port, ctx.group, ctx.rank, algorithm=algorithm)
 
-    run_on_group(cluster, program, max_events=max_events)
+    with build_cluster(config) as cluster:
+        run_on_group(cluster, program, max_events=max_events)
     spans = barrier_round_spans(cluster.tracer.events)
     report = attribute_hotspots(cluster.telemetry, spans)
     return cluster, report

@@ -405,19 +405,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             algorithm=args.algo or "dissemination",
             sample_us=args.sample_us,
         )
-        with cluster:
-            tel = cluster.telemetry
-            print(report.render_table())
-            print(f"telemetry: {len(tel.series)} series, "
-                  f"{tel.samples_taken} samples at {tel.sample_us:g} us")
-            if args.telemetry_out is not None:
-                write_telemetry_jsonl(args.telemetry_out, tel.series.values())
-                print(f"wrote {args.telemetry_out}", file=sys.stderr)
-            if args.trace_out is not None:
-                cluster.tracer.write_chrome_trace(
-                    args.trace_out, counter_series=list(tel.series.values())
-                )
-                print(f"wrote {args.trace_out}", file=sys.stderr)
+        tel = cluster.telemetry
+        print(report.render_table())
+        print(f"telemetry: {len(tel.series)} series, "
+              f"{tel.samples_taken} samples at {tel.sample_us:g} us")
+        if args.telemetry_out is not None:
+            write_telemetry_jsonl(args.telemetry_out, tel.series.values())
+            print(f"wrote {args.telemetry_out}", file=sys.stderr)
+        if args.trace_out is not None:
+            cluster.tracer.write_chrome_trace(
+                args.trace_out, counter_series=list(tel.series.values())
+            )
+            print(f"wrote {args.trace_out}", file=sys.stderr)
         return 0
 
     if args.observe is not None:

@@ -55,23 +55,21 @@ from repro.gm.port import NicPort
 from repro.gm.tokens import BarrierSendToken, Endpoint
 from repro.network.packet import Packet, PacketType
 from repro.nic.mcp.connection import BarrierUnacked, SentEntry, UnexpectedRecord
-from repro.sim.primitives import Hold
+from repro.nic.mcp.machine import Firmware
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nic.nic import Nic
-
-#: ``{label: "barrier.label"}``: each trace label is built once, not on
-#: every record.
-_LABELS: Dict[str, str] = {}
 
 #: Size of the completion notification DMAed to the host (a collective's
 #: result value rides along and adds its own bytes).
 COMPLETION_DMA_BYTES = 16
 
 
-class NicBarrierEngine:
+class NicBarrierEngine(Firmware):
     """Barrier and collective firmware state shared by the MCP machines
     of one NIC."""
+
+    machine_name = "barrier"
 
     def __init__(self, nic: "Nic") -> None:
         self.nic = nic
@@ -96,21 +94,6 @@ class NicBarrierEngine:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def cpu(self, operation: str) -> Hold:
-        """Charge one firmware operation against the NIC processor:
-        ``yield self.cpu("barrier_check")``."""
-        nic = self.nic
-        return Hold(nic.cpu_resource, nic.model.costs[operation])
-
-    def trace(self, label: str, **payload) -> None:
-        """Record a trace event if tracing is enabled."""
-        nic = self.nic
-        if nic.tracer is not None:
-            full = _LABELS.get(label)
-            if full is None:
-                full = _LABELS[label] = f"barrier.{label}"
-            nic.tracer.record(nic.trace_category, full, **payload)
-
     def _token_live(self, port: NicPort, token: BarrierSendToken) -> bool:
         return port.is_open and getattr(port, token.slot) is token
 

@@ -217,8 +217,9 @@ class SoakResult:
 
 @dataclass
 class SoakRun:
-    """One finished combination: its row, its cluster (for readers such
-    as the reliability bench) and every rank's barrier timeline.
+    """One finished combination: its row, its closed cluster (counters
+    and detector state stay readable, for readers such as the
+    reliability bench) and every rank's barrier timeline.
 
     ``enters[k][rank]`` / ``exits[k][rank]`` are the simulated times a
     rank entered and left barrier ``k``.  Crash-family barriers
@@ -347,10 +348,6 @@ def run_soak_combo(
         retransmit_timeout_us=300.0,
         barrier_retransmit_timeout_us=200.0,
     )
-    cluster = build_cluster(ClusterConfig(
-        num_nodes=num_nodes, nic_params=nic_params, seed=seed,
-        fault_plan=plan,
-    ))
     nic_based = label.startswith("nic-")
     barriers = repetitions + (post_shrink if crash else 0)
     enters: Dict[int, Dict[int, float]] = {k: {} for k in range(barriers)}
@@ -400,27 +397,33 @@ def run_soak_combo(
             suspects[ctx.rank] = sorted(seen)
             groups[ctx.rank] = comm.group
 
-    try:
-        run_on_group(cluster, program, max_events=max_events)
-    except Exception as exc:
-        # A combo that dies (RetransmitLimitExceeded, deadlock, ...)
-        # leaves its black box on disk before the failure propagates to
-        # the campaign layer; the snapshot also rides on the exception.
-        if getattr(exc, "flight_records", None) is None:
-            try:
-                exc.flight_records = cluster.tracer.flight.snapshot()
-            except AttributeError:
-                pass
-        records = getattr(exc, "flight_records", None)
-        if records and flight_dump_dir is not None:
-            stem = name.replace("/", "-")
-            prefix = Path(flight_dump_dir) / f"flight-{stem}-s{seed}"
-            jsonl_path, _ = dump_flight_records(records, prefix)
-            try:
-                exc.flight_dump = str(jsonl_path)
-            except AttributeError:
-                pass
-        raise
+    config = ClusterConfig(
+        num_nodes=num_nodes, nic_params=nic_params, seed=seed,
+        fault_plan=plan,
+    )
+    with build_cluster(config) as cluster:
+        try:
+            run_on_group(cluster, program, max_events=max_events)
+        except Exception as exc:
+            # A combo that dies (RetransmitLimitExceeded, deadlock, ...)
+            # leaves its black box on disk before the failure propagates
+            # to the campaign layer; the snapshot also rides on the
+            # exception.
+            if getattr(exc, "flight_records", None) is None:
+                try:
+                    exc.flight_records = cluster.tracer.flight.snapshot()
+                except AttributeError:
+                    pass
+            records = getattr(exc, "flight_records", None)
+            if records and flight_dump_dir is not None:
+                stem = name.replace("/", "-")
+                prefix = Path(flight_dump_dir) / f"flight-{stem}-s{seed}"
+                jsonl_path, _ = dump_flight_records(records, prefix)
+                try:
+                    exc.flight_dump = str(jsonl_path)
+                except AttributeError:
+                    pass
+            raise
 
     where = f"{family} soak {name} seed={seed}"
     crash_fields = {}

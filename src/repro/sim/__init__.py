@@ -10,11 +10,11 @@ Key concepts
     Owns the virtual clock and the event heap.  All other objects are bound
     to a simulator instance.
 :class:`~repro.sim.process.Process`
-    A generator-based coroutine.  Processes ``yield`` *waitables* --
-    :class:`~repro.sim.primitives.Timeout`, :class:`~repro.sim.primitives.SimEvent`,
-    other processes, or :class:`~repro.sim.primitives.AnyOf` /
-    :class:`~repro.sim.primitives.AllOf` combinators -- and are resumed when
-    the waitable fires.
+    A generator-based coroutine.  A process yields one *waitable* at a
+    time -- a :class:`~repro.sim.primitives.Timeout`, a
+    :class:`~repro.sim.primitives.SimEvent`, a ``Store.get()``, a
+    ``Resource.hold()`` or another process -- and is resumed when it
+    fires.
 :class:`~repro.sim.primitives.Store` / :class:`~repro.sim.primitives.Resource`
     FIFO queues with blocking ``get`` and capacity-limited resources with
     FIFO grant order, used to model NIC processors, DMA engines, buses and
@@ -37,8 +37,6 @@ from repro.sim.metrics import (
     MetricsRegistry,
 )
 from repro.sim.primitives import (
-    AllOf,
-    AnyOf,
     Hold,
     Interrupted,
     Resource,
@@ -51,8 +49,6 @@ from repro.sim.rng import SimRng
 from repro.sim.tracing import TraceEvent, Tracer
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "BusyTime",
     "Counter",
     "Gauge",

@@ -1,10 +1,13 @@
 """Waitables and synchronization primitives for simulation processes.
 
 Everything a :class:`~repro.sim.process.Process` can ``yield`` is defined
-here (plus ``Process`` itself, which is also waitable).  The protocol is
-tiny: a waitable exposes ``_subscribe(handle)`` which arranges for
-``handle._resume(value)`` (or ``handle._throw(exc)``) to be called exactly
-once when the waitable fires.  The two waits of the packet path, a
+here (plus ``Process`` itself, which is also waitable).  A process waits
+on one waitable at a time, as each of the MCP's state machines waits on
+one work queue, the LANai or a DMA.  The protocol is tiny: a
+:class:`Timeout` or :class:`SimEvent` exposes ``_subscribe(handle)``,
+which arranges for ``handle._resume(value)`` (a timeout) or
+``handle._deliver(value, exc)`` (an event) to be called exactly once
+when it fires.  The two waits of the packet path, a
 :class:`Hold` and a :meth:`Store.get`, skip it: each is its own wait
 record (``process``, ``active``, ``abandon()``), so a process waiting on
 one allocates no wait handle and its wake-up is a method of the
@@ -22,7 +25,7 @@ waiter is handed back to its owner (``Store`` re-queues the item,
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Generic, Iterable, List, Optional, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Deque, Generic, List, Optional, TypeVar
 
 from repro.sim.engine import PRIORITY_HIGH, Simulator
 
@@ -40,33 +43,6 @@ class Interrupted(Exception):
         self.cause = cause
 
 
-def _attach_abandon_hook(handle: Any, hook: Callable[[], None]) -> None:
-    """Register a teardown callable to run if ``handle`` is abandoned."""
-    hooks = getattr(handle, "hooks", None)
-    if hooks is not None:
-        hooks.append(hook)
-    else:
-        try:
-            handle.hooks = [hook]
-        except AttributeError:  # bare test double without the slot
-            pass
-
-
-def _noop_disposer() -> None:
-    pass
-
-
-def _dispose_event_sub(ev: "SimEvent", cb: Callable) -> None:
-    """Tear down one combinator subscription to ``ev``.
-
-    Mirrors :meth:`SimEvent._waiter_abandoned`: an untriggered event is
-    unsubscribed and its claim dropped (see :meth:`SimEvent._drop_claim`).
-    """
-    if not ev._triggered:
-        ev.remove_callback(cb)
-    ev._drop_claim()
-
-
 class Timeout:
     """Waitable that fires after a fixed simulated delay.
 
@@ -74,22 +50,17 @@ class Timeout:
     resume value is the delay itself (rarely useful, but handy in tests).
     """
 
-    __slots__ = ("delay", "value")
+    __slots__ = ("delay",)
 
-    def __init__(self, delay: float, value: Any = None) -> None:
+    def __init__(self, delay: float) -> None:
         if delay < 0:
             raise ValueError(f"Timeout delay must be >= 0, got {delay}")
         self.delay = delay
-        self.value = value if value is not None else delay
 
     def _subscribe(self, handle: Any) -> None:
-        timer = handle.sim.schedule(self.delay, handle._resume, self.value)
-        try:
-            # Remember the engine handle so abandoning the wait cancels the
-            # timer outright instead of letting it fire into a dead flag.
-            handle.timer = timer
-        except AttributeError:  # bare test double without the slot
-            pass
+        # Remember the engine entry so abandoning the wait cancels the
+        # timer outright instead of letting it fire into a dead flag.
+        handle.timer = handle.sim.schedule(self.delay, handle._resume, self.delay)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Timeout({self.delay})"
@@ -185,34 +156,6 @@ class SimEvent(Generic[T]):
             schedule(0.0, cb, value, exception, priority=PRIORITY_HIGH)
 
     # -- waiting -------------------------------------------------------
-    def add_callback(
-        self, callback: Callable[[Any, Optional[BaseException]], None]
-    ) -> None:
-        """Low-level: run ``callback(value, exception)`` when fired."""
-        if self._triggered:
-            self.sim.schedule(
-                0.0,
-                callback,
-                self._value,
-                self._exception,
-                priority=PRIORITY_HIGH,
-            )
-        elif self._callbacks is None:
-            self._callbacks = [callback]
-        else:
-            self._callbacks.append(callback)
-
-    def remove_callback(
-        self, callback: Callable[[Any, Optional[BaseException]], None]
-    ) -> None:
-        """Unsubscribe ``callback``; no-op if absent or already dispatched."""
-        callbacks = self._callbacks
-        if callbacks is not None:
-            try:
-                callbacks.remove(callback)
-            except ValueError:
-                pass
-
     def _subscribe(self, handle: Any) -> None:
         deliver = handle._deliver
         if self._triggered:
@@ -223,15 +166,13 @@ class SimEvent(Generic[T]):
             self._callbacks = [deliver]
         else:
             self._callbacks.append(deliver)
-        try:
-            handle.event = self
-        except AttributeError:  # bare test double without the slot
-            pass
+        handle.event = self
 
     def _waiter_abandoned(self, handle: Any) -> None:
-        """The handle subscribed via ``_subscribe`` was abandoned."""
+        """The handle subscribed via ``_subscribe`` was abandoned:
+        unsubscribe it, then drop its claim."""
         if not self._triggered:
-            self.remove_callback(handle._deliver)
+            self._callbacks.remove(handle._deliver)
         self._drop_claim()
 
     def _drop_claim(self) -> None:
@@ -258,130 +199,6 @@ class SimEvent(Generic[T]):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "fired" if self._triggered else "pending"
         return f"<SimEvent {self.name!r} {state}>"
-
-
-class AnyOf:
-    """Waitable combinator: resumes when the *first* child fires.
-
-    The resume value is ``(index, value)`` of the winning child.  When the
-    winner fires, the losing subscriptions are torn down: a losing
-    ``Timeout``'s engine timer is cancelled (it previously lingered as an
-    uncancellable heap entry keeping ``run_until_idle`` alive) and losing
-    event callbacks are removed.  One-shot events themselves are left
-    un-fired and may still be consumed by other waiters.  Failure of the
-    winning child propagates.
-    """
-
-    def __init__(self, children: Iterable[Any]) -> None:
-        self.children = list(children)
-        if not self.children:
-            raise ValueError("AnyOf needs at least one child")
-
-    def _subscribe(self, handle: Any) -> None:
-        state = {"fired": False}
-        disposers: List[Callable[[], None]] = []
-
-        def dispose() -> None:
-            for d in disposers:
-                d()
-            disposers.clear()
-
-        def make_deliver(index: int) -> Callable[[Any, Optional[BaseException]], None]:
-            def deliver(value: Any, exc: Optional[BaseException]) -> None:
-                if state["fired"]:
-                    return
-                state["fired"] = True
-                # The winner's own value is being delivered to the
-                # process: neutralize its disposer so it isn't salvaged
-                # back to its owner as well (double delivery).
-                disposers[index] = _noop_disposer
-                dispose()
-                if exc is not None:
-                    handle._throw(exc)
-                else:
-                    handle._resume((index, value))
-
-            return deliver
-
-        _subscribe_children(handle, self.children, make_deliver, disposers, dispose)
-
-
-class AllOf:
-    """Waitable combinator: resumes when *all* children have fired.
-
-    The resume value is the list of child values in order.  The first
-    failure wins and is raised in the waiting process; the remaining
-    subscriptions are torn down (pending ``Timeout`` timers cancelled)
-    rather than left to fire into a dead wait.
-    """
-
-    def __init__(self, children: Iterable[Any]) -> None:
-        self.children = list(children)
-
-    def _subscribe(self, handle: Any) -> None:
-        sim = handle.sim
-        count = len(self.children)
-        if count == 0:
-            sim.schedule(0.0, handle._resume, [], priority=PRIORITY_HIGH)
-            return
-        state = {"count": count, "failed": False}
-        values: List[Any] = [None] * count
-        disposers: List[Callable[[], None]] = []
-
-        def dispose() -> None:
-            for d in disposers:
-                d()
-            disposers.clear()
-
-        def make_deliver(index: int) -> Callable[[Any, Optional[BaseException]], None]:
-            def deliver(value: Any, exc: Optional[BaseException]) -> None:
-                if state["failed"]:
-                    return
-                if exc is not None:
-                    state["failed"] = True
-                    disposers[index] = _noop_disposer
-                    dispose()
-                    handle._throw(exc)
-                    return
-                values[index] = value
-                state["count"] -= 1
-                if state["count"] == 0:
-                    handle._resume(values)
-
-            return deliver
-
-        _subscribe_children(handle, self.children, make_deliver, disposers, dispose)
-
-
-def _subscribe_children(handle, children, make_deliver, disposers, dispose) -> None:
-    """Subscribe a combinator's children, recording one disposer each,
-    and tear them all down if the waiting process is abandoned.
-
-    A ``Timeout`` child is a cancellable timer, never an un-cancellable
-    ``SimEvent`` wrapper.  Any other child is disposed through
-    ``_dispose_event_sub`` (not plain ``remove_callback``): a child that
-    already delivered has its value salvaged back to its owner when the
-    wait dies -- an AllOf that collected a Resource grant and then failed
-    must not leak the grant.
-    """
-    from repro.sim.process import Process
-
-    sim = handle.sim
-    for i, child in enumerate(children):
-        deliver = make_deliver(i)
-        if isinstance(child, Timeout):
-            timer = sim.schedule(child.delay, deliver, child.value, None)
-            disposers.append(lambda timer=timer: sim.cancel(timer))
-            continue
-        if isinstance(child, Process):
-            ev = child.completion_event
-        elif isinstance(child, SimEvent):
-            ev = child
-        else:
-            raise TypeError(f"cannot wait on {child!r}")
-        ev.add_callback(deliver)
-        disposers.append(lambda ev=ev, cb=deliver: _dispose_event_sub(ev, cb))
-    _attach_abandon_hook(handle, dispose)
 
 
 class Store(Generic[T]):
@@ -485,12 +302,11 @@ class _Get(SimEvent[T]):
     """The event :meth:`Store.get` returns, and the wait record of a
     process that yields it.
 
-    A process yielding a get that no combinator has subscribed to waits
-    on it directly (``Process._advance``): no wait handle, and no
-    callback.  The ``put`` that fires it schedules :meth:`_wake` at the
-    point ``SimEvent._dispatch`` schedules a subscriber, and a get
-    already fired schedules it at once, as ``SimEvent._subscribe`` does.
-    Inside ``AnyOf``/``AllOf`` it is a plain :class:`SimEvent`.
+    A process yielding a get waits on it directly
+    (``Process._advance``): no wait handle, and no callback.  The
+    ``put`` that fires it schedules :meth:`_wake` at the point
+    ``SimEvent._dispatch`` schedules a subscriber, and a get already
+    fired schedules it at once, as ``SimEvent._subscribe`` does.
     """
 
     __slots__ = ("process", "active")
@@ -517,8 +333,6 @@ class _Get(SimEvent[T]):
     def _dispatch(self) -> None:
         if self.active:
             self.sim.schedule(0.0, self._wake, priority=PRIORITY_HIGH)
-        if self._callbacks is not None:
-            SimEvent._dispatch(self)
 
     def _wake(self) -> None:
         """Resume the waiting process with the item (if still waiting)."""

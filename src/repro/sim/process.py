@@ -1,10 +1,11 @@
 """Generator-coroutine processes.
 
-A process wraps a Python generator.  Each ``yield`` hands the engine a
-*waitable* (Timeout, SimEvent, Hold, another Process, AnyOf/AllOf); the
-process is resumed with the waitable's value, or has an exception thrown
-into it when the waitable fails.  ``return value`` inside the generator completes the
-process and fires its ``completion_event`` with that value.
+A process wraps a Python generator.  Each ``yield`` hands the engine one
+*waitable* (Timeout, SimEvent, Hold, a ``Store.get()``, another Process);
+the process is resumed with the waitable's value, or has an exception
+thrown into it when the waitable fails.  ``return value`` inside the
+generator completes the process and fires its ``completion_event`` with
+that value.
 
 Stale-wakeup safety: every suspension has its own *wait record*.  For a
 :class:`~repro.sim.primitives.Hold` or a ``Store.get()`` the waitable is
@@ -20,18 +21,10 @@ full cancellation semantics.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, Optional
 
 from repro.sim.engine import PRIORITY_HIGH, Simulator
-from repro.sim.primitives import (
-    AllOf,
-    AnyOf,
-    Hold,
-    Interrupted,
-    SimEvent,
-    Timeout,
-    _Get,
-)
+from repro.sim.primitives import Hold, Interrupted, SimEvent, Timeout, _Get
 
 
 class ProcessKilled(Exception):
@@ -42,10 +35,10 @@ class _WaitHandle:
     """Per-suspension proxy handed to waitables that are not their own
     wait record (everything but a ``Hold`` and a ``Store.get()``).
 
-    Implements the same ``_resume``/``_throw``/``sim`` surface a waitable
-    expects from a process, but delivers only while it is the process's
-    *current* wait.  This makes abandoned waits (after interrupt/kill)
-    harmless.
+    Offers the ``_resume``/``_deliver``/``sim`` surface a ``Timeout`` or
+    ``SimEvent`` subscribes to, but delivers only while it is the
+    process's *current* wait.  This makes abandoned waits (after
+    interrupt/kill) harmless.
 
     The handle also records *how to tear the wait down* so abandonment
     can release engine resources instead of leaving them to fire into a
@@ -55,13 +48,11 @@ class _WaitHandle:
       cancelled on abandon so it never even reaches dispatch;
     * ``event`` -- the ``SimEvent`` subscribed to, notified via
       ``_waiter_abandoned`` so it can unsubscribe us or salvage a value
-      or capacity unit already in flight (the Store/Resource
-      lost-wakeup fix);
-    * ``hooks`` -- teardown callables registered by combinators
-      (``AnyOf``/``AllOf``) to cancel their children's subscriptions.
+      or capacity unit already in flight (the Resource lost-wakeup
+      fix).
     """
 
-    __slots__ = ("process", "sim", "active", "timer", "event", "hooks")
+    __slots__ = ("process", "sim", "active", "timer", "event")
 
     def __init__(self, process: "Process") -> None:
         self.process = process
@@ -69,26 +60,18 @@ class _WaitHandle:
         self.active = True
         self.timer: Optional[list] = None
         self.event: Optional[SimEvent] = None
-        self.hooks: Optional[List] = None
 
     def _resume(self, value: Any) -> None:
         if self.active:
             self.active = False
             self.process._advance(value, None)
 
-    def _throw(self, exc: BaseException) -> None:
-        if self.active:
-            self.active = False
-            self.process._advance(None, exc)
-
     def _deliver(self, value: Any, exc: Optional[BaseException]) -> None:
-        """SimEvent-callback form of resume/throw (pre-bound, no closure)."""
+        """The SimEvent callback: resume with ``value``, or throw ``exc``
+        (a failed event's value is None)."""
         if self.active:
             self.active = False
-            if exc is not None:
-                self.process._advance(None, exc)
-            else:
-                self.process._advance(value, None)
+            self.process._advance(value, exc)
 
     def abandon(self) -> None:
         """Deactivate and tear down whatever this wait subscribed to."""
@@ -101,11 +84,6 @@ class _WaitHandle:
         if event is not None:
             self.event = None
             event._waiter_abandoned(self)
-        hooks = self.hooks
-        if hooks is not None:
-            self.hooks = None
-            for hook in hooks:
-                hook()
 
 
 class Process:
@@ -191,7 +169,7 @@ class Process:
             self._fail(err)
             return
         cls = type(waitable)
-        if cls is Hold or (cls is _Get and waitable._callbacks is None):
+        if cls is Hold or cls is _Get:
             # The waitable is its own wait record.
             self._current_wait = waitable
             waitable._wait(self)
@@ -215,7 +193,7 @@ class Process:
         if (
             cls is SimEvent
             or cls is Timeout
-            or isinstance(waitable, (Timeout, SimEvent, Process, AnyOf, AllOf))
+            or isinstance(waitable, (Timeout, SimEvent, Process))
         ):
             waitable._subscribe(handle)
         else:

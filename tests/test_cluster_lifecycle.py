@@ -18,6 +18,7 @@ from repro.analysis import figure5
 from repro.analysis.calibration import LANAI_4_3_SYSTEM
 from repro.analysis.critical_path import traced_barrier_run
 from repro.analysis.experiments import measure_barrier
+from repro.analysis.hotspots import run_telemetry_barrier
 from repro.analysis.nbc_overlap import measure_nbc_overlap
 from repro.analysis.utilization import measure_utilization
 from repro.campaign.executor import run_campaign
@@ -25,8 +26,9 @@ from repro.cluster.builder import build_cluster
 from repro.cluster.runner import run_on_group, spawn_group
 from repro.core.barrier import barrier
 from repro.faults.plan import FaultPlan, LossRule
+from repro.faults.soak import run_soak_combo
 from repro.gm.constants import BarrierReliability
-from repro.sim.primitives import AnyOf, Resource, SimEvent, Store, Timeout
+from repro.sim.primitives import Resource, Store, Timeout
 from repro.sim.process import Process
 
 
@@ -101,6 +103,23 @@ class TestNoCyclicGarbage:
         with no_cyclic_repro_garbage():
             result = run_campaign(job)
         assert result.simulated == 1 and result.failed == 0
+
+    def test_soak_combo(self):
+        with no_cyclic_repro_garbage():
+            run = run_soak_combo(
+                family="loss", seed=3, label="nic-pe", algorithm="pe",
+                num_nodes=4, reliability="SEPARATE", flight_dump_dir=None,
+            )
+            # The closed cluster still answers its readers.
+            assert run.cluster.sim.events_executed == run.row.events
+            del run
+
+    def test_telemetry_barrier(self):
+        with no_cyclic_repro_garbage():
+            cluster, report = run_telemetry_barrier(4, sample_us=2.0)
+            assert report.rounds and cluster.telemetry.series
+            assert cluster.tracer.events
+            del cluster, report
 
     def test_failed_run_is_closed_too(self):
         with no_cyclic_repro_garbage():
@@ -180,16 +199,6 @@ class TestProcessClose:
         assert sim.events_executed == executed
         assert cpu.in_use == 0
         assert cpu.busy_us == pytest.approx(1.0)
-
-    def test_any_of_with_timer(self, sim):
-        ev = SimEvent(sim)
-        proc, after = self.start(sim, AnyOf([Timeout(10.0), ev]))
-        executed = self.close_and_drain(sim, proc, after)
-        ev.succeed("late")
-        sim.run()
-        assert after == []
-        assert sim.events_executed == executed
-        assert sim.pending_events == 0
 
     def test_waiter_of_closed_process_is_not_resumed(self, sim):
         target, _ = self.start(sim, Timeout(10.0))

@@ -27,14 +27,6 @@ class TestSimEvent:
         with pytest.raises(KeyError):
             _ = ev.value
 
-    def test_callback_after_fire_still_delivered(self, sim):
-        ev = SimEvent(sim)
-        ev.succeed("v")
-        seen = []
-        ev.add_callback(lambda v, e: seen.append((v, e)))
-        sim.run()
-        assert seen == [("v", None)]
-
 
 class TestStore:
     def test_put_then_get(self, sim):
@@ -115,6 +107,44 @@ class TestStore:
     def test_invalid_capacity(self, sim):
         with pytest.raises(ValueError):
             Store(sim, capacity=0)
+
+    def _getters_killed_in_delivery(self, sim, store, getters, *puts):
+        """Block ``getters`` on ``store``, then in one callback ``put``
+        each of ``puts`` and kill the first getter: its item is in flight
+        (the put scheduled its wake-up, which has not run).  Returns
+        what each getter received."""
+        got = []
+
+        def getter(tag):
+            got.append((tag, (yield store.get())))
+
+        procs = [Process(sim, getter(tag)) for tag in getters]
+        sim.run()
+        assert len(store._getters) == len(getters)
+
+        def put_then_kill():
+            for item in puts:
+                store.put(item)
+            procs[0].kill()
+
+        sim.schedule(1.0, put_then_kill)
+        sim.run()
+        assert not procs[0].alive
+        return got
+
+    def test_kill_in_delivery_instant_hands_item_to_next_getter(self, sim):
+        store = Store(sim)
+        got = self._getters_killed_in_delivery(sim, store, ["victim", "next"], "x")
+        assert got == [("next", "x")]
+        assert store.items == () and not store._getters
+
+    def test_kill_in_delivery_instant_returns_item_to_queue_head(self, sim):
+        store = Store(sim)
+        # "y" is queued behind the in-flight "x"; the salvaged "x" goes
+        # back ahead of it.
+        got = self._getters_killed_in_delivery(sim, store, ["victim"], "x", "y")
+        assert got == []
+        assert store.items == ("x", "y")
 
 
 class TestResource:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.primitives import AllOf, AnyOf, Interrupted, SimEvent, Timeout
+from repro.sim.primitives import Interrupted, SimEvent, Timeout
 from repro.sim.process import Process, ProcessKilled
 
 
@@ -220,48 +220,3 @@ class TestKill:
         Process(sim, killer())
         sim.run()
         assert cleanups == [3.0]
-
-
-class TestCombinators:
-    def test_anyof_first_wins(self, sim):
-        def proc():
-            index, value = yield AnyOf([Timeout(5.0, "slow"), Timeout(2.0, "fast")])
-            return (index, value, sim.now)
-
-        p = Process(sim, proc())
-        sim.run()
-        assert p.result == (1, "fast", 2.0)
-
-    def test_anyof_with_event(self, sim):
-        ev = SimEvent(sim)
-        sim.schedule(1.0, ev.succeed, "ev")
-
-        def proc():
-            index, value = yield AnyOf([ev, Timeout(100.0)])
-            return (index, value)
-
-        p = Process(sim, proc())
-        sim.run(until=200.0)
-        assert p.result == (0, "ev")
-
-    def test_anyof_empty_rejected(self, sim):
-        with pytest.raises(ValueError):
-            AnyOf([])
-
-    def test_allof_collects_in_order(self, sim):
-        def proc():
-            values = yield AllOf([Timeout(3.0, "a"), Timeout(1.0, "b")])
-            return (values, sim.now)
-
-        p = Process(sim, proc())
-        sim.run()
-        assert p.result == (["a", "b"], 3.0)
-
-    def test_allof_empty_resumes_immediately(self, sim):
-        def proc():
-            values = yield AllOf([])
-            return (values, sim.now)
-
-        p = Process(sim, proc())
-        sim.run()
-        assert p.result == ([], 0.0)
