@@ -124,7 +124,7 @@ def bench_loaded_fabric(
     Every tick re-arms the node's GM-style send window of 8 retransmit
     timers and cancels the previous 8 -- the workload the timer wheel
     exists for.  This is also the 5x speedup-gate workload in
-    ``bench_simulator_performance.py`` (which additionally runs it on
+    ``test_wallclock.py`` (which additionally runs it on
     the frozen pre-rewrite engine for the before/after ratio).
     """
     import gc

@@ -19,8 +19,9 @@ Quick start::
     cluster = build_cluster(ClusterConfig(num_nodes=8))
     finish_times = run_on_group(cluster, program)
 
-See ``examples/`` for complete scenarios and ``benchmarks/`` for the
-paper's figures.
+See ``examples/`` for complete scenarios and
+``tests/test_paper_claims.py`` for the paper's figures, each measured and
+checked against EXPERIMENTS.md.
 """
 
 from repro.cluster.builder import Cluster, ClusterConfig, build_cluster

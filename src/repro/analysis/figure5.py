@@ -1,16 +1,14 @@
 """The Figure-5 sweep, defined once, executed through the campaign layer.
 
-Historically the Figure 5 reproduction was spelled out twice -- in
-``benchmarks/conftest.py`` (session fixtures for the 5a--5d benches) and
-in ``repro.analysis.report`` (the CLI) -- each hand-rolling the same
-serial loop over sizes, variants and GB tree dimensions.  This module is
-now the single source of truth: it builds the sweep as a
-:class:`~repro.campaign.spec.CampaignSpec` (one job per size, variant
-and GB dimension), runs it through
+This module is the single source of truth for the Figure 5
+reproduction, shared by ``repro.analysis.report`` (the CLI) and the
+session fixtures of ``tests/test_paper_claims.py``.  It builds the
+sweep as a :class:`~repro.campaign.spec.CampaignSpec` (one job per
+size, variant and GB dimension), runs it through
 :func:`~repro.campaign.executor.run_campaign`, and reassembles the
 campaign results into the ``results[variant][n]`` mapping every consumer
-already expects (GB reported at the best dimension per size, exactly as
-the paper does).
+expects (GB reported at the best dimension per size, exactly as the
+paper does).
 
 Because each (variant, size, dimension) measurement is its own job, the
 sweep parallelizes to its natural grain and every point is individually
@@ -32,10 +30,9 @@ from repro.cluster.builder import ClusterConfig
 #: The four series of every Figure-5 panel.
 VARIANTS = ("host-pe", "nic-pe", "host-gb", "nic-gb")
 
-#: Repetitions per measurement for the paper-reproduction benches and
-#: the full report: the paper averaged 100k noisy hardware runs; the
-#: simulator is deterministic, so a handful suffices.  (Moved here from
-#: ``benchmarks/conftest.py`` so the benches and the CLI agree.)
+#: Repetitions per measurement for the paper-claims tests and the full
+#: report: the paper averaged 100k noisy hardware runs; the simulator is
+#: deterministic, so a handful suffices.
 BENCH_REPS = 6
 BENCH_WARMUP = 2
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis.calibration import LANAI_4_3_SYSTEM
+from repro.analysis.experiments import measure_barrier
 from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.runner import run_on_group
 from repro.core.barrier import barrier
@@ -171,3 +173,24 @@ class TestApiContract:
         # One extra exchange step per doubling, roughly constant cost.
         assert d1 == pytest.approx(d2, rel=0.2)
         assert d2 == pytest.approx(d3, rel=0.2)
+
+
+class TestEndToEndSimulationCost:
+    def test_nic_pe_16_at_quick_repetitions(self):
+        """The NIC-PE(16) anchor holds at the --quick repetitions too."""
+        latency = measure_barrier(
+            LANAI_4_3_SYSTEM.cluster_config(16),
+            nic_based=True, algorithm="pe", repetitions=3, warmup=1,
+        ).mean_latency_us
+        assert latency == pytest.approx(102.14, rel=0.10)
+
+    def test_events_per_simulated_barrier(self):
+        """Event footprint of one 16-node barrier: a few thousand events,
+        not millions (a ballooning count means an accidental busy loop)."""
+        with build_cluster(LANAI_4_3_SYSTEM.cluster_config(16)) as cluster:
+
+            def program(ctx):
+                yield from barrier(ctx.port, ctx.group, ctx.rank)
+
+            run_on_group(cluster, program, max_events=5_000_000)
+            assert cluster.sim.events_executed < 60_000

@@ -4,6 +4,8 @@ determinism and metrics/log streaming."""
 
 import pytest
 
+from repro.analysis.calibration import LANAI_7_2_SYSTEM
+from repro.analysis.figure5 import run_figure5
 from repro.campaign import (
     CampaignJobError,
     CampaignSpec,
@@ -285,3 +287,27 @@ class TestTelemetryOptIn:
 
         doc = json.loads((tmp_path / "BENCH_campaign.json").read_text())
         assert "telemetry" not in doc
+
+
+class TestCampaignParallel:
+    def test_parallel_bit_identical_and_warm_cache_idle(self, tmp_path):
+        """On the real Figure-5 sweep definition: a --jobs 2 cold run
+        equals the serial one bit for bit, and a warm rerun simulates
+        nothing."""
+        kwargs = dict(repetitions=2, warmup=1, sizes=(2, 4))
+        serial, _ = run_figure5(LANAI_7_2_SYSTEM, **kwargs)
+        parallel, run_cold = run_figure5(
+            LANAI_7_2_SYSTEM, jobs=2, cache_dir=tmp_path, **kwargs
+        )
+        assert run_cold.failed == 0
+        assert run_cold.simulated == len(run_cold.results)
+        for variant, by_n in serial.items():
+            for n, m in by_n.items():
+                p = parallel[variant][n]
+                assert p.per_barrier_us == m.per_barrier_us, (variant, n)
+                assert p.mean_latency_us == m.mean_latency_us
+        _, run_warm = run_figure5(
+            LANAI_7_2_SYSTEM, jobs=2, cache_dir=tmp_path, **kwargs
+        )
+        assert run_warm.simulated == 0, "warm cache must not simulate"
+        assert run_warm.cache_hits == len(run_warm.results)

@@ -111,8 +111,8 @@ class TestFigure5Definition:
             sweep_points((4,), gb_dimensions=[9])
 
     def test_report_and_benches_share_one_definition(self):
-        """The dedup satellite: report.py and benchmarks/conftest.py must
-        both consume the figure5 module's constants and sweep."""
+        """report.py and the tests/test_paper_claims.py fixtures both
+        consume the figure5 module's constants and sweep."""
         from repro.analysis import report
 
         assert report.BENCH_REPS is BENCH_REPS

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -89,20 +90,23 @@ class TestRepoDocuments:
         assert path.exists()
         assert len(path.read_text()) > 2000
 
-    def test_readme_bench_references_exist(self):
-        text = (REPO_ROOT / "README.md").read_text()
-        for line in text.splitlines():
-            if "benchmarks/bench_" in line:
-                name = (
-                    line.split("benchmarks/")[1].split("`")[0].split()[0]
-                )
-                assert (REPO_ROOT / "benchmarks" / name).exists(), name
-
-    def test_design_bench_references_exist(self):
-        text = (REPO_ROOT / "DESIGN.md").read_text()
-        for token in text.split("`"):
-            if token.startswith("benchmarks/bench_") and token.endswith(".py"):
-                assert (REPO_ROOT / token).exists(), token
+    @pytest.mark.parametrize(
+        "document",
+        ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+        + sorted(f"docs/{path.name}" for path in (REPO_ROOT / "docs").glob("*.md")),
+    )
+    def test_repo_path_references_exist(self, document):
+        """Every ``benchmarks/``, ``tests/`` or ``examples/`` path the
+        document names (in backticks, tables or code blocks) exists."""
+        missing = [
+            path
+            for path in re.findall(
+                r"(?<![\w/.-])((?:benchmarks|tests|examples)/[\w./-]*)",
+                (REPO_ROOT / document).read_text(),
+            )
+            if not (REPO_ROOT / path.rstrip(".")).exists()
+        ]
+        assert missing == []
 
     def test_examples_referenced_in_readme(self):
         text = (REPO_ROOT / "README.md").read_text()

@@ -11,6 +11,8 @@ from repro.sim.engine import (
     PRIORITY_NORMAL,
     Simulator,
 )
+from repro.sim.primitives import Store, Timeout
+from repro.sim.process import Process
 
 
 class TestScheduling:
@@ -422,3 +424,40 @@ class TestStopUnderLimits:
         assert sim.events_executed == 1
         sim.run(max_events=1)
         assert seen == [1, 2]
+
+
+class TestKernelThroughput:
+    def test_raw_event_dispatch(self):
+        """A self-rescheduling tick runs exactly its 50,001 events."""
+        sim = Simulator()
+        count = 50_000
+
+        def tick(i):
+            if i < count:
+                sim.schedule(1.0, tick, i + 1)
+
+        sim.schedule(0.0, tick, 0)
+        sim.run()
+        assert sim.events_executed == 50_001
+
+    def test_producer_consumer_processes(self):
+        """10,000 items through a Store between two processes, none lost."""
+        sim = Simulator()
+        store = Store(sim)
+        items = 10_000
+
+        def producer():
+            for i in range(items):
+                yield Timeout(0.1)
+                store.put(i)
+
+        def consumer():
+            total = 0
+            for _ in range(items):
+                total += yield store.get()
+            return total
+
+        Process(sim, producer())
+        c = Process(sim, consumer())
+        sim.run()
+        assert c.result == sum(range(items))
