@@ -72,7 +72,7 @@ class NicBarrierEngine(Firmware):
     machine_name = "barrier"
 
     def __init__(self, nic: "Nic") -> None:
-        self.nic = nic
+        super().__init__(nic)
         #: Recently initiated tokens per port, for REJECT-triggered resends
         #: that arrive after the local operation already completed (a GB
         #: broadcast to a slow-opening child).

@@ -67,7 +67,7 @@ class GmPort:
         """Host-side trace record (category ``host<node_id>``)."""
         tracer = self.nic.tracer
         if tracer is not None:
-            tracer.record(self.trace_category, label, **payload)
+            tracer.record_payload(self.trace_category, label, payload)
 
     # ------------------------------------------------------------------
     @property

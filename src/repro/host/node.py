@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.gm.memory import PinnedMemoryRegistry
 from repro.host.cpu import HostParams
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Resource
+from repro.sim.primitives import Hold, Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gm.driver import GmDriver
@@ -47,7 +47,7 @@ class Node:
             raise ValueError("negative host CPU time")
         if duration_us == 0:
             return
-        yield self.cpu.hold(duration_us)
+        yield Hold(self.cpu, duration_us)  # checked above, as hold() would
 
     def compute(self, duration_us: float):
         """Application compute phase occupying one CPU (for fuzzy-barrier

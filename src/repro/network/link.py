@@ -128,7 +128,7 @@ class Channel:
         if self.sink is None:
             raise RuntimeError(f"channel {self.name!r} has no sink connected")
         self._queue.append(packet)
-        busy = self._on_wire()
+        busy = self._busy and self._on_wire()
         depth = len(self._queue) + busy
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
@@ -207,9 +207,17 @@ class Channel:
         self._busy = True
         sim = self.sim
         packet = self._queue.popleft()
-        ser = self.serialization_time(packet)
+        size = packet.size_bytes
+        ser = size / self.bandwidth_mbps  # serialization_time(packet)
         self.busy_us += ser
-        verdict = self._transmit_verdict(packet)
+        if (
+            self.loss_filter is None
+            and self.fault_filter is None
+            and not self.is_down
+        ):
+            verdict = None  # what _transmit_verdict() says, uncalled
+        else:
+            verdict = self._transmit_verdict(packet)
         if verdict is not None:
             self.packets_dropped += 1
             if verdict == "corrupt":
@@ -218,7 +226,7 @@ class Channel:
                 self.packets_lost_down += 1
         else:
             self.packets_sent += 1
-            self.bytes_sent += packet.size_bytes
+            self.bytes_sent += size
             sim.schedule(ser + self.propagation_us, self._deliver, packet)
         # Channel frees up when the tail leaves the transmitter.
         if verdict is not None or self._queue:
@@ -231,10 +239,9 @@ class Channel:
     def _deliver(self, packet: Packet) -> None:
         assert self.sink is not None
         if self.tracer is not None and packet.ctx is not None:
-            self.tracer.record(
-                "net", "link.deliver", key=packet.packet_id,
-                channel=self.name, ctx=packet.ctx,
-            )
+            self.tracer.record_payload("net", "link.deliver", {
+                "key": packet.packet_id, "channel": self.name, "ctx": packet.ctx,
+            })
         self.sink.receive_packet(packet)
 
     def _tx_done(self) -> None:

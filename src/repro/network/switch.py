@@ -102,11 +102,10 @@ class CrossbarSwitch:
             return
         self.packets_routed += 1
         if self.tracer is not None and packet.ctx is not None:
-            self.tracer.record(
-                "net", "switch.route", key=packet.packet_id,
-                switch=self.name, in_port=in_port, out_port=out_port,
-                ctx=packet.ctx,
-            )
+            self.tracer.record_payload("net", "switch.route", {
+                "key": packet.packet_id, "switch": self.name,
+                "in_port": in_port, "out_port": out_port, "ctx": packet.ctx,
+            })
         if channel.queue_depth > 0:
             self.output_stalls[out_port] = self.output_stalls.get(out_port, 0) + 1
         self.sim.schedule(self.routing_delay_us, channel.send, packet)

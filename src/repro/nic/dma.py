@@ -54,6 +54,8 @@ class DmaEngine:
         prefix = name or "dma"
         metrics.observe(f"{prefix}.transfers", lambda: self.transfers)
         metrics.observe(f"{prefix}.bytes", lambda: self.bytes_moved)
+        #: Whether the two instruments below record (else they are no-ops).
+        self._timed = metrics.enabled
         #: Simulated time this engine holds the PCI bus (merged intervals).
         self._busy = metrics.busy_time(f"{prefix}.busy")
         #: Time spent waiting for the bus before each transfer -- the PCI
@@ -88,28 +90,34 @@ class DmaEngine:
         grant instant, and its end event releases the bus before this
         generator resumes.  A transfer interrupted or killed while
         holding the bus closes the busy interval and counts nothing.
+        With metrics disabled both instruments are no-ops, so the hold
+        carries no hook at all.
         """
         if size_bytes < 0:
             raise ValueError("negative DMA size")
         sim = self.sim
         requested_at = sim.now
-        busy = self._busy
+        # transfer_time(size_bytes), written out on the per-packet path.
+        duration = self.pci_setup_us + size_bytes / self.pci_bandwidth_mbps
+        if not self._timed:
+            yield Hold(self.pci_bus, duration)
+        else:
+            busy = self._busy
 
-        def granted() -> None:
-            self._pci_wait.observe(sim.now - requested_at)
-            busy.begin()
+            def granted() -> None:
+                self._pci_wait.observe(sim.now - requested_at)
+                busy.begin()
 
-        hold = Hold(self.pci_bus, self.transfer_time(size_bytes), granted)
-        try:
-            yield hold
-        finally:
-            if hold.timer is not None:  # granted: the busy interval is open
-                busy.end()
+            hold = Hold(self.pci_bus, duration, granted)
+            try:
+                yield hold
+            finally:
+                if hold.timer is not None:  # granted: the interval is open
+                    busy.end()
         self.transfers += 1
         self.bytes_moved += size_bytes
         if ctx is not None and self.tracer is not None:
-            self.tracer.record(
-                self._trace_category, self._trace_label,
-                size=size_bytes, wait_us=self.sim.now - requested_at,
-                ctx=ctx,
-            )
+            self.tracer.record_payload(self._trace_category, self._trace_label, {
+                "size": size_bytes, "wait_us": self.sim.now - requested_at,
+                "ctx": ctx,
+            })

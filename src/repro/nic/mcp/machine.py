@@ -13,60 +13,72 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict
 
 from repro.sim.primitives import Hold
-from repro.sim.process import Process, ProcessKilled
+from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nic.nic import Nic
 
-#: ``{machine_name: {label: "machine_name.label"}}``: each trace label
-#: is built once, not on every record.
-_LABELS: Dict[str, Dict[str, str]] = {}
-
 
 class Firmware:
     """MCP code bound to one NIC: charges its LANai and records its
-    trace events as ``"<machine_name>.<label>"``."""
+    trace events as ``"<machine_name>.<label>"``.
+
+    The LANai resource, the card's cost table and the tracer's record
+    method are bound once per object, and each trace label is built
+    once per class, so a charge or a trace record looks nothing up
+    through the NIC.
+    """
 
     #: Subclasses set this for traces.
     machine_name = "machine"
     nic: "Nic"
+    #: ``{label: "machine_name.label"}`` of this class.
+    _labels: Dict[str, str] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._labels = {}
+
+    def __init__(self, nic: "Nic") -> None:
+        self.nic = nic
+        self._lanai = nic.cpu_resource
+        self._costs = nic.model.costs
+        tracer = nic.tracer
+        self._record_payload = None if tracer is None else tracer.record_payload
+        self._category = nic.trace_category
 
     def cpu(self, operation: str) -> Hold:
         """Charge one firmware operation against the NIC processor.
 
         Usage: ``yield self.cpu("recv_packet")``.
         """
-        nic = self.nic
-        return Hold(nic.cpu_resource, nic.model.costs[operation])
+        return Hold(self._lanai, self._costs[operation])
 
     def trace(self, label: str, **payload) -> None:
         """Record a trace event if tracing is enabled."""
-        nic = self.nic
-        if nic.tracer is not None:
+        record = self._record_payload
+        if record is not None:
             try:
-                full = _LABELS[self.machine_name][label]
+                full = self._labels[label]
             except KeyError:
-                full = f"{self.machine_name}.{label}"
-                _LABELS.setdefault(self.machine_name, {})[label] = full
-            nic.tracer.record(nic.trace_category, full, **payload)
+                full = self._labels[label] = f"{self.machine_name}.{label}"
+            record(self._category, full, payload)
 
 
 class StateMachine(Firmware):
-    """Base class: binds to a NIC, runs :meth:`_run` as a process."""
+    """Base class: binds to a NIC, runs :meth:`_run` as a process.
+
+    A killed machine needs no guard: ``Process`` completes a process
+    killed by :meth:`~repro.sim.process.Process.kill` with ``None``.
+    """
 
     def __init__(self, nic: "Nic") -> None:
-        self.nic = nic
+        super().__init__(nic)
         self.process = Process(
             nic.sim,
-            self._guarded_run(),
+            self._run(),
             name=f"nic{nic.node_id}.{self.machine_name}",
         )
-
-    def _guarded_run(self):
-        try:
-            yield from self._run()
-        except ProcessKilled:
-            return
 
     def _run(self):  # pragma: no cover - abstract
         raise NotImplementedError

@@ -239,10 +239,19 @@ class Store(Generic[T]):
         return tuple(self._items)
 
     def put(self, item: T) -> None:
-        """Enqueue ``item``; wakes the oldest blocked getter if any."""
+        """Enqueue ``item``; wakes the oldest blocked getter if any.
+
+        The hand-off fires the getter in place -- what
+        ``getter.succeed(item)`` does for a ``_Get``, which has no
+        subscribers: mark it fired and, if its process waits on it,
+        schedule :meth:`_Get._wake` where ``_dispatch`` would.
+        """
         if self._getters:
             getter = self._getters.popleft()
-            getter.succeed(item)
+            getter._triggered = True
+            getter._value = item
+            if getter.active:
+                self.sim.schedule(0.0, getter._wake, priority=PRIORITY_HIGH)
             return
         if self.capacity is not None and len(self._items) >= self.capacity:
             raise OverflowError(
@@ -428,15 +437,18 @@ class Resource:
 
     def release(self) -> None:
         """Return a unit of capacity; grants the oldest waiter if any."""
-        if self._in_use <= 0:
+        in_use = self._in_use
+        if in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name!r}")
         if self._waiters:
             # Hand the unit directly to the next waiter: _in_use unchanged.
-            waiter = self._waiters.popleft()
-            waiter.succeed(None)
+            self._waiters.popleft().succeed(None)
         else:
-            self._account()
-            self._in_use -= 1
+            # _account() written out: every charge ends here.
+            now = self.sim.now
+            self._busy_time += in_use * (now - self._last_change)
+            self._last_change = now
+            self._in_use = in_use - 1
 
     # -- abandonment protocol ------------------------------------------
     def _purge_request(self, ev: SimEvent) -> None:
@@ -472,13 +484,13 @@ class Hold:
     record of the process that yields it: no wait handle is allocated.
 
     A hold is either queued or holding.  The grant is inline: the moment
-    a unit is free for it -- at wait time, or inside the ``release()``
-    that hands it the unit -- the hold schedules its end event
-    ``duration`` us later, right there.  The end event releases the
-    unit through ``Resource.release()`` and then resumes the process.
-    That is one event per charge, at the same grant order and release
-    instants as a request/timeout/release sequence, which costs two (the
-    grant resume and the timeout).
+    a unit is free for it -- in :meth:`_wait`, or in the ``succeed()``
+    that ``release()`` calls to hand it the unit -- the hold schedules
+    its end event ``duration`` us later, right there.  The end event
+    releases the unit through ``Resource.release()`` and then resumes
+    the process.  That is one event per charge, at the same grant order
+    and release instants as a request/timeout/release sequence, which
+    costs two (the grant resume and the timeout).
 
     ``on_grant`` is an internal hook called at the grant instant, before
     the end event is scheduled; the DMA engines use it to time bus waits.
@@ -509,16 +521,26 @@ class Hold:
         self.process = process
         self.active = True
         resource = self.resource
-        if resource._in_use < resource.capacity and not resource._waiters:
-            resource._account()
-            resource._in_use += 1
-            self.succeed()
+        in_use = resource._in_use
+        if in_use < resource.capacity and not resource._waiters:
+            sim = resource.sim
+            if in_use:
+                resource._account()
+            else:
+                # Idle: the busy integral grows by 0 * dt, so only the
+                # accounting instant moves.
+                resource._last_change = sim.now
+            resource._in_use = in_use + 1
+            if self.on_grant is not None:
+                self.on_grant()
+            self.timer = sim.schedule(self.duration, self._done)
         else:
             resource._waiters.append(self)
 
     def succeed(self, _value: None = None) -> None:
-        """A unit is granted (``Resource.release`` calls this on queued
-        holds as on queued request events): schedule the end event."""
+        """A queued hold is granted (``Resource.release`` calls this on
+        queued holds as on queued request events): schedule the end
+        event, as :meth:`_wait` does for a hold granted at once."""
         if self.on_grant is not None:
             self.on_grant()
         self.timer = self.resource.sim.schedule(self.duration, self._done)

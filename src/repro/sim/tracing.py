@@ -352,6 +352,15 @@ class Tracer:
         The flight ring is fed unconditionally (that is its point); the
         full event list and sink only when enabled.
         """
+        self.record_payload(category, label, payload)
+
+    def record_payload(
+        self, category: str, label: str, payload: Dict[str, Any]
+    ) -> None:
+        """:meth:`record` with the payload passed as a dict, which the
+        flight ring and the event keep as it is: a hot caller that
+        builds a fresh dict per record hands it over without a copy.
+        """
         flight_append = self._flight_append
         if flight_append is not None:
             flight_append((self.sim.now, category, label, payload))

@@ -20,36 +20,52 @@ from repro.sim.primitives import Timeout
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tracked_file_digests() -> Optional[Dict[str, Optional[str]]]:
-    """sha256 of every git-tracked file (None when not a git checkout)."""
+def tracked_file_states(
+    root: Path = REPO_ROOT,
+) -> Optional[Dict[str, Optional[Tuple[str, int]]]]:
+    """``(sha256, st_mtime_ns)`` of every git-tracked file under ``root``
+    (None for a tracked file that is missing; None overall when ``root``
+    is not a git checkout).  The mtime catches a file rewritten with
+    identical bytes, which the digest alone cannot."""
     try:
         listing = subprocess.run(
-            ["git", "ls-files", "-z"], cwd=REPO_ROOT,
+            ["git", "ls-files", "-z"], cwd=root,
             capture_output=True, check=True,
         ).stdout
     except (OSError, subprocess.CalledProcessError):
         return None
-    digests: Dict[str, Optional[str]] = {}
+    states: Dict[str, Optional[Tuple[str, int]]] = {}
     for name in listing.decode().split("\0"):
         if name:
-            path = REPO_ROOT / name
-            digests[name] = (
-                hashlib.sha256(path.read_bytes()).hexdigest()
+            path = root / name
+            states[name] = (
+                (hashlib.sha256(path.read_bytes()).hexdigest(),
+                 path.stat().st_mtime_ns)
                 if path.is_file() else None
             )
-    return digests
+    return states
+
+
+def changed_tracked_files(
+    before: Dict[str, Optional[Tuple[str, int]]],
+    after: Optional[Dict[str, Optional[Tuple[str, int]]]],
+) -> List[str]:
+    """Tracked files whose content or mtime differs between two
+    :func:`tracked_file_states` readings (or that stopped existing)."""
+    after = after or {}
+    return sorted(name for name in before if after.get(name) != before[name])
 
 
 @pytest.fixture(scope="session", autouse=True)
 def tracked_files_unchanged():
     """The suite is hermetic: fail the session if any tracked file was
-    modified (tests write under ``tmp_path`` only)."""
-    before = _tracked_file_digests()
+    written, even with the bytes it had (tests write under ``tmp_path``
+    only)."""
+    before = tracked_file_states()
     yield
     if before is None:
         return
-    after = _tracked_file_digests() or {}
-    changed = sorted(name for name in before if after.get(name) != before[name])
+    changed = changed_tracked_files(before, tracked_file_states())
     assert not changed, f"the test session modified tracked files: {changed}"
 
 

@@ -8,7 +8,7 @@ from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.gm.events import RecvEvent
 from repro.network.packet import PacketType
 from repro.nic.nic import NicParams
-from repro.sim.primitives import Timeout
+from repro.sim.primitives import Hold, Timeout
 
 
 def two_nodes(**cfg_kw):
@@ -272,3 +272,65 @@ class TestNicCpuContention:
         quiet = run(False)
         busy = run(True)
         assert busy > quiet
+
+
+#: ``Nic.machines`` order.
+MACHINES = ("sdma", "send", "recv", "rdma")
+
+
+def queue_charging_work(nic, machine):
+    """Queue one work item on which ``machine`` charges the LANai."""
+    if machine == "sdma":
+        def step():
+            yield nic.barrier_engine.cpu("token_process")
+
+        nic.sdma_inbox.put(("firmware", step))
+    elif machine == "send":
+        ack = nic.make_packet(
+            PacketType.ACK, dst_node=1, dst_port=0, src_port=0,
+            payload={"cum_seqno": 0},
+        )
+        nic.send_queue.put((ack, False))
+    elif machine == "recv":
+        nic.recv_queue.put(nic.make_packet(
+            PacketType.HEARTBEAT, dst_node=0, dst_port=0, src_port=0,
+        ))
+    else:
+        nic.rdma_queue.put(("ack_gen", 1))
+
+
+class TestMachineKill:
+    """An MCP machine runs its ``_run()`` generator directly: killed
+    mid-charge or while waiting on its queue, by ``Nic.crash()`` or a
+    bare ``Process.kill()``, it completes with None, not failed, and
+    the LANai unit a charge held goes back."""
+
+    @pytest.mark.parametrize("how", ["crash", "kill"])
+    @pytest.mark.parametrize("state", ["mid_charge", "queue_wait"])
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_killed_machine_completes_with_none(self, machine, state, how):
+        with build_cluster(ClusterConfig(num_nodes=2)) as cluster:
+            sim = cluster.sim
+            nic = cluster.node(0).nic
+            sim.run()  # every machine blocks on its queue
+            process = nic.machines[MACHINES.index(machine)]
+            assert process.name == f"nic0.{machine}"
+            if state == "mid_charge":
+                queue_charging_work(nic, machine)
+                while not (
+                    type(process._current_wait) is Hold
+                    and process._current_wait.timer is not None
+                ):
+                    assert sim.step()
+                assert process._current_wait.resource is nic.cpu_resource
+                assert nic.cpu_resource.in_use == 1
+            if how == "crash":
+                nic.crash()
+            else:
+                process.kill()
+            sim.run(max_events=1_000)
+            for proc in nic.machines if how == "crash" else (process,):
+                assert not proc.alive
+                assert proc.completion_event._exception is None
+                assert proc.result is None
+            assert nic.cpu_resource.in_use == 0

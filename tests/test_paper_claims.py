@@ -18,7 +18,11 @@ import re
 
 import pytest
 
-from repro.analysis.calibration import LANAI_4_3_SYSTEM, LANAI_7_2_SYSTEM
+from repro.analysis.calibration import (
+    LANAI_4_3_SYSTEM,
+    LANAI_7_2_SYSTEM,
+    PAPER_ANCHORS,
+)
 from repro.analysis.experiments import measure_barrier
 from repro.analysis.figure5 import BENCH_REPS, BENCH_WARMUP, VARIANTS, run_figure5
 from repro.analysis.model import BarrierModel, derive_model_params
@@ -138,6 +142,25 @@ def printed_panel(cells, panel):
     return {key: value for key, value in cells.items() if key[0] == panel}
 
 
+def deviation(measured, lanai, n, variant):
+    """Percent deviation of ``measured`` from the paper's anchor."""
+    return 100.0 * (measured / PAPER_ANCHORS[lanai, n, variant].value - 1.0)
+
+
+def as_printed(printed, percent):
+    """``percent`` in the form of the printed deviation ``printed``: its
+    decimals, an explicit sign, the minus as U+2212."""
+    places = len(printed.partition(".")[2])
+    return f"{percent:+.{places}f}".replace("-", "\u2212")
+
+
+def printed_deviations(heading, pattern, *percents):
+    """The percentages ``pattern`` reads under ``heading``, next to the
+    measured ``percents`` rounded the same way."""
+    printed = number(EXPERIMENTS, heading, pattern)
+    return printed, tuple(map(as_printed, printed, percents))
+
+
 @pytest.fixture(scope="module")
 def printed():
     return printed_figure5(EXPERIMENTS)
@@ -204,6 +227,29 @@ class TestFig5aLatencyLanai43:
             cell("host-gb", 16),
         )
 
+    def test_printed_deviations(self, fig5_lanai43):
+        def dev(variant):
+            return deviation(
+                fig5_lanai43[variant][16].mean_latency_us, "LANai 4.3", 16, variant
+            )
+
+        heading = "Figure 5(a)"
+        printed, measured = printed_deviations(
+            heading,
+            r"NIC-PE\(16\) (\S+) % vs paper; NIC-GB\(16\) (\S+) %\. "
+            r"Host-PE\(16\) = \S+ vs \S+ derived \((\S+) %\).*? "
+            r"derived from the paper \((\S+) %\).*? same effect \((\S+) %\)",
+            dev("nic-pe"), dev("nic-gb"), dev("host-pe"), dev("host-gb"),
+            dev("nic-gb"),
+        )
+        assert printed == measured
+        assert number(
+            EXPERIMENTS, heading, r"vs (\S+) derived \(.*? vs ~(\S+) derived"
+        ) == tuple(
+            f"{PAPER_ANCHORS['LANai 4.3', 16, variant].value:.1f}"
+            for variant in ("host-pe", "host-gb")
+        )
+
     def test_nic_pe_16(self, fig5_lanai43):
         # The headline anchor (simulator calibrated within ~10%).
         assert fig5_lanai43["nic-pe"][16].mean_latency_us == pytest.approx(
@@ -238,6 +284,18 @@ class TestFig5bImprovementLanai43:
             printed[1], "b"
         )
 
+    def test_printed_deviations(self, fig5_lanai43):
+        sweep = fig5_lanai43
+        printed, measured = printed_deviations(
+            "Figure 5(b)",
+            r"PE factors (\S+) % \(16\) and (\S+) % \(8\).*? "
+            r"GB\(16\) factor runs (\S+) % high",
+            deviation(factor(sweep, "pe", 16), "LANai 4.3", 16, "factor-pe"),
+            deviation(factor(sweep, "pe", 8), "LANai 4.3", 8, "factor-pe"),
+            deviation(factor(sweep, "gb", 16), "LANai 4.3", 16, "factor-gb"),
+        )
+        assert printed == measured
+
     def test_factor_pe_16(self, fig5_lanai43):
         assert factor(fig5_lanai43, "pe", 16) == pytest.approx(1.78, rel=0.07)
 
@@ -257,6 +315,18 @@ class TestFig5bImprovementLanai43:
 class TestFig5cLatencyLanai72:
     def test_printed_cells(self, fig5_lanai72, printed):
         assert latency_cells("c", fig5_lanai72) == printed_panel(printed[0], "c")
+
+    def test_printed_deviations(self, fig5_lanai72):
+        printed, measured = printed_deviations(
+            "Figure 5(c)", r"NIC-PE\(8\) (\S+) %, host-PE\(8\) (\S+) %",
+            *(
+                deviation(
+                    fig5_lanai72[variant][8].mean_latency_us, "LANai 7.2", 8, variant
+                )
+                for variant in ("nic-pe", "host-pe")
+            ),
+        )
+        assert printed == measured
 
     def test_nic_pe_8(self, fig5_lanai72):
         assert fig5_lanai72["nic-pe"][8].mean_latency_us == pytest.approx(
@@ -292,6 +362,13 @@ class TestFig5dImprovementLanai72:
             f"{factor(fig5_lanai72, 'pe', 8):.2f}",
             f"{factor(fig5_lanai43, 'pe', 8):.2f}",
         )
+
+    def test_printed_deviations(self, fig5_lanai72):
+        printed, measured = printed_deviations(
+            "Figure 5(d)", r"(\S+) % on the anchor",
+            deviation(factor(fig5_lanai72, "pe", 8), "LANai 7.2", 8, "factor-pe"),
+        )
+        assert printed == measured
 
     def test_factor_pe_8(self, fig5_lanai72):
         assert factor(fig5_lanai72, "pe", 8) == pytest.approx(1.83, rel=0.07)
@@ -408,6 +485,8 @@ class TestIntroEstimates:
         assert number(EXPERIMENTS, heading, r"host-PE = (\S+) .*? host-GB\(best\) = (\S+) ") == (
             f"{host_pe:.1f}", f"{host_gb:.1f}",
         )
+        printed = number(EXPERIMENTS, heading, r"on the low bound, (\S+) %")
+        assert printed == (as_printed(printed[0], 100.0 * (host_pe / low - 1.0)),)
         # PE lands on the low estimate (each PE step is one message time).
         assert host_pe == pytest.approx(low, rel=0.15)
         # GB lands inside the band: tree parallelism and pipelining beat
