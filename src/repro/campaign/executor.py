@@ -401,7 +401,11 @@ def run_campaign(
         workers = max(1, min(jobs, len(pending)))
         if workers == 1:
             for index, spec, key in pending:
-                finish(index, spec, key, _execute_job_payload(spec.to_dict()))
+                # In process the payload needs no copy: the job only
+                # reads it.  Only the pool pickles ``to_dict()``.
+                job = {"kind": spec.kind, "config": spec.config,
+                       "params": spec.params, "tag": spec.tag}
+                finish(index, spec, key, _execute_job_payload(job))
         else:
             from concurrent.futures import Future
             from concurrent.futures.process import (

@@ -32,14 +32,18 @@ Endpoint = Tuple[int, int]
 
 
 def _recv_from(port: GmPort, src: Endpoint, tag: str):
-    """Wait for a message from ``src`` with phase tag ``tag``."""
-    event = yield from port.receive_where(
+    """Wait for a message from ``src`` with phase tag ``tag`` (host
+    generator -> the event).
+
+    Returns ``receive_where``'s generator itself, so a ``yield from``
+    resumes no pass-through frame.
+    """
+    return port.receive_where(
         lambda ev: isinstance(ev, RecvEvent)
         and (ev.src_node, ev.src_port) == src
         and isinstance(ev.payload, dict)
         and ev.payload.get("tag") == tag
     )
-    return event
 
 
 def run_schedule(
@@ -105,8 +109,12 @@ def host_barrier(
     GB's broadcast sends are issued back-to-back, which lets them
     pipeline through the NIC -- the effect the paper credits for the
     host-based GB's relatively good showing.
+
+    Returns :func:`run_schedule`'s generator itself (a barrier schedule
+    has no result slot, so it returns None), so a ``yield from``
+    resumes no pass-through frame.
     """
-    yield from run_schedule(
+    return run_schedule(
         port, group, compile_barrier(len(group), rank, algorithm, dimension)
     )
 

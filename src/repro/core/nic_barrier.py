@@ -558,7 +558,7 @@ class NicBarrierEngine(Firmware):
                 payload=payload,
                 ctx=pctx,
             )
-            token.sent_to.append((endpoint, ptype.value))
+            token.sent_to.append((endpoint, ptype.wire))
             nic.rdma_queue.put(("barrier_rx", packet))
             self.trace("local_deliver", dst=endpoint, ctx=pctx)
             return
@@ -582,7 +582,7 @@ class NicBarrierEngine(Firmware):
             payload=payload,
             ctx=pctx,
         )
-        token.sent_to.append((endpoint, ptype.value))
+        token.sent_to.append((endpoint, ptype.wire))
 
         if mode is BarrierReliability.SEPARATE:
             conn.record_barrier_sent(
@@ -601,7 +601,7 @@ class NicBarrierEngine(Firmware):
         if is_resend:
             self.resends += 1
         nic.send_queue.put((packet, False))
-        self.trace("send", dst=endpoint, type=ptype.value, seq=seqno, ctx=pctx)
+        self.trace("send", dst=endpoint, type=ptype.wire, seq=seqno, ctx=pctx)
 
     # ------------------------------------------------------------------
     # Closed-port recovery (Section 3.2)

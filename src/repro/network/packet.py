@@ -57,43 +57,35 @@ class PacketType(enum.Enum):
     #: (no reliability stream, no ACK) -- its *absence* is the signal.
     HEARTBEAT = "heartbeat"
 
-    @property
-    def is_barrier(self) -> bool:
-        """Whether this type is a barrier payload (PE/gather/bcast)."""
-        return self in _BARRIER_PAYLOAD_TYPES
-
-    @property
-    def is_collective(self) -> bool:
-        """Whether this type is a data-collective payload."""
-        return self in _COLLECTIVE_PAYLOAD_TYPES
-
-    @property
-    def is_onesided(self) -> bool:
-        """Whether this type is a one-sided Get/Put payload."""
-        return self in _ONESIDED_PAYLOAD_TYPES
-
-    @property
-    def is_control(self) -> bool:
-        """Whether this is a protocol control packet (ACK family)."""
-        return self in (
-            PacketType.ACK,
-            PacketType.NACK,
-            PacketType.BARRIER_ACK,
-            PacketType.BARRIER_REJECT,
-        )
+    # Plain attributes of every member, set once below the class: a
+    # packet-path test reads one attribute, where a property would call
+    # into Python and hash the member into a frozenset.
+    #: The wire name, ``value`` without the two Python calls it costs.
+    wire: str
+    #: Whether this type is a barrier payload (PE/gather/bcast).
+    is_barrier: bool
+    #: Whether this type is a data-collective payload.
+    is_collective: bool
+    #: Whether this type is a one-sided Get/Put payload.
+    is_onesided: bool
+    #: Whether this is a protocol control packet (ACK family).
+    is_control: bool
 
 
-_BARRIER_PAYLOAD_TYPES = frozenset(
-    {PacketType.BARRIER_PE, PacketType.BARRIER_GATHER, PacketType.BARRIER_BCAST}
-)
-
-_COLLECTIVE_PAYLOAD_TYPES = frozenset(
-    {PacketType.COLL_REDUCE, PacketType.COLL_BCAST}
-)
-
-_ONESIDED_PAYLOAD_TYPES = frozenset(
-    {PacketType.PUT, PacketType.GET_REQ, PacketType.GET_REPLY}
-)
+for _ptype in PacketType:
+    _ptype.wire = _ptype.value
+    _ptype.is_barrier = _ptype in (
+        PacketType.BARRIER_PE, PacketType.BARRIER_GATHER, PacketType.BARRIER_BCAST,
+    )
+    _ptype.is_collective = _ptype in (PacketType.COLL_REDUCE, PacketType.COLL_BCAST)
+    _ptype.is_onesided = _ptype in (
+        PacketType.PUT, PacketType.GET_REQ, PacketType.GET_REPLY,
+    )
+    _ptype.is_control = _ptype in (
+        PacketType.ACK, PacketType.NACK, PacketType.BARRIER_ACK,
+        PacketType.BARRIER_REJECT,
+    )
+del _ptype
 
 #: Myrinet/GM-like header size in bytes (route bytes + type + src/dst
 #: port ids + sequence number + CRC).
@@ -167,7 +159,7 @@ class Packet:
 
     def __str__(self) -> str:
         return (
-            f"{self.ptype.value}#{self.packet_id}"
+            f"{self.ptype.wire}#{self.packet_id}"
             f" ({self.src_node}:{self.src_port}->{self.dst_node}:{self.dst_port}"
             f" seq={self.seqno})"
         )

@@ -103,16 +103,18 @@ class DmaEngine:
             yield Hold(self.pci_bus, duration)
         else:
             busy = self._busy
+            granted = False
 
-            def granted() -> None:
+            def on_grant() -> None:
+                nonlocal granted
+                granted = True
                 self._pci_wait.observe(sim.now - requested_at)
                 busy.begin()
 
-            hold = Hold(self.pci_bus, duration, granted)
             try:
-                yield hold
+                yield Hold(self.pci_bus, duration, on_grant)
             finally:
-                if hold.timer is not None:  # granted: the interval is open
+                if granted:  # the interval is open
                     busy.end()
         self.transfers += 1
         self.bytes_moved += size_bytes

@@ -23,10 +23,12 @@ class Firmware:
     """MCP code bound to one NIC: charges its LANai and records its
     trace events as ``"<machine_name>.<label>"``.
 
-    The LANai resource, the card's cost table and the tracer's record
-    method are bound once per object, and each trace label is built
-    once per class, so a charge or a trace record looks nothing up
-    through the NIC.
+    A LANai charge is one :class:`~repro.sim.primitives.Hold` per
+    operation, built on its first use and shared by every machine of
+    the NIC (``Nic.lanai_charges``).  The tracer's record method is
+    bound once per object, and each trace label is built once per
+    class, so a charge or a trace record allocates nothing and looks
+    nothing up through the NIC.
     """
 
     #: Subclasses set this for traces.
@@ -41,8 +43,7 @@ class Firmware:
 
     def __init__(self, nic: "Nic") -> None:
         self.nic = nic
-        self._lanai = nic.cpu_resource
-        self._costs = nic.model.costs
+        self._charges = nic.lanai_charges
         tracer = nic.tracer
         self._record_payload = None if tracer is None else tracer.record_payload
         self._category = nic.trace_category
@@ -50,9 +51,17 @@ class Firmware:
     def cpu(self, operation: str) -> Hold:
         """Charge one firmware operation against the NIC processor.
 
-        Usage: ``yield self.cpu("recv_packet")``.
+        Usage: ``yield self.cpu("recv_packet")``.  Every call for one
+        operation returns the same hold.
         """
-        return Hold(self._lanai, self._costs[operation])
+        try:
+            return self._charges[operation]
+        except KeyError:
+            nic = self.nic
+            charge = self._charges[operation] = Hold(
+                nic.cpu_resource, nic.model.costs[operation]
+            )
+            return charge
 
     def trace(self, label: str, **payload) -> None:
         """Record a trace event if tracing is enabled."""

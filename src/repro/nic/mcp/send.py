@@ -28,5 +28,5 @@ class SendMachine(StateMachine):
             nic.inject(packet)
             if uses_buffer:
                 nic.tx_buffers.release()
-            self.trace("xmit", key=packet.packet_id, type=packet.ptype.value,
+            self.trace("xmit", key=packet.packet_id, type=packet.ptype.wire,
                        ctx=packet.ctx)

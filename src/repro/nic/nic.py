@@ -26,7 +26,7 @@ from repro.nic.mcp.recv import RecvMachine
 from repro.nic.mcp.sdma import SdmaMachine
 from repro.nic.mcp.send import SendMachine
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Resource, Store
+from repro.sim.primitives import Hold, Resource, Store
 from repro.sim.tracing import TraceContext, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -131,6 +131,9 @@ class Nic:
 
         # -- hardware resources ---------------------------------------------
         self.cpu_resource = Resource(sim, 1, name=f"nic{node_id}.cpu")
+        #: operation -> its LANai charge, built on first use by
+        #: ``Firmware.cpu`` and shared by every machine of this NIC.
+        self.lanai_charges: Dict[str, Hold] = {}
         self.pci_bus = Resource(sim, 1, name=f"nic{node_id}.pci")
         self.sdma_engine = DmaEngine(
             sim, self.pci_bus, self.params.pci_bandwidth_mbps,

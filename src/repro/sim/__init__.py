@@ -13,12 +13,14 @@ Key concepts
     A generator-based coroutine.  A process yields one *waitable* at a
     time -- a :class:`~repro.sim.primitives.Timeout`, a
     :class:`~repro.sim.primitives.SimEvent`, a ``Store.get()``, a
-    ``Resource.hold()`` or another process -- and is resumed when it
-    fires.
+    :class:`~repro.sim.primitives.Hold` or another process -- and is
+    resumed when it fires.  For a timeout, a hold and a get, the waiting
+    process is itself the wait record: those waits allocate nothing.
 :class:`~repro.sim.primitives.Store` / :class:`~repro.sim.primitives.Resource`
     FIFO queues with blocking ``get`` and capacity-limited resources with
     FIFO grant order, used to model NIC processors, DMA engines, buses and
-    hardware queues.
+    hardware queues.  Blocked getters and queued holds wait in them as
+    their processes.
 
 Determinism
 -----------

@@ -67,9 +67,10 @@ TIME, PRIORITY, SEQ, CALLBACK, ARGS, WHEEL_KEY = range(6)
 def _callback_owner(callback: Callable[..., None]) -> str:
     """Profiling label for a callback: its bound object, else its name.
 
-    A wait record (a ``Hold``, a ``Store.get()`` event, a wait handle)
+    A process's own wake-ups (the end of a ``Hold`` or ``Timeout``, a
+    ``Store`` hand-off) are ``Process._advance`` itself; a wait handle
     wakes the process waiting on it, so its callbacks are charged to
-    that process, as ``Process._advance`` is.
+    that process too.
     """
     obj = getattr(callback, "__self__", None)
     if obj is not None:

@@ -3,23 +3,27 @@
 Everything a :class:`~repro.sim.process.Process` can ``yield`` is defined
 here (plus ``Process`` itself, which is also waitable).  A process waits
 on one waitable at a time, as each of the MCP's state machines waits on
-one work queue, the LANai or a DMA.  The protocol is tiny: a
-:class:`Timeout` or :class:`SimEvent` exposes ``_subscribe(handle)``,
-which arranges for ``handle._resume(value)`` (a timeout) or
-``handle._deliver(value, exc)`` (an event) to be called exactly once
-when it fires.  The two waits of the packet path, a
-:class:`Hold` and a :meth:`Store.get`, skip it: each is its own wait
-record (``process``, ``active``, ``abandon()``), so a process waiting on
-one allocates no wait handle and its wake-up is a method of the
-waitable itself.
+one work queue, the LANai or a DMA.
 
-Abandonment protocol (the lost-wakeup fix): the handle a process waits
-through records what it subscribed to, and tearing a wait down on
-interrupt/kill *actively* releases it -- pending timers are cancelled,
-event subscriptions removed, and a value already in flight to the dead
-waiter is handed back to its owner (``Store`` re-queues the item,
-``Resource`` re-releases the unit) instead of vanishing.  See
-``docs/engine.md`` for the full semantics.
+The three waits of the packet path -- a :class:`Timeout`, a
+:class:`Hold` and a :meth:`Store.get` -- keep no state of their own: the
+waiting process is their wait record.  A ``Timeout`` and a ``Hold`` are
+plain descriptors (a ``Hold`` may be built once and yielded by any
+number of processes), ``Store.get()`` returns the store itself, and
+their wake-up is the process's own ``_advance``.  A Store queues its
+blocked getters, and a Resource its queued holds, as processes.
+
+A :class:`SimEvent` (and a ``Resource.request()``, which is one) exposes
+``_subscribe(handle)``, which arranges for ``handle._deliver(value,
+exc)`` to be called exactly once when it fires; the process waits on it
+through a per-suspension handle (``repro.sim.process._WaitHandle``).
+
+Abandonment protocol (the lost-wakeup fix): tearing a wait down on
+interrupt/kill *actively* releases what it claimed -- pending timers are
+cancelled, queued getters, holds and requests are purged, and a value
+already in flight to the dead waiter is handed back to its owner
+(``Store`` re-queues the item, ``Resource`` re-releases the unit)
+instead of vanishing.  See ``docs/engine.md`` for the full semantics.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ class Timeout:
 
     ``yield Timeout(5.0)`` suspends the yielding process for 5 us.  The
     resume value is the delay itself (rarely useful, but handy in tests).
+    The waiting process schedules its own wake-up and keeps the engine
+    entry, so an abandoned sleep cancels the timer outright.
     """
 
     __slots__ = ("delay",)
@@ -56,11 +62,6 @@ class Timeout:
         if delay < 0:
             raise ValueError(f"Timeout delay must be >= 0, got {delay}")
         self.delay = delay
-
-    def _subscribe(self, handle: Any) -> None:
-        # Remember the engine entry so abandoning the wait cancels the
-        # timer outright instead of letting it fire into a dead flag.
-        handle.timer = handle.sim.schedule(self.delay, handle._resume, self.delay)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Timeout({self.delay})"
@@ -76,12 +77,12 @@ class SimEvent(Generic[T]):
     Two owner hooks support the abandonment protocol:
 
     * ``abandon_hook`` -- called with the event when its (sole) waiter
-      abandons *before* the event fires; ``Store``/``Resource`` use it to
-      purge the event from their wait queues.
+      abandons *before* the event fires; ``Resource`` uses it to purge a
+      request from its wait queue.
     * ``_salvage`` -- called with the fired value when the waiter
       abandons *after* the event fired but before delivery landed (the
-      value is in flight to a dead handle); owners reclaim it so items
-      and capacity units are never lost to interrupt/kill races.
+      value is in flight to a dead handle); ``Resource`` reclaims the
+      granted unit, so capacity is never lost to interrupt/kill races.
     """
 
     __slots__ = (
@@ -169,21 +170,15 @@ class SimEvent(Generic[T]):
         handle.event = self
 
     def _waiter_abandoned(self, handle: Any) -> None:
-        """The handle subscribed via ``_subscribe`` was abandoned:
-        unsubscribe it, then drop its claim."""
-        if not self._triggered:
-            self._callbacks.remove(handle._deliver)
-        self._drop_claim()
+        """The handle subscribed via ``_subscribe`` gave up.
 
-    def _drop_claim(self) -> None:
-        """A waiter on this event gave up.
-
-        Before the event fires, its owner (Store/Resource) is told to
-        purge the queued claim, so a later ``put``/``release`` goes to a
-        live waiter.  After it fired, the value is in flight to a dead
-        waiter: it goes back to the owner (once) through ``_salvage``, so
-        an item or capacity grant is reclaimed, never lost.  Failures
-        need no salvage -- there is no item or unit in an exception.
+        Before the event fires, the handle is unsubscribed and the
+        event's owner is told to purge the queued claim, so a later
+        ``release`` goes to a live waiter.  After it fired, the value is
+        in flight to a dead waiter: it goes back to the owner (once)
+        through ``_salvage``, so a capacity grant is reclaimed, never
+        lost.  Failures need no salvage -- there is no unit in an
+        exception.
         """
         if self._triggered:
             salvage = self._salvage
@@ -191,6 +186,7 @@ class SimEvent(Generic[T]):
                 self._salvage = None
                 salvage(self._value)
             return
+        self._callbacks.remove(handle._deliver)
         hook = self.abandon_hook
         if hook is not None:
             self.abandon_hook = None
@@ -210,6 +206,10 @@ class Store(Generic[T]):
     overflows -- hardware queues in GM are flow-controlled by tokens, so an
     overflow is a protocol bug we want to surface loudly, not mask).
 
+    ``yield store.get()`` takes the oldest item, or blocks the process
+    until a ``put``.  A blocked getter is queued as its process, and the
+    hand-off schedules that process's wake-up with the item.
+
     Interrupt/kill safe: a getter whose process dies while blocked is
     purged from the wait queue, and an item already handed to a dying
     getter is reclaimed -- re-delivered to the next live getter or put
@@ -225,8 +225,7 @@ class Store(Generic[T]):
         self.name = name
         self.capacity = capacity
         self._items: Deque[T] = deque()
-        self._getters: Deque[SimEvent] = deque()
-        self._get_name = f"get:{name}"
+        self._getters: Deque["Process"] = deque()
         #: Deepest backlog seen; a queue-depth high-water mark for metrics.
         self.max_depth = 0
 
@@ -239,19 +238,18 @@ class Store(Generic[T]):
         return tuple(self._items)
 
     def put(self, item: T) -> None:
-        """Enqueue ``item``; wakes the oldest blocked getter if any.
+        """Enqueue ``item``; hands it to the oldest blocked getter if any.
 
-        The hand-off fires the getter in place -- what
-        ``getter.succeed(item)`` does for a ``_Get``, which has no
-        subscribers: mark it fired and, if its process waits on it,
-        schedule :meth:`_Get._wake` where ``_dispatch`` would.
+        The hand-off schedules the getter's wake-up at the current
+        instant with high priority, so it observes the queue as the
+        putter left it; the getter keeps the entry in case it is torn
+        down before the wake-up runs.
         """
         if self._getters:
             getter = self._getters.popleft()
-            getter._triggered = True
-            getter._value = item
-            if getter.active:
-                self.sim.schedule(0.0, getter._wake, priority=PRIORITY_HIGH)
+            getter._timer = self.sim.schedule(
+                0.0, getter._advance, item, None, priority=PRIORITY_HIGH
+            )
             return
         if self.capacity is not None and len(self._items) >= self.capacity:
             raise OverflowError(
@@ -262,17 +260,13 @@ class Store(Generic[T]):
         if len(self._items) > self.max_depth:
             self.max_depth = len(self._items)
 
-    def get(self) -> SimEvent[T]:
-        """Return a waitable that yields the next item (FIFO)."""
-        ev: _Get[T] = _Get(self)
-        if self._items:
-            # Fired before anyone can subscribe: nothing to dispatch.
-            ev._triggered = True
-            ev._value = self._items.popleft()
-        else:
-            ev.abandon_hook = self._purge_getter
-            self._getters.append(ev)
-        return ev
+    def get(self) -> "Store[T]":
+        """The waitable of a blocking get: ``item = yield store.get()``.
+
+        It is the store itself, so a get allocates nothing; the item is
+        taken (FIFO) when the process yields it.
+        """
+        return self
 
     def try_get(self) -> Optional[T]:
         """Non-blocking get: pop and return an item, or None if empty."""
@@ -285,10 +279,10 @@ class Store(Generic[T]):
         return self._items[0] if self._items else None
 
     # -- abandonment protocol ------------------------------------------
-    def _purge_getter(self, ev: SimEvent) -> None:
+    def _purge_getter(self, process: "Process") -> None:
         """A blocked getter's process died before any item arrived."""
         try:
-            self._getters.remove(ev)
+            self._getters.remove(process)
         except ValueError:  # pragma: no cover - already delivered/purged
             pass
 
@@ -300,60 +294,11 @@ class Store(Generic[T]):
         item queue ahead of anything enqueued since.
         """
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self.put(item)
             return
         self._items.appendleft(item)
         if len(self._items) > self.max_depth:
             self.max_depth = len(self._items)
-
-
-class _Get(SimEvent[T]):
-    """The event :meth:`Store.get` returns, and the wait record of a
-    process that yields it.
-
-    A process yielding a get waits on it directly
-    (``Process._advance``): no wait handle, and no callback.  The
-    ``put`` that fires it schedules :meth:`_wake` at the point
-    ``SimEvent._dispatch`` schedules a subscriber, and a get already
-    fired schedules it at once, as ``SimEvent._subscribe`` does.
-    """
-
-    __slots__ = ("process", "active")
-
-    def __init__(self, store: "Store[T]") -> None:
-        # SimEvent.__init__ written out: a get is made per packet hop.
-        self.sim = store.sim
-        self.name = store._get_name
-        self._callbacks = None
-        self._triggered = False
-        self._value = None
-        self._exception = None
-        self._salvage = store._reclaim
-        self.abandon_hook = None
-        self.active = False
-
-    def _wait(self, process: "Process") -> None:
-        """``process`` yielded this get: wake it when (or as) it fires."""
-        self.process = process
-        self.active = True
-        if self._triggered:
-            self.sim.schedule(0.0, self._wake, priority=PRIORITY_HIGH)
-
-    def _dispatch(self) -> None:
-        if self.active:
-            self.sim.schedule(0.0, self._wake, priority=PRIORITY_HIGH)
-
-    def _wake(self) -> None:
-        """Resume the waiting process with the item (if still waiting)."""
-        if self.active:
-            self.active = False
-            self.process._advance(self._value, self._exception)
-
-    def abandon(self) -> None:
-        """The waiting process was interrupted or killed: purge the
-        queued getter, or salvage an item already in flight to it."""
-        self.active = False
-        self._drop_claim()
 
 
 class Resource:
@@ -371,8 +316,9 @@ class Resource:
         ...                             # hold
         resource.release()
 
-    Both kinds of waiter share one FIFO queue.  A hold is granted inline
-    (see :class:`Hold`); a request is granted by firing its event.
+    Both kinds of waiter share one FIFO queue: a queued hold waits as
+    its process, a request as its event.  A hold is granted inline (see
+    :class:`Hold`); a request is granted by firing its event.
     Interrupt/kill safe: a waiter that dies while queued is purged, a
     request unit already granted to a dying waiter is released back
     (handed to the next waiter), and a dying holder's unit is released
@@ -387,7 +333,9 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: Deque[SimEvent] = deque()
+        #: Queued waiters: ``request()`` events and processes whose
+        #: ``Hold`` waits for a unit.
+        self._waiters: Deque[Any] = deque()
         self._req_name = f"req:{name}"
         #: Cumulative busy time integral for utilization accounting.
         self._busy_time = 0.0
@@ -400,7 +348,7 @@ class Resource:
 
     @property
     def queued(self) -> int:
-        """Requests waiting for capacity."""
+        """Waiters (requests and holds) queued for capacity."""
         return len(self._waiters)
 
     def _account(self) -> None:
@@ -431,7 +379,7 @@ class Resource:
             self._in_use += 1
             ev.succeed(None)
         else:
-            ev.abandon_hook = self._purge_request
+            ev.abandon_hook = self._purge_waiter
             self._waiters.append(ev)
         return ev
 
@@ -442,7 +390,11 @@ class Resource:
             raise RuntimeError(f"release of idle resource {self.name!r}")
         if self._waiters:
             # Hand the unit directly to the next waiter: _in_use unchanged.
-            self._waiters.popleft().succeed(None)
+            waiter = self._waiters.popleft()
+            if type(waiter) is SimEvent:
+                waiter.succeed(None)
+            else:
+                waiter._grant()
         else:
             # _account() written out: every charge ends here.
             now = self.sim.now
@@ -451,10 +403,11 @@ class Resource:
             self._in_use = in_use - 1
 
     # -- abandonment protocol ------------------------------------------
-    def _purge_request(self, ev: SimEvent) -> None:
-        """A queued requester's process died before being granted."""
+    def _purge_waiter(self, waiter: Any) -> None:
+        """A queued waiter (a request event, or a process whose hold
+        waits) died before being granted."""
         try:
-            self._waiters.remove(ev)
+            self._waiters.remove(waiter)
         except ValueError:  # pragma: no cover - already granted/purged
             pass
 
@@ -480,17 +433,23 @@ class Resource:
 
 
 class Hold:
-    """Waitable of :meth:`Resource.hold` (single use), and the wait
-    record of the process that yields it: no wait handle is allocated.
+    """Waitable of :meth:`Resource.hold`: charge ``duration`` us of one
+    unit of ``resource``.
 
-    A hold is either queued or holding.  The grant is inline: the moment
-    a unit is free for it -- in :meth:`_wait`, or in the ``succeed()``
-    that ``release()`` calls to hand it the unit -- the hold schedules
-    its end event ``duration`` us later, right there.  The end event
-    releases the unit through ``Resource.release()`` and then resumes
-    the process.  That is one event per charge, at the same grant order
-    and release instants as a request/timeout/release sequence, which
-    costs two (the grant resume and the timeout).
+    A hold is an immutable descriptor -- nothing in it changes when a
+    process yields it -- so one hold can be built once and yielded by
+    any number of processes, concurrently too (``Firmware.cpu`` keeps
+    one per LANai operation).  The yielding process is the wait record:
+    it is queued on the resource or holds a unit.
+
+    The grant is inline: the moment a unit is free for the process --
+    when it yields the hold, or in the ``release()`` that hands it the
+    unit -- its end event is scheduled ``duration`` us later, right
+    there.  The end event resumes the process, which first releases the
+    unit through ``Resource.release()``.  That is one event per charge,
+    at the same grant order and release instants as a
+    request/timeout/release sequence, which costs two (the grant resume
+    and the timeout).
 
     ``on_grant`` is an internal hook called at the grant instant, before
     the end event is scheduled; the DMA engines use it to time bus waits.
@@ -502,7 +461,7 @@ class Hold:
     request/timeout/release sequence does.
     """
 
-    __slots__ = ("resource", "duration", "on_grant", "timer", "process", "active")
+    __slots__ = ("resource", "duration", "on_grant")
 
     def __init__(
         self,
@@ -513,57 +472,6 @@ class Hold:
         self.resource = resource
         self.duration = duration
         self.on_grant = on_grant
-        #: The end event once granted; None while queued.
-        self.timer: Any = None
-
-    def _wait(self, process: "Process") -> None:
-        """``process`` yielded this hold: grant it now, or queue it."""
-        self.process = process
-        self.active = True
-        resource = self.resource
-        in_use = resource._in_use
-        if in_use < resource.capacity and not resource._waiters:
-            sim = resource.sim
-            if in_use:
-                resource._account()
-            else:
-                # Idle: the busy integral grows by 0 * dt, so only the
-                # accounting instant moves.
-                resource._last_change = sim.now
-            resource._in_use = in_use + 1
-            if self.on_grant is not None:
-                self.on_grant()
-            self.timer = sim.schedule(self.duration, self._done)
-        else:
-            resource._waiters.append(self)
-
-    def succeed(self, _value: None = None) -> None:
-        """A queued hold is granted (``Resource.release`` calls this on
-        queued holds as on queued request events): schedule the end
-        event, as :meth:`_wait` does for a hold granted at once."""
-        if self.on_grant is not None:
-            self.on_grant()
-        self.timer = self.resource.sim.schedule(self.duration, self._done)
-
-    def _done(self) -> None:
-        """The end event, the only event a hold schedules: release the
-        unit, then resume the process."""
-        if self.active:
-            self.active = False
-            self.resource.release()
-            self.process._advance(None, None)
-
-    def abandon(self) -> None:
-        """The waiting process was interrupted or killed."""
-        self.active = False
-        timer = self.timer
-        if timer is None:
-            self.resource._purge_request(self)
-        else:
-            # The unit is released when the exception reaches the
-            # generator.
-            self.resource.sim.cancel(timer)
-            self.process._held = self.resource
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Hold({self.resource.name!r}, {self.duration})"

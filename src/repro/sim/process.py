@@ -7,24 +7,29 @@ thrown into it when the waitable fails.  ``return value`` inside the
 generator completes the process and fires its ``completion_event`` with
 that value.
 
-Stale-wakeup safety: every suspension has its own *wait record*.  For a
-:class:`~repro.sim.primitives.Hold` or a ``Store.get()`` the waitable is
-the record; any other waitable gets a fresh :class:`_WaitHandle`.  If the
-process is interrupted (or killed) while suspended, the abandoned record
-is invalidated, so a Timeout or SimEvent that fires later cannot resume
-the process into the wrong wait.  Abandonment is *active*, not just a
-dead flag: the record cancels its pending timer, unsubscribes from its
-event, and tells the event's owner (Store/Resource) so an in-flight
-delivery is reclaimed rather than lost -- see ``docs/engine.md`` for the
-full cancellation semantics.
+Stale-wakeup safety: every suspension has one *wait record*.  For the
+three waits of the packet path -- a :class:`~repro.sim.primitives.Timeout`,
+a :class:`~repro.sim.primitives.Hold` and a ``Store.get()`` -- the
+process itself is the record: it keeps the engine entry of its wake-up
+(``_timer``) and the resource unit it holds (``_held``), a Store or
+Resource queues it as itself, and the wake-up calls :meth:`Process._advance`
+directly, which releases a held unit before it resumes the generator.
+A SimEvent or process-join wait gets a fresh :class:`_WaitHandle`.  If
+the process is interrupted (or killed) while suspended, its wait is
+abandoned, so nothing that fires later can resume the process into the
+wrong wait.  Abandonment is *active*, not just a dead flag: a pending
+timer is cancelled, a queued getter or hold is purged, an event
+subscription is removed, and a value already in flight to the process is
+handed back to its owner (Store/Resource) rather than lost -- see
+``docs/engine.md`` for the full cancellation semantics.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.sim.engine import PRIORITY_HIGH, Simulator
-from repro.sim.primitives import Hold, Interrupted, SimEvent, Timeout, _Get
+from repro.sim.engine import ARGS, CALLBACK, PRIORITY_HIGH, Simulator
+from repro.sim.primitives import Hold, Interrupted, SimEvent, Store, Timeout
 
 
 class ProcessKilled(Exception):
@@ -32,54 +37,39 @@ class ProcessKilled(Exception):
 
 
 class _WaitHandle:
-    """Per-suspension proxy handed to waitables that are not their own
-    wait record (everything but a ``Hold`` and a ``Store.get()``).
+    """Per-suspension proxy for a wait on a ``SimEvent`` (a
+    ``Resource.request()`` included) or on another process.
 
-    Offers the ``_resume``/``_deliver``/``sim`` surface a ``Timeout`` or
-    ``SimEvent`` subscribes to, but delivers only while it is the
-    process's *current* wait.  This makes abandoned waits (after
-    interrupt/kill) harmless.
+    Offers the ``_deliver`` callback a ``SimEvent`` subscribes, but
+    delivers only while it is the process's *current* wait.
+    This makes abandoned waits (after interrupt/kill) harmless.
 
-    The handle also records *how to tear the wait down* so abandonment
-    can release engine resources instead of leaving them to fire into a
-    dead flag:
-
-    * ``timer`` -- the engine handle of a pending ``Timeout``,
-      cancelled on abandon so it never even reaches dispatch;
-    * ``event`` -- the ``SimEvent`` subscribed to, notified via
-      ``_waiter_abandoned`` so it can unsubscribe us or salvage a value
-      or capacity unit already in flight (the Resource lost-wakeup
-      fix).
+    The handle also records *how to tear the wait down*: ``event`` is
+    the ``SimEvent`` subscribed to, notified via ``_waiter_abandoned``
+    so it can unsubscribe us or salvage a capacity unit already in
+    flight (the Resource lost-wakeup fix).
     """
 
-    __slots__ = ("process", "sim", "active", "timer", "event")
+    __slots__ = ("process", "active", "event")
 
     def __init__(self, process: "Process") -> None:
         self.process = process
-        self.sim = process.sim
         self.active = True
-        self.timer: Optional[list] = None
         self.event: Optional[SimEvent] = None
-
-    def _resume(self, value: Any) -> None:
-        if self.active:
-            self.active = False
-            self.process._advance(value, None)
 
     def _deliver(self, value: Any, exc: Optional[BaseException]) -> None:
         """The SimEvent callback: resume with ``value``, or throw ``exc``
         (a failed event's value is None)."""
         if self.active:
             self.active = False
-            self.process._advance(value, exc)
+            process = self.process
+            # Delivered: no longer a wait for _advance to tear down.
+            process._current_wait = None
+            process._advance(value, exc)
 
     def abandon(self) -> None:
-        """Deactivate and tear down whatever this wait subscribed to."""
+        """Deactivate and tear down the event subscription."""
         self.active = False
-        timer = self.timer
-        if timer is not None:
-            self.timer = None
-            self.sim.cancel(timer)
         event = self.event
         if event is not None:
             self.event = None
@@ -112,12 +102,17 @@ class Process:
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self.completion_event: SimEvent = SimEvent(sim, name=f"done:{self.name}")
-        #: The wait record of the current suspension (a ``_WaitHandle``,
-        #: ``Hold`` or ``Store.get()`` event), None while running.
+        #: What the current suspension waits on -- a ``Timeout``,
+        #: ``Hold`` or ``Store`` (the process is the record), or a
+        #: ``_WaitHandle`` -- None while running or once delivered.
         self._current_wait: Any = None
+        #: Engine entry of the wake-up of a ``Timeout``, ``Hold`` or
+        #: ``Store`` wait; None while a hold or get is queued.
+        self._timer: Optional[list] = None
         self._killed = False
-        #: Resource of a running ``Hold`` abandoned by interrupt/kill: its
-        #: unit is released as the exception is delivered.
+        #: Resource a ``Hold`` was granted on: its unit is released the
+        #: next time the process is resumed (by the end event, or by the
+        #: exception of an interrupt/kill).
         self._held = None
         # Kick off at the current instant, high priority so a process created
         # inside a callback starts before ordinary same-instant events.
@@ -136,26 +131,34 @@ class Process:
 
     # ------------------------------------------------------------------
     def _advance(self, value: Any, exc: Optional[BaseException]) -> None:
-        """Step the generator once with a value or an exception."""
+        """Step the generator once with a value or an exception.
+
+        This is the wake-up of every wait: a ``Timeout`` or ``Hold``
+        end event, a ``Store`` hand-off, a ``_WaitHandle`` delivery, an
+        interrupt or kill.  Only the last two bring an exception while
+        a wait is pending.
+        """
         if self.completion_event._triggered:
             return
         wait = self._current_wait
-        self._current_wait = None
-        if wait is not None and wait.active:
-            # An interrupt/kill was scheduled before the process suspended,
-            # so this exception lands while a fresh wait is subscribed:
-            # tear that wait down or its waitable could fire later and
-            # resume the generator into the wrong yield.
-            wait.abandon()
-        try:
+        if wait is not None:
+            self._current_wait = None
             if exc is not None:
-                held = self._held
-                if held is not None:
-                    self._held = None
-                    held.release()
-                waitable = self._generator.throw(exc)
-            else:
+                # An interrupt/kill was scheduled before the process
+                # suspended, so this exception lands while a fresh wait
+                # is pending: tear that wait down or its waitable could
+                # fire later and resume the generator into the wrong
+                # yield.
+                self._abandon(wait)
+        held = self._held
+        if held is not None:
+            self._held = None
+            held.release()
+        try:
+            if exc is None:
                 waitable = self._generator.send(value)
+            else:
+                waitable = self._generator.throw(exc)
         except StopIteration as stop:
             self.completion_event.succeed(stop.value)
             return
@@ -169,12 +172,86 @@ class Process:
             self._fail(err)
             return
         cls = type(waitable)
-        if cls is Hold or cls is _Get:
-            # The waitable is its own wait record.
+        if cls is Hold:
             self._current_wait = waitable
-            waitable._wait(self)
+            resource = waitable.resource
+            in_use = resource._in_use
+            if in_use < resource.capacity and not resource._waiters:
+                # Granted at once; the busy-time accounting of
+                # Resource._account, in place.
+                if in_use:
+                    resource._account()
+                else:
+                    # Idle: the busy integral grows by 0 * dt, so only
+                    # the accounting instant moves.
+                    resource._last_change = self.sim.now
+                resource._in_use = in_use + 1
+                self._held = resource
+                if waitable.on_grant is not None:
+                    waitable.on_grant()
+                self._timer = self.sim.schedule(
+                    waitable.duration, self._advance, None, None
+                )
+            else:
+                self._timer = None
+                resource._waiters.append(self)
+        elif cls is Store:
+            self._current_wait = waitable
+            items = waitable._items
+            if items:
+                self._timer = self.sim.schedule(
+                    0.0, self._advance, items.popleft(), None,
+                    priority=PRIORITY_HIGH,
+                )
+            else:
+                self._timer = None
+                waitable._getters.append(self)
+        elif cls is Timeout:
+            self._current_wait = waitable
+            delay = waitable.delay
+            self._timer = self.sim.schedule(delay, self._advance, delay, None)
         else:
             self._wait_on(waitable)
+
+    def _grant(self) -> None:
+        """``Resource.release`` handed this process, queued on a
+        ``Hold``, the unit: schedule the end event, as ``_advance`` does
+        for a hold granted at once."""
+        hold = self._current_wait
+        self._held = hold.resource
+        if hold.on_grant is not None:
+            hold.on_grant()
+        self._timer = self.sim.schedule(hold.duration, self._advance, None, None)
+
+    def _abandon(self, wait: Any) -> None:
+        """Tear down the pending ``wait`` (interrupt, kill or close)."""
+        cls = type(wait)
+        timer = self._timer
+        if cls is Hold:
+            if timer is None:
+                wait.resource._purge_waiter(self)
+            else:
+                # Holding: the unit stays in ``_held`` and is released
+                # when the exception reaches the generator.
+                self.sim.cancel(timer)
+        elif cls is Store:
+            if timer is None:
+                wait._purge_getter(self)
+            else:
+                # The item is in flight: it goes back to the store, and
+                # the wake-up still runs where it was scheduled, as a
+                # no-op.
+                item = timer[ARGS][0]
+                timer[CALLBACK] = self._stale_wakeup
+                timer[ARGS] = ()
+                wait._reclaim(item)
+        elif cls is Timeout:
+            self.sim.cancel(timer)
+        else:
+            wait.abandon()
+
+    def _stale_wakeup(self) -> None:
+        """A ``Store`` hand-off whose getter was torn down before it ran."""
 
     def _fail(self, exc: BaseException) -> None:
         # Record the failure on the completion event so waiters see it; if
@@ -186,18 +263,12 @@ class Process:
             raise exc
 
     def _wait_on(self, waitable: Any) -> None:
-        """Suspend on a waitable that is not its own wait record."""
-        cls = type(waitable)
-        handle = _WaitHandle(self)
-        self._current_wait = handle
-        if (
-            cls is SimEvent
-            or cls is Timeout
-            or isinstance(waitable, (Timeout, SimEvent, Process))
-        ):
+        """Suspend on a waitable the process is not the record of."""
+        if isinstance(waitable, (SimEvent, Process)):
+            handle = _WaitHandle(self)
+            self._current_wait = handle
             waitable._subscribe(handle)
         else:
-            handle.active = False
             self.sim.schedule(
                 0.0,
                 self._advance,
@@ -214,18 +285,18 @@ class Process:
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupted` into the process at this instant.
 
-        The interrupted wait is abandoned: its timer is cancelled, its
-        event subscription removed, and a value already in flight to it
-        is handed back to its owner (see ``_WaitHandle.abandon``,
-        ``Hold.abandon``) -- so a
-        stale wakeup can neither resume the process nor lose an item.
+        The interrupted wait is abandoned: its timer is cancelled, a
+        queued getter or hold is purged, its event subscription removed,
+        and a value already in flight to it is handed back to its owner
+        (see :meth:`_abandon`) -- so a stale wakeup can neither resume
+        the process nor lose an item.
         """
         if not self.alive:
             return
         wait = self._current_wait
         if wait is not None:
             self._current_wait = None
-            wait.abandon()
+            self._abandon(wait)
         self.sim.schedule(
             0.0, self._advance, None, Interrupted(cause), priority=PRIORITY_HIGH
         )
@@ -238,7 +309,7 @@ class Process:
         wait = self._current_wait
         if wait is not None:
             self._current_wait = None
-            wait.abandon()
+            self._abandon(wait)
         self.sim.schedule(
             0.0, self._advance, None, ProcessKilled(), priority=PRIORITY_HIGH
         )
@@ -249,7 +320,7 @@ class Process:
         marked fired without waking anyone, the generator is closed."""
         wait, self._current_wait = self._current_wait, None
         if wait is not None:
-            wait.abandon()
+            self._abandon(wait)
         held, self._held = self._held, None
         if held is not None:
             held.release()

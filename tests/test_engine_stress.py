@@ -1,8 +1,8 @@
 """Seeded interrupt/kill storm over Store/Resource waits.
 
-The lost-wakeup bug sweep (abandonment protocol in ``_WaitHandle`` plus
-the Store/Resource salvage/purge hooks) has three system-level
-invariants that no single-path unit test pins down:
+The lost-wakeup bug sweep (abandonment protocol in ``Process`` and
+``_WaitHandle`` plus the Store/Resource salvage/purge hooks) has three
+system-level invariants that no single-path unit test pins down:
 
 * **conservation** -- every token put into a Store is either consumed by
   a live process or still in the store at quiescence; killing a getter

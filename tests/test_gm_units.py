@@ -23,6 +23,16 @@ class TestPacket:
         assert not PacketType.DATA.is_barrier
         assert PacketType.ACK.is_control
         assert PacketType.BARRIER_REJECT.is_control
+        # Plain member attributes, one per member, never a member.
+        assert len(PacketType) == 14
+        assert [p.wire for p in PacketType] == [p.value for p in PacketType]
+        assert {p for p in PacketType if p.is_collective} == {
+            PacketType.COLL_REDUCE, PacketType.COLL_BCAST,
+        }
+        assert {p for p in PacketType if p.is_onesided} == {
+            PacketType.PUT, PacketType.GET_REQ, PacketType.GET_REPLY,
+        }
+        assert not PacketType.HEARTBEAT.is_control
 
     def test_hop_consumes_route(self):
         p = Packet(PacketType.DATA, 0, 2, 1, 2, route=[3, 1])

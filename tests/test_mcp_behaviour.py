@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.gm.events import RecvEvent
 from repro.network.packet import PacketType
+from repro.nic.mcp.machine import Firmware
 from repro.nic.nic import NicParams
 from repro.sim.primitives import Hold, Timeout
 
@@ -317,12 +318,11 @@ class TestMachineKill:
             assert process.name == f"nic0.{machine}"
             if state == "mid_charge":
                 queue_charging_work(nic, machine)
-                while not (
-                    type(process._current_wait) is Hold
-                    and process._current_wait.timer is not None
-                ):
+                # Step until the machine holds the LANai: a granted hold
+                # leaves its resource on the process until it resumes.
+                while process._held is not nic.cpu_resource:
                     assert sim.step()
-                assert process._current_wait.resource is nic.cpu_resource
+                assert type(process._current_wait) is Hold
                 assert nic.cpu_resource.in_use == 1
             if how == "crash":
                 nic.crash()
@@ -334,3 +334,20 @@ class TestMachineKill:
                 assert proc.completion_event._exception is None
                 assert proc.result is None
             assert nic.cpu_resource.in_use == 0
+
+
+def test_lanai_charge_is_built_once_per_nic_and_operation():
+    """``Firmware.cpu`` returns one ``Hold`` per operation, built on
+    first use and shared by every firmware object of the NIC."""
+    with build_cluster(ClusterConfig(num_nodes=2)) as cluster:
+        nic = cluster.node(0).nic
+        engine = nic.barrier_engine
+        charge = engine.cpu("barrier_check")
+        assert engine.cpu("barrier_check") is charge
+        assert Firmware(nic).cpu("barrier_check") is charge
+        assert nic.lanai_charges["barrier_check"] is charge
+        assert charge.resource is nic.cpu_resource
+        assert charge.duration == nic.model.time("barrier_check")
+        assert engine.cpu("barrier_advance") is not charge
+        other = cluster.node(1).nic
+        assert other.barrier_engine.cpu("barrier_check") is not charge

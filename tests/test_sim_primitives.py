@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Interrupted, Resource, SimEvent, Store, Timeout
+from repro.sim.primitives import Hold, Interrupted, Resource, SimEvent, Store, Timeout
 from repro.sim.process import Process
 
 
@@ -108,15 +108,18 @@ class TestStore:
         with pytest.raises(ValueError):
             Store(sim, capacity=0)
 
-    def _getters_killed_in_delivery(self, sim, store, getters, *puts):
+    def _getters_killed_in_delivery(self, sim, store, getters, *puts, action="kill"):
         """Block ``getters`` on ``store``, then in one callback ``put``
-        each of ``puts`` and kill the first getter: its item is in flight
-        (the put scheduled its wake-up, which has not run).  Returns
-        what each getter received."""
+        each of ``puts`` and kill (or interrupt) the first getter: its
+        item is in flight (the put scheduled its wake-up, which has not
+        run).  Returns what each getter received."""
         got = []
 
         def getter(tag):
-            got.append((tag, (yield store.get())))
+            try:
+                got.append((tag, (yield store.get())))
+            except Interrupted:
+                got.append((tag, "interrupted"))
 
         procs = [Process(sim, getter(tag)) for tag in getters]
         sim.run()
@@ -125,11 +128,17 @@ class TestStore:
         def put_then_kill():
             for item in puts:
                 store.put(item)
-            procs[0].kill()
+            getattr(procs[0], action)()
 
         sim.schedule(1.0, put_then_kill)
+        executed = sim.events_executed
         sim.run()
         assert not procs[0].alive
+        # The victim's wake-up still runs where the put scheduled it, as
+        # a no-op: the strike, that wake-up, the exception delivery, and
+        # the next getter's wake-up when it takes the item.
+        assert sim.events_executed - executed == 3 + (len(getters) > 1)
+        assert sim.pending_events == 0
         return got
 
     def test_kill_in_delivery_instant_hands_item_to_next_getter(self, sim):
@@ -144,6 +153,24 @@ class TestStore:
         # back ahead of it.
         got = self._getters_killed_in_delivery(sim, store, ["victim"], "x", "y")
         assert got == []
+        assert store.items == ("x", "y")
+
+    def test_interrupt_in_delivery_instant_hands_item_to_next_getter(self, sim):
+        store = Store(sim)
+        got = self._getters_killed_in_delivery(
+            sim, store, ["victim", "next"], "x", action="interrupt"
+        )
+        # The reclaimed item is handed on before the strike's exception
+        # is scheduled, so the next getter resumes first.
+        assert got == [("next", "x"), ("victim", "interrupted")]
+        assert store.items == () and not store._getters
+
+    def test_interrupt_in_delivery_instant_returns_item_to_queue_head(self, sim):
+        store = Store(sim)
+        got = self._getters_killed_in_delivery(
+            sim, store, ["victim"], "x", "y", action="interrupt"
+        )
+        assert got == [("victim", "interrupted")]
         assert store.items == ("x", "y")
 
 
@@ -421,6 +448,111 @@ class TestHold:
         sim.run()
         assert grants == [("r1", 10.0), ("h2", 12.0), ("r3", 14.0), ("h4", 16.0)]
         assert res.in_use == 0
+
+
+class TestProcessIsTheWaitRecord:
+    """A ``Hold`` is an immutable descriptor that any number of
+    processes may yield; the waiting process is the record, queued on
+    the resource as itself and resumed by its own end event."""
+
+    def test_shared_hold_queues_the_second_process(self, sim):
+        res = Resource(sim, capacity=1)
+        charge = Hold(res, 4.0)
+        done = []
+
+        def worker(tag, times):
+            for _ in range(times):
+                yield charge
+                done.append((tag, sim.now))
+
+        a = Process(sim, worker("a", 2))
+        b = Process(sim, worker("b", 1))
+        sim.run(until=1.0)
+        assert (res.in_use, list(res._waiters)) == (1, [b])
+        assert (a._held, b._held) == (res, None)
+        sim.run()
+        # b queued behind a's first charge; a's second queued behind b.
+        assert done == [("a", 4.0), ("b", 8.0), ("a", 12.0)]
+        assert (charge.resource, charge.duration) == (res, 4.0)
+        assert res.in_use == 0 and res.queued == 0
+        assert res.busy_us == pytest.approx(12.0)
+        assert a._current_wait is None and b._current_wait is None
+        # Per charge: one end event; plus the two starts.
+        assert sim.events_executed == 5
+
+    @pytest.mark.parametrize("action", ["interrupt", "kill"])
+    @pytest.mark.parametrize("state", ["queued", "holding"])
+    def test_strike_on_a_shared_hold_conserves_capacity(self, sim, state, action):
+        """The victim and two bystanders yield one hold; the victim is
+        struck at t=1 while queued (it arrives second) or holding (it
+        arrives first).  Its unit goes back as the exception reaches
+        it, a queued victim leaves the queue, and the bystanders charge
+        exactly as if it had never asked."""
+        res = Resource(sim, capacity=1)
+        charge = Hold(res, 4.0)
+        log = []
+
+        def worker(tag, arrive):
+            yield Timeout(arrive)
+            try:
+                yield charge
+                log.append((tag, "done", sim.now))
+            except Interrupted:
+                log.append((tag, "interrupted", sim.now, res.in_use, res.queued))
+
+        victim_at = 0.0 if state == "holding" else 0.5
+        Process(sim, worker("x", 0.25))
+        victim = Process(sim, worker("victim", victim_at))
+        Process(sim, worker("y", 0.75))
+
+        def strike():
+            getattr(victim, action)()
+            log.append((action, sim.now, res.in_use, res.queued))
+
+        sim.schedule(1.0, strike)
+        sim.run()
+        if state == "holding":
+            # Holding through the strike; x is granted as the exception
+            # reaches the victim, y queues behind x.
+            assert log[0] == (action, 1.0, 1, 2)
+            first = 1.0
+        else:
+            # Purged from the queue at once: x holds, only y waits.
+            assert log[0] == (action, 1.0, 1, 1)
+            first = 0.25
+        if action == "interrupt":
+            assert log[1] == ("victim", "interrupted", 1.0, 1, 1)
+        assert log[-2:] == [("x", "done", first + 4.0), ("y", "done", first + 8.0)]
+        assert not victim.alive and victim._held is None
+        assert res.in_use == 0 and res.queued == 0
+        assert res.busy_us == pytest.approx(1.0 + 8.0 if state == "holding" else 8.0)
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("action", ["interrupt", "kill"])
+    def test_strike_on_a_queued_get_purges_the_process(self, sim, action):
+        store = Store(sim)
+        got = []
+
+        def getter(tag):
+            try:
+                got.append((tag, (yield store.get())))
+            except Interrupted:
+                got.append((tag, "interrupted"))
+
+        victim = Process(sim, getter("victim"))
+        following = Process(sim, getter("next"))
+        sim.run()
+        assert list(store._getters) == [victim, following]
+        getattr(victim, action)()
+        assert list(store._getters) == [following]
+        store.put("x")
+        store.put("y")
+        sim.run()
+        victim_row = [("victim", "interrupted")] if action == "interrupt" else []
+        assert got == victim_row + [("next", "x")]
+        assert store.items == ("y",) and not store._getters
+        assert sim.pending_events == 0
+
 
 class TestStoreProperties:
     @given(st.lists(st.integers(), max_size=50))
