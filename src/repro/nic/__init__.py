@@ -9,20 +9,19 @@ layers:
   LANai 7.2).  This single lever reproduces the paper's central
   observation that a faster NIC processor raises the NIC-based barrier's
   factor of improvement.
-* :mod:`repro.nic.dma`, :mod:`repro.nic.buffers` -- the two DMA engines
-  contending for the PCI bus, and the SRAM packet-buffer pools.
+* :mod:`repro.nic.dma` -- the two DMA engines contending for the PCI
+  bus.  The SRAM packet-buffer pools are plain
+  :class:`~repro.sim.primitives.Resource` s on the :class:`Nic`.
 * :mod:`repro.nic.mcp` -- the Myrinet Control Program: the SDMA, SEND,
   RECV and RDMA state machines (Figure 4 of the paper) sharing the NIC
   processor, including the barrier extension hooks of Section 5.2.
 """
 
-from repro.nic.buffers import BufferPool
 from repro.nic.dma import DmaEngine
 from repro.nic.lanai import LANAI_4_3, LANAI_7_2, LANAI_9_2, LanaiModel
 from repro.nic.nic import Nic, NicParams
 
 __all__ = [
-    "BufferPool",
     "DmaEngine",
     "LANAI_4_3",
     "LANAI_7_2",

@@ -145,7 +145,7 @@ class RecvMachine(StateMachine):
             self._send_nack_once(conn)
             return
         recv_token = port.take_recv_token(packet.payload_bytes)
-        if recv_token is None or not nic.rx_buffers.try_acquire():
+        if recv_token is None or not nic.rx_buffers.try_request():
             if recv_token is not None:
                 port.recv_tokens.appendleft(recv_token)  # undo the take
                 recv_token.used = False
@@ -175,7 +175,7 @@ class RecvMachine(StateMachine):
             self._send_nack_once(conn)
             return
         port = nic.ports.get(packet.dst_port)
-        if port is None or not port.is_open or not nic.rx_buffers.try_acquire():
+        if port is None or not port.is_open or not nic.rx_buffers.try_request():
             self._send_nack_once(conn)
             return
         conn.accept_incoming()

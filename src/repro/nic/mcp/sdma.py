@@ -94,7 +94,7 @@ class SdmaMachine(StateMachine):
         token.seqno = conn.assign_seqno()
 
         # Stage the payload into a transmit buffer (blocks if pool empty).
-        yield nic.tx_buffers.acquire()
+        yield nic.tx_buffers.request()
         yield self.cpu("dma_setup")
         yield from nic.sdma_engine.transfer(token.size_bytes, ctx=token.ctx)
         yield self.cpu("packet_prep")
@@ -136,7 +136,7 @@ class SdmaMachine(StateMachine):
             self._fake_ack(token, *token.destinations[-1])
             return
         # Stage the payload once.
-        yield nic.tx_buffers.acquire()
+        yield nic.tx_buffers.request()
         yield self.cpu("dma_setup")
         yield from nic.sdma_engine.transfer(token.size_bytes, ctx=token.ctx)
         token.remaining_acks = len(live)
@@ -171,7 +171,7 @@ class SdmaMachine(StateMachine):
         if entry not in conn.sent_list:
             return  # ACKed while the retransmit work item was queued.
         yield self.cpu("token_process")
-        yield nic.tx_buffers.acquire()
+        yield nic.tx_buffers.request()
         yield self.cpu("dma_setup")
         yield from nic.sdma_engine.transfer(
             entry.packet.payload_bytes, ctx=entry.packet.ctx

@@ -17,7 +17,6 @@ from repro.gm.port import NicPort
 from repro.gm.tokens import BarrierSendToken, SendToken
 from repro.network.fabric import Network
 from repro.network.packet import Packet, PacketType
-from repro.nic.buffers import BufferPool
 from repro.nic.dma import DmaEngine
 from repro.nic.lanai import LanaiModel
 from repro.nic.mcp.connection import Connection
@@ -70,10 +69,9 @@ class NicParams:
     pci_bandwidth_mbps: float = 133.0
     #: Per-DMA bus-transaction overhead.
     pci_setup_us: float = 0.9
-    #: SRAM packet-buffer pools.
+    #: SRAM packet-buffer pools (buffers each).
     tx_buffers: int = 16
     rx_buffers: int = 32
-    buffer_bytes: int = 4096
     #: Regular-stream go-back-N retransmission timeout.
     retransmit_timeout_us: float = 1500.0
     #: Give-up threshold for both reliability streams: when one entry has
@@ -145,14 +143,7 @@ class Nic:
         )
         self.sdma_engine.tracer = tracer
         self.rdma_engine.tracer = tracer
-        self.tx_buffers = BufferPool(
-            sim, self.params.tx_buffers, self.params.buffer_bytes,
-            name=f"nic{node_id}.tx",
-        )
-        self.rx_buffers = BufferPool(
-            sim, self.params.rx_buffers, self.params.buffer_bytes,
-            name=f"nic{node_id}.rx",
-        )
+        self._make_buffer_pools()
 
         # -- protocol state ----------------------------------------------------
         self.ports: Dict[int, NicPort] = {
@@ -674,7 +665,11 @@ class Nic:
     def restart(self) -> None:
         """Bring a crashed NIC back with fresh firmware state.
 
-        The four MCP machines restart from scratch; connection state is
+        The four MCP machines restart from scratch and both SRAM buffer
+        pools start free: the killed machines' claims died with them,
+        and queued work still carrying a buffer -- a prepared packet on
+        the send queue, an accepted message or one-sided packet on the
+        RDMA queue -- is dropped, its data lost.  Connection state is
         *not* recovered and peers keep this node suspect -- rejoin (a
         group-membership grow) is out of scope, so a restarted node can
         open ports and talk to nodes that never suspected it, but not
@@ -683,11 +678,27 @@ class Nic:
         if not self.crashed:
             return
         self.crashed = False
+        self._make_buffer_pools()
+        self.send_queue.discard(lambda item: item[1])
+        self.rdma_queue.discard(lambda item: item[0] in ("deliver", "onesided_rx"))
         self._start_machines()
         if self.tracer is not None:
             self.tracer.record(self.trace_category, "nic.restart")
 
     # ------------------------------------------------------------------
+    def _make_buffer_pools(self) -> None:
+        #: SRAM packet-buffer pools.  SDMA claims a transmit buffer with
+        #: ``yield tx_buffers.request()`` and SEND frees it once the
+        #: packet is on the wire; RECV claims a receive buffer with
+        #: ``rx_buffers.try_request()`` (a full pool NACKs) and RDMA
+        #: frees it after the DMA to the host.
+        self.tx_buffers = Resource(
+            self.sim, self.params.tx_buffers, name=f"nic{self.node_id}.tx"
+        )
+        self.rx_buffers = Resource(
+            self.sim, self.params.rx_buffers, name=f"nic{self.node_id}.rx"
+        )
+
     def _start_machines(self) -> None:
         #: The four MCP machines' processes (a machine object itself is
         #: referenced by its running generator alone).

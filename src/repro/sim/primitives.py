@@ -5,24 +5,26 @@ here (plus ``Process`` itself, which is also waitable).  A process waits
 on one waitable at a time, as each of the MCP's state machines waits on
 one work queue, the LANai or a DMA.
 
-The three waits of the packet path -- a :class:`Timeout`, a
-:class:`Hold` and a :meth:`Store.get` -- keep no state of their own: the
-waiting process is their wait record.  A ``Timeout`` and a ``Hold`` are
-plain descriptors (a ``Hold`` may be built once and yielded by any
-number of processes), ``Store.get()`` returns the store itself, and
+The four waits of the packet path -- a :class:`Timeout`, a
+:class:`Hold`, a :meth:`Store.get` and a :meth:`Resource.request` --
+keep no state of their own: the waiting process is their wait record.
+A ``Timeout`` and a ``Hold`` are plain descriptors (a ``Hold`` may be
+built once and yielded by any number of processes), ``Store.get()``
+returns the store itself and ``Resource.request()`` the resource, and
 their wake-up is the process's own ``_advance``.  A Store queues its
-blocked getters, and a Resource its queued holds, as processes.
+blocked getters, and a Resource its queued holds and requests, as
+processes.
 
-A :class:`SimEvent` (and a ``Resource.request()``, which is one) exposes
-``_subscribe(handle)``, which arranges for ``handle._deliver(value,
-exc)`` to be called exactly once when it fires; the process waits on it
-through a per-suspension handle (``repro.sim.process._WaitHandle``).
+A :class:`SimEvent` exposes ``_subscribe(handle)``, which arranges for
+``handle._deliver(value, exc)`` to be called exactly once when it
+fires; the process waits on it through a per-suspension handle
+(``repro.sim.process._WaitHandle``).
 
 Abandonment protocol (the lost-wakeup fix): tearing a wait down on
 interrupt/kill *actively* releases what it claimed -- pending timers are
-cancelled, queued getters, holds and requests are purged, and a value
-already in flight to the dead waiter is handed back to its owner
-(``Store`` re-queues the item, ``Resource`` re-releases the unit)
+cancelled, queued getters, holds and requests are purged, and an item
+or unit already in flight to the dead waiter is handed back to its
+owner (``Store`` re-queues the item, ``Resource`` re-releases the unit)
 instead of vanishing.  See ``docs/engine.md`` for the full semantics.
 """
 
@@ -73,28 +75,9 @@ class SimEvent(Generic[T]):
     Unlike a callback list, a ``SimEvent`` remembers its outcome, so a
     process that waits *after* the event fired resumes immediately at the
     current instant (with high priority, preserving causality).
-
-    Two owner hooks support the abandonment protocol:
-
-    * ``abandon_hook`` -- called with the event when its (sole) waiter
-      abandons *before* the event fires; ``Resource`` uses it to purge a
-      request from its wait queue.
-    * ``_salvage`` -- called with the fired value when the waiter
-      abandons *after* the event fired but before delivery landed (the
-      value is in flight to a dead handle); ``Resource`` reclaims the
-      granted unit, so capacity is never lost to interrupt/kill races.
     """
 
-    __slots__ = (
-        "sim",
-        "_callbacks",
-        "_triggered",
-        "_value",
-        "_exception",
-        "name",
-        "_salvage",
-        "abandon_hook",
-    )
+    __slots__ = ("sim", "_callbacks", "_triggered", "_value", "_exception", "name")
 
     def __init__(self, sim: Simulator, name: str = "") -> None:
         self.sim = sim
@@ -107,8 +90,6 @@ class SimEvent(Generic[T]):
         self._triggered = False
         self._value: Any = None
         self._exception: Optional[BaseException] = None
-        self._salvage: Optional[Callable[[Any], None]] = None
-        self.abandon_hook: Optional[Callable[["SimEvent"], None]] = None
 
     # -- firing --------------------------------------------------------
     @property
@@ -169,28 +150,12 @@ class SimEvent(Generic[T]):
             self._callbacks.append(deliver)
         handle.event = self
 
-    def _waiter_abandoned(self, handle: Any) -> None:
-        """The handle subscribed via ``_subscribe`` gave up.
-
-        Before the event fires, the handle is unsubscribed and the
-        event's owner is told to purge the queued claim, so a later
-        ``release`` goes to a live waiter.  After it fired, the value is
-        in flight to a dead waiter: it goes back to the owner (once)
-        through ``_salvage``, so a capacity grant is reclaimed, never
-        lost.  Failures need no salvage -- there is no unit in an
-        exception.
-        """
-        if self._triggered:
-            salvage = self._salvage
-            if salvage is not None and self._exception is None:
-                self._salvage = None
-                salvage(self._value)
-            return
-        self._callbacks.remove(handle._deliver)
-        hook = self.abandon_hook
-        if hook is not None:
-            self.abandon_hook = None
-            hook(self)
+    def _unsubscribe(self, handle: Any) -> None:
+        """The handle subscribed via ``_subscribe`` gave up: a pending
+        event drops its callback.  A fired event has none left; its
+        delivery to the handle runs as a no-op."""
+        if not self._triggered:
+            self._callbacks.remove(handle._deliver)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "fired" if self._triggered else "pending"
@@ -278,6 +243,10 @@ class Store(Generic[T]):
         """The next item without consuming it."""
         return self._items[0] if self._items else None
 
+    def discard(self, predicate: Callable[[T], bool]) -> None:
+        """Drop every queued item ``predicate`` holds for."""
+        self._items = deque(item for item in self._items if not predicate(item))
+
     # -- abandonment protocol ------------------------------------------
     def _purge_getter(self, process: "Process") -> None:
         """A blocked getter's process died before any item arrived."""
@@ -305,8 +274,9 @@ class Resource:
     """Capacity-limited resource with FIFO grant order.
 
     Models the NIC processor (capacity 1, shared by the four MCP state
-    machines), the PCI bus (shared by the SDMA and RDMA engines) and the
-    host CPU.  A timed charge is one yield::
+    machines), the PCI bus (shared by the SDMA and RDMA engines), the
+    host CPU and the NIC's SRAM transmit and receive buffer pools.  A
+    timed charge is one yield::
 
         yield resource.hold(duration)   # acquire, hold duration us, release
 
@@ -316,14 +286,16 @@ class Resource:
         ...                             # hold
         resource.release()
 
-    Both kinds of waiter share one FIFO queue: a queued hold waits as
-    its process, a request as its event.  A hold is granted inline (see
-    :class:`Hold`); a request is granted by firing its event.
-    Interrupt/kill safe: a waiter that dies while queued is purged, a
-    request unit already granted to a dying waiter is released back
-    (handed to the next waiter), and a dying holder's unit is released
-    as the exception reaches it -- capacity can neither leak nor be
-    double-released.
+    ``try_request()`` is the claim that never waits (the NIC's receive
+    path, which cannot stall the wire).
+
+    Both kinds of waiter share one FIFO queue, as their processes.  A
+    hold is granted inline (see :class:`Hold`); a request is granted by
+    scheduling its process's wake-up.  Interrupt/kill safe: a waiter
+    that dies while queued is purged, a request unit already granted to
+    a dying waiter is released at the strike (handed to the next
+    waiter), and a dying holder's unit is released as the exception
+    reaches it -- capacity can neither leak nor be double-released.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
@@ -333,10 +305,8 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        #: Queued waiters: ``request()`` events and processes whose
-        #: ``Hold`` waits for a unit.
-        self._waiters: Deque[Any] = deque()
-        self._req_name = f"req:{name}"
+        #: Processes queued for a unit, by ``Hold`` or ``request()``.
+        self._waiters: Deque["Process"] = deque()
         #: Cumulative busy time integral for utilization accounting.
         self._busy_time = 0.0
         self._last_change = sim.now
@@ -370,18 +340,22 @@ class Resource:
         self._account()
         return self._busy_time
 
-    def request(self) -> SimEvent[None]:
-        """Return a waitable granted when a unit of capacity is free."""
-        ev: SimEvent[None] = SimEvent(self.sim, name=self._req_name)
-        ev._salvage = self._reclaim_grant
+    def request(self) -> "Resource":
+        """The waitable of an open-ended claim: ``yield resource.request()``.
+
+        It is the resource itself, so a claim allocates nothing; the
+        unit is taken (FIFO) when the process yields it and stays
+        claimed until ``release()``.
+        """
+        return self
+
+    def try_request(self) -> bool:
+        """Claim a unit if one is free and nobody is queued; never waits."""
         if self._in_use < self.capacity and not self._waiters:
             self._account()
             self._in_use += 1
-            ev.succeed(None)
-        else:
-            ev.abandon_hook = self._purge_waiter
-            self._waiters.append(ev)
-        return ev
+            return True
+        return False
 
     def release(self) -> None:
         """Return a unit of capacity; grants the oldest waiter if any."""
@@ -390,11 +364,7 @@ class Resource:
             raise RuntimeError(f"release of idle resource {self.name!r}")
         if self._waiters:
             # Hand the unit directly to the next waiter: _in_use unchanged.
-            waiter = self._waiters.popleft()
-            if type(waiter) is SimEvent:
-                waiter.succeed(None)
-            else:
-                waiter._grant()
+            self._waiters.popleft()._grant()
         else:
             # _account() written out: every charge ends here.
             now = self.sim.now
@@ -403,22 +373,12 @@ class Resource:
             self._in_use = in_use - 1
 
     # -- abandonment protocol ------------------------------------------
-    def _purge_waiter(self, waiter: Any) -> None:
-        """A queued waiter (a request event, or a process whose hold
-        waits) died before being granted."""
+    def _purge_waiter(self, process: "Process") -> None:
+        """A queued waiter's process died before being granted."""
         try:
-            self._waiters.remove(waiter)
+            self._waiters.remove(process)
         except ValueError:  # pragma: no cover - already granted/purged
             pass
-
-    def _reclaim_grant(self, _value: None) -> None:
-        """A unit was in flight to a requester that died: release it.
-
-        The grant kept the unit accounted in ``_in_use`` (direct handoff
-        never decrements), so reclaiming is exactly a ``release``: the
-        unit goes to the next waiter or back to the free pool.
-        """
-        self.release()
 
     def hold(self, duration: float) -> "Hold":
         """Waitable that acquires a unit, holds it ``duration`` us and

@@ -1,27 +1,29 @@
 """Generator-coroutine processes.
 
 A process wraps a Python generator.  Each ``yield`` hands the engine one
-*waitable* (Timeout, SimEvent, Hold, a ``Store.get()``, another Process);
+*waitable* (Timeout, SimEvent, Hold, a ``Store.get()``, a
+``Resource.request()``, another Process);
 the process is resumed with the waitable's value, or has an exception
 thrown into it when the waitable fails.  ``return value`` inside the
 generator completes the process and fires its ``completion_event`` with
 that value.
 
 Stale-wakeup safety: every suspension has one *wait record*.  For the
-three waits of the packet path -- a :class:`~repro.sim.primitives.Timeout`,
-a :class:`~repro.sim.primitives.Hold` and a ``Store.get()`` -- the
-process itself is the record: it keeps the engine entry of its wake-up
-(``_timer``) and the resource unit it holds (``_held``), a Store or
-Resource queues it as itself, and the wake-up calls :meth:`Process._advance`
-directly, which releases a held unit before it resumes the generator.
-A SimEvent or process-join wait gets a fresh :class:`_WaitHandle`.  If
-the process is interrupted (or killed) while suspended, its wait is
-abandoned, so nothing that fires later can resume the process into the
-wrong wait.  Abandonment is *active*, not just a dead flag: a pending
-timer is cancelled, a queued getter or hold is purged, an event
-subscription is removed, and a value already in flight to the process is
-handed back to its owner (Store/Resource) rather than lost -- see
-``docs/engine.md`` for the full cancellation semantics.
+four waits of the packet path -- a :class:`~repro.sim.primitives.Timeout`,
+a :class:`~repro.sim.primitives.Hold`, a ``Store.get()`` and a
+``Resource.request()`` -- the process itself is the record: it keeps
+the engine entry of its wake-up (``_timer``) and the unit a hold was
+granted (``_held``), a Store or Resource queues it as itself, and the
+wake-up calls :meth:`Process._advance` directly, which releases a held
+unit before it resumes the generator.  A SimEvent or process-join wait
+gets a fresh :class:`_WaitHandle`.  If the process is interrupted (or
+killed) while suspended, its wait is abandoned, so nothing that fires
+later can resume the process into the wrong wait.  Abandonment is
+*active*, not just a dead flag: a pending timer is cancelled, a queued
+getter, hold or request is purged, an event subscription is removed,
+and an item or unit already in flight to the process is handed back to
+its owner (Store/Resource) rather than lost -- see ``docs/engine.md``
+for the full cancellation semantics.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.sim.engine import ARGS, CALLBACK, PRIORITY_HIGH, Simulator
-from repro.sim.primitives import Hold, Interrupted, SimEvent, Store, Timeout
+from repro.sim.primitives import Hold, Interrupted, Resource, SimEvent, Store, Timeout
 
 
 class ProcessKilled(Exception):
@@ -37,17 +39,15 @@ class ProcessKilled(Exception):
 
 
 class _WaitHandle:
-    """Per-suspension proxy for a wait on a ``SimEvent`` (a
-    ``Resource.request()`` included) or on another process.
+    """Per-suspension proxy for a wait on a ``SimEvent`` or on another
+    process.
 
     Offers the ``_deliver`` callback a ``SimEvent`` subscribes, but
     delivers only while it is the process's *current* wait.
     This makes abandoned waits (after interrupt/kill) harmless.
 
     The handle also records *how to tear the wait down*: ``event`` is
-    the ``SimEvent`` subscribed to, notified via ``_waiter_abandoned``
-    so it can unsubscribe us or salvage a capacity unit already in
-    flight (the Resource lost-wakeup fix).
+    the ``SimEvent`` subscribed to, which drops the subscription.
     """
 
     __slots__ = ("process", "active", "event")
@@ -73,7 +73,7 @@ class _WaitHandle:
         event = self.event
         if event is not None:
             self.event = None
-            event._waiter_abandoned(self)
+            event._unsubscribe(self)
 
 
 class Process:
@@ -103,11 +103,12 @@ class Process:
         self._generator = generator
         self.completion_event: SimEvent = SimEvent(sim, name=f"done:{self.name}")
         #: What the current suspension waits on -- a ``Timeout``,
-        #: ``Hold`` or ``Store`` (the process is the record), or a
-        #: ``_WaitHandle`` -- None while running or once delivered.
+        #: ``Hold``, ``Store`` or ``Resource`` (the process is the
+        #: record), or a ``_WaitHandle`` -- None while running or once
+        #: delivered.
         self._current_wait: Any = None
-        #: Engine entry of the wake-up of a ``Timeout``, ``Hold`` or
-        #: ``Store`` wait; None while a hold or get is queued.
+        #: Engine entry of the wake-up of a ``Timeout``, ``Hold``,
+        #: ``Store`` or ``Resource`` wait; None while it is queued.
         self._timer: Optional[list] = None
         self._killed = False
         #: Resource a ``Hold`` was granted on: its unit is released the
@@ -134,9 +135,9 @@ class Process:
         """Step the generator once with a value or an exception.
 
         This is the wake-up of every wait: a ``Timeout`` or ``Hold``
-        end event, a ``Store`` hand-off, a ``_WaitHandle`` delivery, an
-        interrupt or kill.  Only the last two bring an exception while
-        a wait is pending.
+        end event, a ``Store`` hand-off, a ``request()`` grant, a
+        ``_WaitHandle`` delivery, an interrupt or kill.  Only the last
+        two bring an exception while a wait is pending.
         """
         if self.completion_event._triggered:
             return
@@ -210,18 +211,35 @@ class Process:
             self._current_wait = waitable
             delay = waitable.delay
             self._timer = self.sim.schedule(delay, self._advance, delay, None)
+        elif cls is Resource:
+            # An open-ended request(): a free unit is taken now and the
+            # process wakes this instant; otherwise it queues.
+            self._current_wait = waitable
+            if waitable.try_request():
+                self._timer = self.sim.schedule(
+                    0.0, self._advance, None, None, priority=PRIORITY_HIGH
+                )
+            else:
+                self._timer = None
+                waitable._waiters.append(self)
         else:
             self._wait_on(waitable)
 
     def _grant(self) -> None:
-        """``Resource.release`` handed this process, queued on a
-        ``Hold``, the unit: schedule the end event, as ``_advance`` does
-        for a hold granted at once."""
-        hold = self._current_wait
-        self._held = hold.resource
-        if hold.on_grant is not None:
-            hold.on_grant()
-        self._timer = self.sim.schedule(hold.duration, self._advance, None, None)
+        """``Resource.release`` handed this queued process the unit:
+        schedule its wake-up, as ``_advance`` does for a unit free at
+        once -- a request's this instant, a hold's end event
+        ``duration`` us later."""
+        wait = self._current_wait
+        if type(wait) is Resource:
+            self._timer = self.sim.schedule(
+                0.0, self._advance, None, None, priority=PRIORITY_HIGH
+            )
+            return
+        self._held = wait.resource
+        if wait.on_grant is not None:
+            wait.on_grant()
+        self._timer = self.sim.schedule(wait.duration, self._advance, None, None)
 
     def _abandon(self, wait: Any) -> None:
         """Tear down the pending ``wait`` (interrupt, kill or close)."""
@@ -247,11 +265,21 @@ class Process:
                 wait._reclaim(item)
         elif cls is Timeout:
             self.sim.cancel(timer)
+        elif cls is Resource:
+            if timer is None:
+                wait._purge_waiter(self)
+            else:
+                # Granted: the unit goes back at the strike, and the
+                # wake-up still runs where it was scheduled, as a no-op.
+                timer[CALLBACK] = self._stale_wakeup
+                timer[ARGS] = ()
+                wait.release()
         else:
             wait.abandon()
 
     def _stale_wakeup(self) -> None:
-        """A ``Store`` hand-off whose getter was torn down before it ran."""
+        """A ``Store`` hand-off or ``request()`` grant whose process was
+        torn down before it ran."""
 
     def _fail(self, exc: BaseException) -> None:
         # Record the failure on the completion event so waiters see it; if
@@ -286,10 +314,10 @@ class Process:
         """Throw :class:`Interrupted` into the process at this instant.
 
         The interrupted wait is abandoned: its timer is cancelled, a
-        queued getter or hold is purged, its event subscription removed,
-        and a value already in flight to it is handed back to its owner
-        (see :meth:`_abandon`) -- so a stale wakeup can neither resume
-        the process nor lose an item.
+        queued getter, hold or request is purged, its event subscription
+        removed, and an item or unit already in flight to it is handed
+        back to its owner (see :meth:`_abandon`) -- so a stale wakeup
+        can neither resume the process nor lose an item.
         """
         if not self.alive:
             return

@@ -252,6 +252,45 @@ class TestNicCrash:
         assert any(p.alive is False for p in cluster.nodes[victim].programs) \
             or not cluster.nodes[victim].programs  # host was never killed
 
+    @pytest.mark.parametrize("victim,crash_at,pool", [
+        (0, 130.0, "tx_buffers"),
+        (0, 160.0, "tx_buffers"),
+        (1, 40.0, "rx_buffers"),
+        (1, 60.0, "rx_buffers"),
+    ])
+    def test_restart_frees_every_sram_buffer(self, victim, crash_at, pool):
+        """A burst of eight 512 B sends over a 1-buffer transmit pool;
+        the sender's (0) or receiver's (1) NIC crashes while one of its
+        SRAM buffers is claimed and restarts 50 us later.  Restart is
+        fresh firmware state: once the run is quiet, both pools of the
+        restarted NIC are free and nothing waits on them."""
+        cluster = build_cluster(ClusterConfig(
+            num_nodes=2, nic_params=NicParams(tx_buffers=1),
+        ))
+        a = cluster.open_port(0, 2)
+        b = cluster.open_port(1, 2)
+        nic = cluster.nodes[victim].nic
+        claimed = []
+
+        def sender():
+            for i in range(8):
+                yield from a.send_with_callback(1, 2, payload=i, size_bytes=512)
+
+        def crash():
+            claimed.append(getattr(nic, pool).in_use)
+            nic.crash()
+
+        cluster.spawn(sender())
+        cluster.spawn(b.ensure_receive_buffers(16))
+        cluster.sim.schedule_at(crash_at, crash)
+        cluster.sim.schedule_at(crash_at + 50.0, nic.restart)
+        cluster.run(max_events=3_000_000)
+        assert claimed == [1]  # the crash struck with a buffer claimed
+        assert not nic.crashed
+        for buffers in (nic.tx_buffers, nic.rx_buffers):
+            assert buffers.in_use == 0 and buffers.queued == 0
+        assert cluster.sim.pending_events == 0
+
 
 class TestCleanRunIdentity:
     def test_no_fault_plan_means_no_detector_and_determinism(self):

@@ -1,8 +1,9 @@
 """Seeded interrupt/kill storm over Store/Resource waits.
 
-The lost-wakeup bug sweep (abandonment protocol in ``Process`` and
-``_WaitHandle`` plus the Store/Resource salvage/purge hooks) has three
-system-level invariants that no single-path unit test pins down:
+The lost-wakeup bug sweep (the abandonment protocol of ``Process``,
+which purges a queued getter, hold or request and hands an item or unit
+in flight back to its Store or Resource) has three system-level
+invariants that no single-path unit test pins down:
 
 * **conservation** -- every token put into a Store is either consumed by
   a live process or still in the store at quiescence; killing a getter

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.nic.buffers import BufferPool
+from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.nic.dma import DmaEngine
 from repro.nic.lanai import (
     LANAI_4_3,
@@ -11,6 +11,7 @@ from repro.nic.lanai import (
     OPERATIONS,
     LanaiModel,
 )
+from repro.nic.nic import NicParams
 from repro.sim.engine import Simulator
 from repro.sim.primitives import Interrupted, Resource, Timeout
 from repro.sim.process import Process
@@ -145,56 +146,127 @@ class TestDmaEngine:
             DmaEngine(sim, bus, 133.0, -0.1)
 
 
-class TestBufferPool:
-    def test_try_acquire_until_empty(self, sim):
-        pool = BufferPool(sim, count=2, buffer_bytes=4096)
-        assert pool.try_acquire()
-        assert pool.try_acquire()
-        assert not pool.try_acquire()
-        assert pool.acquire_failures == 1
-        pool.release()
-        assert pool.try_acquire()
+def nic_pools(tx_buffers=1, rx_buffers=2):
+    """A 1-node cluster's NIC: its SRAM pools, idle (no traffic)."""
+    cluster = build_cluster(
+        ClusterConfig(
+            num_nodes=1,
+            nic_params=NicParams(tx_buffers=tx_buffers, rx_buffers=rx_buffers),
+        )
+    )
+    return cluster.sim, cluster.node(0).nic
 
-    def test_blocking_acquire(self, sim):
-        pool = BufferPool(sim, count=1, buffer_bytes=64)
+
+class TestBufferPool:
+    """The NIC's SRAM buffer pools are plain ``Resource`` s: SDMA claims
+    a transmit buffer with ``yield request()``, RECV a receive buffer
+    with ``try_request()``."""
+
+    def test_try_acquire_until_empty(self):
+        _, nic = nic_pools(rx_buffers=2)
+        pool = nic.rx_buffers
+        assert isinstance(pool, Resource)
+        assert pool.try_request()
+        assert pool.try_request()
+        assert not pool.try_request()
+        assert pool.in_use == 2
+        pool.release()
+        assert pool.try_request()
+
+    def test_blocking_acquire(self):
+        sim, nic = nic_pools(tx_buffers=1)
+        pool = nic.tx_buffers
         order = []
 
         def holder():
-            yield pool.acquire()
+            yield pool.request()
             order.append(("got-1", sim.now))
             yield Timeout(5.0)
             pool.release()
 
-        def waiter():
-            yield pool.acquire()
-            order.append(("got-2", sim.now))
+        def waiter(tag):
+            yield pool.request()
+            order.append((tag, sim.now))
+            yield Timeout(1.0)
             pool.release()
 
         Process(sim, holder())
+        Process(sim, waiter("got-2"))
+        Process(sim, waiter("got-3"))
+        sim.run()
+        assert order == [("got-1", 0.0), ("got-2", 5.0), ("got-3", 6.0)]
+        assert pool.in_use == 0 and pool.queued == 0
+
+    def test_try_request_does_not_jump_the_queue(self):
+        sim, nic = nic_pools(tx_buffers=1)
+        pool = nic.tx_buffers
+        assert pool.try_request()
+
+        def waiter():
+            yield pool.request()
+
         Process(sim, waiter())
         sim.run()
-        assert order == [("got-1", 0.0), ("got-2", 5.0)]
+        pool.release()  # handed to the queued waiter, not freed
+        assert pool.in_use == 1
+        assert not pool.try_request()
 
-    def test_double_free_detected(self, sim):
-        pool = BufferPool(sim, count=1, buffer_bytes=64)
-        with pytest.raises(RuntimeError, match="double free"):
+    def test_double_free_detected(self):
+        _, nic = nic_pools(tx_buffers=1)
+        with pytest.raises(RuntimeError, match="release of idle resource"):
+            nic.tx_buffers.release()
+
+    def test_invalid_params(self):
+        with pytest.raises(ValueError):
+            nic_pools(tx_buffers=0)
+        with pytest.raises(ValueError):
+            nic_pools(rx_buffers=0)
+
+    @pytest.mark.parametrize("action", ["kill", "interrupt"])
+    @pytest.mark.parametrize("state", ["queued", "granted"])
+    def test_struck_claim_hands_the_buffer_to_the_next_live_waiter(
+        self, state, action
+    ):
+        """The holder frees the one buffer at 10; a victim queued at 1
+        is struck while queued (at 5) or in its grant instant (by the
+        holder, right after the release).  The buffer goes to the live
+        waiter queued at 2, at 10, and the pool drains."""
+        sim, nic = nic_pools(tx_buffers=1)
+        pool = nic.tx_buffers
+        log = []
+
+        def holder():
+            yield pool.request()
+            yield Timeout(10.0)
+            pool.release()
+            if state == "granted":
+                getattr(victim, action)()
+
+        def claimant(tag, arrive):
+            yield Timeout(arrive)
+            try:
+                yield pool.request()
+            except Interrupted:
+                log.append((tag, "interrupted", sim.now))
+                return
+            log.append((tag, "got", sim.now))
+            yield Timeout(2.0)
             pool.release()
 
-    def test_high_watermark(self, sim):
-        pool = BufferPool(sim, count=4, buffer_bytes=64)
-        pool.try_acquire()
-        pool.try_acquire()
-        pool.release()
-        assert pool.high_watermark == 2
-        assert pool.in_use == 1
+        def striker():
+            yield Timeout(5.0)
+            getattr(victim, action)()
 
-    def test_fits(self, sim):
-        pool = BufferPool(sim, count=1, buffer_bytes=4096)
-        assert pool.fits(4096)
-        assert not pool.fits(4097)
-
-    def test_invalid_params(self, sim):
-        with pytest.raises(ValueError):
-            BufferPool(sim, count=0, buffer_bytes=64)
-        with pytest.raises(ValueError):
-            BufferPool(sim, count=1, buffer_bytes=0)
+        Process(sim, holder())
+        victim = Process(sim, claimant("victim", 1.0))
+        Process(sim, claimant("live", 2.0))
+        if state == "queued":
+            Process(sim, striker())
+        sim.run()
+        struck_at = 5.0 if state == "queued" else 10.0
+        expect = [("live", "got", 10.0)]
+        if action == "interrupt":
+            expect.append(("victim", "interrupted", struck_at))
+        assert sorted(log) == sorted(expect)
+        assert pool.in_use == 0 and pool.queued == 0
+        assert sim.pending_events == 0
