@@ -9,10 +9,15 @@ across PRs::
     PYTHONPATH=src python benchmarks/engine_speed.py --stage "pr7-two-tier"
 
 Numbers are wall-clock (best of N interleaved rounds, minimum, so
-scheduler noise cancels); everything else in ``benchmarks/`` reports
-*simulated* microseconds.  Each stage carries a ``machine`` key, and the
-regression sentinel judges a stage only against earlier stages recorded
-on the same kind of machine.
+scheduler noise cancels), except the ``*_python_calls`` counts: the
+Python function calls (``sys.setprofile`` "call" events, generator
+resumes included) of one warm perfbench-sized unit -- both Figure-5
+sweeps, and the 64-node NIC-PE and host-PE loops -- which are exact and
+repeat from run to run on one interpreter.  Everything else in
+``benchmarks/`` reports *simulated* microseconds.  Each stage carries a
+``machine`` key, and the regression sentinel judges a stage only
+against earlier stages recorded on the same kind of machine: wall-clock
+rates within a noise band, call counts exactly (any rise is flagged).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -180,6 +186,46 @@ def bench_barrier_wall(repetitions: int = 5) -> dict:
     return {"wall_s": elapsed, "mean_latency_us": m.mean_latency_us}
 
 
+def fig5_unit() -> None:
+    """perfbench's ``fig5`` unit: both testbeds' full Figure-5 sweeps."""
+    from repro.analysis.calibration import LANAI_4_3_SYSTEM, LANAI_7_2_SYSTEM
+    from repro.analysis.figure5 import run_figure5
+
+    for system in (LANAI_4_3_SYSTEM, LANAI_7_2_SYSTEM):
+        run_figure5(system)
+
+
+def fabric64_unit() -> None:
+    """perfbench's ``fabric64`` unit: 64 nodes on the switch tree, 2 + 10
+    NIC-PE barriers, then 1 + 4 host-PE barriers."""
+    from repro.analysis.calibration import LANAI_4_3_SYSTEM
+    from repro.analysis.experiments import measure_barrier
+
+    config = LANAI_4_3_SYSTEM.cluster_config(64)
+    measure_barrier(config, nic_based=True, repetitions=10, warmup=2)
+    measure_barrier(config, nic_based=False, repetitions=4, warmup=1)
+
+
+def count_python_calls(unit) -> int:
+    """Python function calls of one warm run of ``unit()``: every
+    ``sys.setprofile`` "call" event (a generator resume is one too).
+    The first run, uncounted, fills import and per-module caches."""
+    unit()
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        unit()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def run_all(rounds: int = 5) -> dict:
     best: dict = {}
     barrier = None
@@ -201,6 +247,8 @@ def run_all(rounds: int = 5) -> dict:
             barrier = b
     best["barrier16_wall_s"] = barrier["wall_s"]
     best["barrier16_mean_latency_us"] = barrier["mean_latency_us"]
+    best["fig5_python_calls"] = count_python_calls(fig5_unit)
+    best["fabric64_python_calls"] = count_python_calls(fabric64_unit)
     return best
 
 

@@ -254,7 +254,7 @@ def _figure5_sweep_cpu_s() -> float:
     return time.process_time() - t0
 
 
-def _paired_overhead(install_a, install_b, rounds: int = 9) -> float:
+def _paired_overhead(install_a, install_b, rounds: int = 151) -> float:
     """How much more CPU time :func:`_figure5_sweep_cpu_s` takes under
     configuration a than under b (0.05 is 5%), each switched on by
     calling its ``install_*``.
@@ -266,6 +266,15 @@ def _paired_overhead(install_a, install_b, rounds: int = 9) -> float:
     which moves the best-of-N of each side independently by more than
     the bound, while it moves only the few ratios of rounds that
     straddle a swing, and the median drops those.
+
+    The median's own spread shrinks with the number of rounds.  One
+    sweep is some 40 ms of CPU, and one round's ratio scatters by 11-18%
+    (standard deviation over 200-400 rounds on a shared 2-CPU box), so
+    the median of 9 rounds read 5.2% for disabled telemetry, whose true
+    cost is nil (200 rounds: median -0.1%), and failed the flight-ring
+    gate in about 1 run in 4 (its true cost is about 3%: 400 rounds,
+    median 3.0%).  Resampling those 400 rounds, the median of 151 stays
+    under 4.2% in 95% of runs.
     """
     _figure5_sweep_cpu_s()  # warm imports and caches outside the timed region
     installs = (install_a, install_b)

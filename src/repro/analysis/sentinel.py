@@ -20,7 +20,11 @@ key; entries without one form a single legacy group.
 Whether a delta is a *regression* or an *improvement* depends on the
 metric's direction, inferred from its name (``*_eps``/``*speedup``/
 ``*overlap_pct`` are higher-is-better; ``*_us``/``*_s``/``*latency``/
-``*failed`` lower-is-better; anything else flags on either side).
+``*failed``/``*_calls`` lower-is-better; anything else flags on either
+side).  A deterministic count (``*_python_calls``: Python function
+calls of a fixed unit of work, exact on one interpreter) has no noise
+band: it is judged against the most recent earlier entry of the same
+machine that has it, and any rise is a regression.
 Metrics with no prior history -- including every metric of a stage
 whose machine ran no earlier stage -- report ``no_history`` and never
 fail.
@@ -67,7 +71,11 @@ LOWER_BETTER_SUFFIXES = (
     "failed",
     "dropped",
     "stalls",
+    "_calls",
 )
+#: Exact counts: judged against the previous same-machine entry, with
+#: no band (see the module docstring).
+EXACT_SUFFIXES = ("_python_calls",)
 
 __all__ = [
     "MetricCheck",
@@ -277,6 +285,21 @@ def check_entries(
                 MetricCheck(
                     metric=metric, value=value, status="no_history",
                     direction=direction,
+                )
+            )
+            continue
+        if metric.endswith(EXACT_SUFFIXES):
+            previous = prior[-1]
+            delta = value - previous
+            status = (
+                "regression" if delta > 0
+                else "improvement" if delta < 0 else "ok"
+            )
+            checks.append(
+                MetricCheck(
+                    metric=metric, value=value, status=status,
+                    direction=direction, baseline=previous, mad=0.0,
+                    band=0.0, delta=delta, history=len(prior),
                 )
             )
             continue

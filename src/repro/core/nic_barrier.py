@@ -107,7 +107,7 @@ class NicBarrierEngine(Firmware):
     def _record(self, src_node: int, ptype: PacketType) -> UnexpectedRecord:
         """The unexpected-message record a ``ptype`` message from
         ``src_node`` lands in (collectives keep their values)."""
-        conn = self.nic.connection(src_node)
+        conn = self.nic.connections[src_node]
         return conn.coll_unexpected if ptype.is_collective else conn.unexpected
 
     # ------------------------------------------------------------------
@@ -116,9 +116,9 @@ class NicBarrierEngine(Firmware):
     def initiate(self, port_id: int, token: BarrierSendToken):
         """Process a barrier/collective send token from the host (SDMA)."""
         nic = self.nic
-        yield self.cpu(
+        yield self.charge[
             "barrier_initiate" if token.algorithm == "pe" else "gb_initiate"
-        )
+        ]
         port = nic.port(port_id)
         if not port.is_open:
             return  # the process died between queueing and detection
@@ -167,15 +167,15 @@ class NicBarrierEngine(Firmware):
             if step.send:
                 yield from self._send_packet(token, step.peer, PacketType.BARRIER_PE)
             if not step.recv:
-                yield self.cpu("barrier_advance")
+                yield self.charge["barrier_advance"]
                 token.node_index += 1
                 continue
             # "it checks to see if a barrier packet has been received from
             # that same destination" -- the post-prepare record check.
             # CPU first, then atomic check + mutation (see
             # on_barrier_packet for the atomicity discipline).
-            yield self.cpu("barrier_check")
-            conn = nic.connection(step.peer[0])
+            yield self.charge["barrier_check"]
+            conn = nic.connections[step.peer[0]]
             recorded = conn.unexpected.check_clear(step.peer[1])
             if recorded:
                 if recorded is not True:
@@ -185,7 +185,7 @@ class NicBarrierEngine(Firmware):
                     "advance", port=port.port_id, src=step.peer,
                     seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
                 )
-                yield self.cpu("barrier_advance")
+                yield self.charge["barrier_advance"]
                 continue
             token.awaiting_recv = True
             return
@@ -199,7 +199,7 @@ class NicBarrierEngine(Firmware):
         re-checks that the gather phase is still ours to finish.
         """
         for child in sorted(token.gather_pending):
-            yield self.cpu("gb_gather_check")
+            yield self.charge["gb_gather_check"]
             if token.phase != "gather" or not self._token_live(port, token):
                 return  # the RDMA side finished the gather phase for us
             taken = self._record(child[0], token.up_type).take(child[1])
@@ -211,7 +211,7 @@ class NicBarrierEngine(Firmware):
             token.gather_pending.discard(child)
             if token.op is not None:
                 token.accumulator = REDUCE_OPS[token.op](token.accumulator, value)
-                yield self.cpu("coll_combine")
+                yield self.charge["coll_combine"]
                 if token.phase != "gather" or not self._token_live(port, token):
                     return
         if token.phase == "gather" and not token.gather_pending:
@@ -249,7 +249,7 @@ class NicBarrierEngine(Firmware):
     def _await_recorded_bcast(self, port: NicPort, token: BarrierSendToken):
         """Down-phase-only tree below the root (bcast): the parent's
         message may already be recorded."""
-        yield self.cpu("gb_gather_check")
+        yield self.charge["gb_gather_check"]
         if token.phase != "await_bcast" or not self._token_live(port, token):
             return
         parent = token.parent
@@ -271,7 +271,7 @@ class NicBarrierEngine(Firmware):
             return
         child = token.children[token.bcast_index]
         yield from self._send_packet(token, child, token.down_type)
-        yield self.cpu("gb_token_requeue")
+        yield self.charge["gb_token_requeue"]
         token.bcast_index += 1
         if token.bcast_index < len(token.children):
             self.nic.sdma_inbox.put(("firmware", self._bcast_step, port, token))
@@ -304,7 +304,7 @@ class NicBarrierEngine(Firmware):
         # The dereference + inspection cost (Section 5.2: "the RDMA state
         # machine can access the state of the barrier by simply
         # dereferencing the pointer").
-        yield self.cpu("barrier_check")
+        yield self.charge["barrier_check"]
 
         # ---- atomic decision + mutation (no yields in this block) ----
         port = nic.ports.get(packet.dst_port)
@@ -317,7 +317,7 @@ class NicBarrierEngine(Firmware):
                 "closed_port_record", src=src, port=packet.dst_port,
                 ctx=packet.ctx,
             )
-            yield self.cpu("barrier_record")
+            yield self.charge["barrier_record"]
             return
 
         ptype = packet.ptype
@@ -339,7 +339,7 @@ class NicBarrierEngine(Firmware):
                     seq=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
                 )
                 # ---- end of atomic block ----
-                yield self.cpu("barrier_advance")
+                yield self.charge["barrier_advance"]
                 if completed:
                     yield from self.complete(port.port_id, token)
                 else:
@@ -370,9 +370,9 @@ class NicBarrierEngine(Firmware):
                     key=token.barrier_seq, ctx=token.cause_ctx or token.ctx,
                 )
             # ---- end of atomic block ----
-            yield self.cpu(
+            yield self.charge[
                 "gb_gather_check" if token.op is None else "coll_combine"
-            )
+            ]
             if all_in:
                 self._all_gathers_in(port, token)
             return
@@ -414,7 +414,7 @@ class NicBarrierEngine(Firmware):
         )
         self.unexpected_recorded += 1
         self.trace("recorded", src=src, port=packet.dst_port, ctx=packet.ctx)
-        yield self.cpu("barrier_record")
+        yield self.charge["barrier_record"]
 
     def complete(self, port_id: int, token: BarrierSendToken):
         """Post the completion notification to the host (RDMA context).
@@ -428,7 +428,7 @@ class NicBarrierEngine(Firmware):
         port = nic.port(port_id)
         if not self._token_live(port, token):
             return
-        yield self.cpu("barrier_complete")
+        yield self.charge["barrier_complete"]
         buf = port.take_barrier_buffer()
         if buf is None:
             raise RuntimeError(
@@ -437,7 +437,7 @@ class NicBarrierEngine(Firmware):
                 "gm_provide_barrier_buffer before initiating)"
             )
         yield from nic.rdma_engine.transfer(COMPLETION_DMA_BYTES + token.result_bytes)
-        yield self.cpu("post_event")
+        yield self.charge["post_event"]
         nic_complete_time = nic.sim.now
         setattr(port, token.slot, None)
         port.barriers_completed += 1
@@ -536,7 +536,7 @@ class NicBarrierEngine(Firmware):
         """
         nic = self.nic
         dst_node, dst_port = endpoint
-        yield self.cpu("barrier_packet_prep")
+        yield self.charge["barrier_packet_prep"]
 
         base = cause_ctx or token.cause_ctx or token.ctx
         pctx = base.child() if base is not None else None
@@ -563,7 +563,7 @@ class NicBarrierEngine(Firmware):
             self.trace("local_deliver", dst=endpoint, ctx=pctx)
             return
 
-        conn = nic.connection(dst_node)
+        conn = nic.connections[dst_node]
         mode = nic.params.barrier_reliability
         if mode is BarrierReliability.SEPARATE:
             seqno = conn.assign_barrier_seqno(token.src_port)
@@ -615,7 +615,7 @@ class NicBarrierEngine(Firmware):
 
     def _send_reject(self, target: Endpoint, local_port: int, cause_ctx=None):
         """Build + queue a BARRIER_REJECT to a recorded sender (SDMA)."""
-        yield self.cpu("packet_prep")
+        yield self.charge["packet_prep"]
         pctx = cause_ctx.child() if cause_ctx is not None else None
         packet = self.nic.make_packet(
             PacketType.BARRIER_REJECT,
@@ -660,7 +660,7 @@ class NicBarrierEngine(Firmware):
         if resends:
             # Drop superseded SEPARATE-mode retransmission state for this
             # destination before resending with fresh seqnos.
-            conn = nic.connection(rejector[0])
+            conn = nic.connections[rejector[0]]
             src_ports = {token.src_port for token, _ in resends}
             conn.barrier_unacked = [
                 e

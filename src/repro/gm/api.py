@@ -100,8 +100,9 @@ class GmPort:
         their round span this way); by default each send roots a fresh
         trace.
         """
-        self.port.require_open()
-        yield from self.node.cpu_use(self.node.params.effective_send_cost_us)
+        if not self.port.is_open:
+            raise self.port.closed_error()
+        yield from self.node.cpu_charges[self.node.params.effective_send_cost_us]
         self.port.take_send_token()
         token = SendToken(
             src_port=self.port_id,
@@ -129,8 +130,9 @@ class GmPort:
         generator; returns the :class:`MulticastSendToken` (it comes back
         as a single :class:`SentEvent` once every destination ACKed).
         """
-        self.port.require_open()
-        yield from self.node.cpu_use(self.node.params.effective_send_cost_us)
+        if not self.port.is_open:
+            raise self.port.closed_error()
+        yield from self.node.cpu_charges[self.node.params.effective_send_cost_us]
         self.port.take_send_token()
         token = MulticastSendToken(
             src_port=self.port_id,
@@ -148,8 +150,9 @@ class GmPort:
     # ------------------------------------------------------------------
     def provide_receive_buffer(self, size_bytes: int = 4096):
         """Post a receive token/buffer (gm_provide_receive_buffer)."""
-        self.port.require_open()
-        yield from self.node.cpu_use(self.node.params.buffer_post_cost_us)
+        if not self.port.is_open:
+            raise self.port.closed_error()
+        yield from self.node.cpu_charges[self.node.params.buffer_post_cost_us]
         self.port.post_recv_token(ReceiveToken(self.port_id, size_bytes))
 
     def ensure_receive_buffers(self, target: int, size_bytes: int = 4096):
@@ -178,13 +181,13 @@ class GmPort:
         outlive its peers.  Acknowledged failures are skipped silently.
         """
         while True:
-            event = yield self.port.event_queue.get()
+            event = yield self.port.event_queue  # Store.get()
             params = self.node.params
             if isinstance(event, SentEvent):
                 cost = params.poll_delay_us + params.sent_event_cost_us
             else:
                 cost = params.poll_delay_us + params.effective_recv_cost_us
-            yield from self.node.cpu_use(cost)
+            yield from self.node.cpu_charges[cost]
             if isinstance(event, PeerFailureEvent):
                 if event.suspects <= self._acked_failures:
                     continue
@@ -244,22 +247,22 @@ class GmPort:
         then the next pending event or None.  Raises
         :class:`~repro.gm.events.PeerFailure` like :meth:`receive` when
         the pending event is an unacknowledged failure."""
-        yield from self.node.cpu_use(self.node.params.poll_delay_us)
+        yield from self.node.cpu_charges[self.node.params.poll_delay_us]
         event = self.port.event_queue.try_get()
         while isinstance(event, PeerFailureEvent):
             if not event.suspects <= self._acked_failures:
-                yield from self.node.cpu_use(
+                yield from self.node.cpu_charges[
                     self.node.params.effective_recv_cost_us
-                )
+                ]
                 self._raise_failure(event)
             event = self.port.event_queue.try_get()
         if event is None:
             return None
         params = self.node.params
         if isinstance(event, SentEvent):
-            yield from self.node.cpu_use(params.sent_event_cost_us)
+            yield from self.node.cpu_charges[params.sent_event_cost_us]
         else:
-            yield from self.node.cpu_use(params.effective_recv_cost_us)
+            yield from self.node.cpu_charges[params.effective_recv_cost_us]
         if isinstance(event, BarrierCompletedEvent):
             self._barrier_pending = False
             if event.ctx is not None:
@@ -277,8 +280,9 @@ class GmPort:
     def provide_barrier_buffer(self):
         """gm_provide_barrier_buffer(): post the receive token the NIC
         will use for the completion notification."""
-        self.port.require_open()
-        yield from self.node.cpu_use(self.node.params.buffer_post_cost_us)
+        if not self.port.is_open:
+            raise self.port.closed_error()
+        yield from self.node.cpu_charges[self.node.params.buffer_post_cost_us]
         self.port.post_barrier_buffer(ReceiveToken(self.port_id, 16))
 
     def barrier_send_with_callback(self, plan: "BarrierPlan"):
@@ -288,15 +292,16 @@ class GmPort:
         Host generator; returns the :class:`BarrierSendToken`.  Completion
         is signalled by a :class:`BarrierCompletedEvent` on ``receive``.
         """
-        self.port.require_open()
+        if not self.port.is_open:
+            raise self.port.closed_error()
         if self._barrier_pending or self.port.barrier_send_token is not None:
             raise RuntimeError(
                 f"port {self.port_id}: a barrier is already in flight"
             )
         params = self.node.params
-        yield from self.node.cpu_use(
+        yield from self.node.cpu_charges[
             params.barrier_setup_cost_us + params.effective_send_cost_us
-        )
+        ]
         self.port.take_send_token()
         self.port.barrier_seq += 1
         token = BarrierSendToken(
@@ -335,15 +340,16 @@ class GmPort:
         result.  Requires a completion buffer posted via
         :meth:`provide_barrier_buffer`, like a barrier.
         """
-        self.port.require_open()
+        if not self.port.is_open:
+            raise self.port.closed_error()
         if self._collective_pending or self.port.coll_send_token is not None:
             raise RuntimeError(
                 f"port {self.port_id}: a collective is already in flight"
             )
         params = self.node.params
-        yield from self.node.cpu_use(
+        yield from self.node.cpu_charges[
             params.barrier_setup_cost_us + params.effective_send_cost_us
-        )
+        ]
         self.port.take_send_token()
         self.port.coll_seq += 1
         token = CollectiveSendToken(

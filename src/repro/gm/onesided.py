@@ -98,7 +98,8 @@ class OneSidedPort:
         if size_bytes <= 0:
             raise ValueError("region must have positive size")
         port = self.gm_port.port
-        port.require_open()
+        if not port.is_open:
+            raise port.closed_error()
         self.gm_port.node.memory.pin(size_bytes)
         region = ExposedRegion(
             node_id=self.gm_port.node.node_id,
@@ -128,8 +129,9 @@ class OneSidedPort:
         """
         dst_node, dst_port, region_id = handle
         gm = self.gm_port
-        gm.port.require_open()
-        yield from gm.node.cpu_use(gm.node.params.effective_send_cost_us)
+        if not gm.port.is_open:
+            raise gm.port.closed_error()
+        yield from gm.node.cpu_charges[gm.node.params.effective_send_cost_us]
         gm.port.take_send_token()
         token = SendToken(
             src_port=gm.port_id,
@@ -161,8 +163,9 @@ class OneSidedPort:
         """
         dst_node, dst_port, region_id = handle
         gm = self.gm_port
-        gm.port.require_open()
-        yield from gm.node.cpu_use(gm.node.params.effective_send_cost_us)
+        if not gm.port.is_open:
+            raise gm.port.closed_error()
+        yield from gm.node.cpu_charges[gm.node.params.effective_send_cost_us]
         gm.port.take_send_token()
         get_id = self._next_get_id
         self._next_get_id += 1

@@ -134,17 +134,18 @@ class NicPort:
         while self.event_queue.try_get() is not None:
             pass
 
-    def require_open(self) -> None:
-        """Raise :class:`PortClosedError` unless the port is open."""
-        if not self.is_open:
-            raise PortClosedError(
-                f"port {self.port_id} on node {self.node_id} is closed"
-            )
+    def closed_error(self) -> PortClosedError:
+        """The error an operation on this port raises while it is
+        closed: ``if not port.is_open: raise port.closed_error()``."""
+        return PortClosedError(
+            f"port {self.port_id} on node {self.node_id} is closed"
+        )
 
     # -- token bookkeeping ------------------------------------------------
     def take_send_token(self) -> None:
         """Consume one send token (flow control toward the NIC)."""
-        self.require_open()
+        if not self.is_open:
+            raise self.closed_error()
         if self.send_tokens_free <= 0:
             raise RuntimeError(
                 f"port {self.port_id}: out of send tokens "
@@ -160,7 +161,8 @@ class NicPort:
 
     def post_recv_token(self, token: ReceiveToken) -> None:
         """Make a host receive buffer available to the NIC."""
-        self.require_open()
+        if not self.is_open:
+            raise self.closed_error()
         if len(self.recv_tokens) >= self.recv_tokens_capacity:
             raise RuntimeError(
                 f"port {self.port_id}: receive-token queue full "
@@ -179,7 +181,8 @@ class NicPort:
 
     def post_barrier_buffer(self, token: ReceiveToken) -> None:
         """Queue a buffer for a barrier/collective completion notice."""
-        self.require_open()
+        if not self.is_open:
+            raise self.closed_error()
         self.barrier_buffers.append(token)
 
     def take_barrier_buffer(self) -> Optional[ReceiveToken]:

@@ -52,7 +52,8 @@ class SendToken:
     payload: Any = None
     callback: Optional[Callable[["SendToken"], None]] = None
     token_id: int = field(default_factory=lambda: next(_token_ids))
-    #: Regular-stream sequence number, assigned by SDMA at prepare time.
+    #: Regular-stream sequence number, assigned by SDMA when it records
+    #: the prepared packet on the sent list (after its last charge).
     seqno: Optional[int] = None
     #: Simulated time the host queued the token (for traces/latency tests).
     queued_at: Optional[float] = None
@@ -63,20 +64,14 @@ class SendToken:
     #: the packet this token produces becomes a child span of it.
     ctx: Optional["TraceContext"] = None
 
-    @property
-    def is_barrier(self) -> bool:
-        """Dispatch flag: ordinary sends are not barrier tokens."""
-        return False
+    #: Dispatch flag: ordinary sends are not barrier tokens.
+    is_barrier = False
 
-    @property
-    def is_collective(self) -> bool:
-        """Dispatch flag: ordinary sends are not collective tokens."""
-        return False
+    #: Dispatch flag: ordinary sends are not collective tokens.
+    is_collective = False
 
-    @property
-    def is_multicast(self) -> bool:
-        """Dispatch flag: ordinary sends have one destination."""
-        return False
+    #: Dispatch flag: ordinary sends have one destination.
+    is_multicast = False
 
 
 @dataclass
@@ -108,20 +103,14 @@ class MulticastSendToken:
         if len(set(self.destinations)) != len(self.destinations):
             raise ValueError("duplicate multicast destinations")
 
-    @property
-    def is_barrier(self) -> bool:
-        """Dispatch flag: multicast is not a barrier token."""
-        return False
+    #: Dispatch flag: multicast is not a barrier token.
+    is_barrier = False
 
-    @property
-    def is_collective(self) -> bool:
-        """Dispatch flag: multicast is not a collective token."""
-        return False
+    #: Dispatch flag: multicast is not a collective token.
+    is_collective = False
 
-    @property
-    def is_multicast(self) -> bool:
-        """Dispatch flag: SDMA fans this token out to every destination."""
-        return True
+    #: Dispatch flag: SDMA fans this token out to every destination.
+    is_multicast = True
 
 
 #: An endpoint is a (node_id, port_id) pair.
@@ -238,20 +227,14 @@ class BarrierSendToken:
             ctx=ctx,
         )
 
-    @property
-    def is_barrier(self) -> bool:
-        """Dispatch flag: SDMA routes this token to the barrier engine."""
-        return True
+    #: Dispatch flag: SDMA routes this token to the barrier engine.
+    is_barrier = True
 
-    @property
-    def is_collective(self) -> bool:
-        """True for the data collectives (:class:`CollectiveSendToken`)."""
-        return False
+    #: True for the data collectives (:class:`CollectiveSendToken`).
+    is_collective = False
 
-    @property
-    def is_multicast(self) -> bool:
-        """Dispatch flag: barrier tokens are not multicast."""
-        return False
+    #: Dispatch flag: barrier tokens are not multicast.
+    is_multicast = False
 
     @property
     def current_step(self) -> "PeStep":
@@ -334,10 +317,8 @@ class CollectiveSendToken(BarrierSendToken):
             nic_complete_time=nic_complete_time,
         )
 
-    @property
-    def is_collective(self) -> bool:
-        """True: a data collective."""
-        return True
+    #: True: a data collective.
+    is_collective = True
 
 
 @dataclass

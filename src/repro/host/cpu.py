@@ -11,6 +11,7 @@ this knob.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,13 @@ class HostParams:
         """A copy with the given fields replaced."""
         return replace(self, **changes)
 
-    @property
+    # Cached per (immutable) instance: read on every send and receive.
+    @cached_property
     def effective_send_cost_us(self) -> float:
         """Send-initiation cost including any layered overhead."""
         return self.send_cost_us + self.extra_overhead_us
 
-    @property
+    @cached_property
     def effective_recv_cost_us(self) -> float:
         """HRecv cost including any layered overhead."""
         return self.recv_cost_us + self.extra_overhead_us

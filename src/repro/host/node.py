@@ -14,8 +14,38 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.nic.nic import Nic
 
 
+class CpuCharges(dict):
+    """``duration -> (hold,)``: host CPU charges, one shared
+    :class:`~repro.sim.primitives.Hold` per duration, built on first use.
+
+    A host charge is ``yield from node.cpu_charges[duration]``: the
+    tuple's one hold is yielded, and a zero charge is the empty tuple,
+    which yields nothing.  A negative duration raises ``ValueError`` at
+    the lookup.  The process resumes a finished hold with ``None``, so
+    ``yield from`` needs no generator of its own: a charge runs no
+    Python code once its duration has been seen.
+    """
+
+    __slots__ = ("cpu",)
+
+    def __init__(self, cpu: Resource) -> None:
+        super().__init__()
+        self.cpu = cpu
+
+    def __missing__(self, duration: float) -> tuple:
+        if duration < 0:
+            raise ValueError("negative host CPU time")
+        charge = self[duration] = (Hold(self.cpu, duration),) if duration else ()
+        return charge
+
+
 class Node:
-    """One workstation of the cluster."""
+    """One workstation of the cluster.
+
+    Host code charges its CPU with ``yield from node.cpu_charges[us]``
+    (one shared hold per duration, see :class:`CpuCharges`) and runs
+    an application compute phase with ``yield from node.compute(us)``.
+    """
 
     def __init__(
         self,
@@ -32,6 +62,9 @@ class Node:
         self.cpu = Resource(
             sim, capacity=self.params.num_cpus, name=f"node{node_id}.cpu"
         )
+        #: ``duration -> (hold,)``: a host CPU charge, driven with
+        #: ``yield from node.cpu_charges[us]`` (see :class:`CpuCharges`).
+        self.cpu_charges = CpuCharges(self.cpu)
         self.memory = PinnedMemoryRegistry(node_id, max_pinned_bytes)
         #: Host processes running on this node (registered by the cluster
         #: runner) so a fail-stop NodeCrash can kill them with the NIC.
@@ -40,14 +73,6 @@ class Node:
         from repro.gm.driver import GmDriver
 
         self.driver: "GmDriver" = GmDriver(self)
-
-    def cpu_use(self, duration_us: float):
-        """Charge host CPU time (generator for host-context processes)."""
-        if duration_us < 0:
-            raise ValueError("negative host CPU time")
-        if duration_us == 0:
-            return
-        yield Hold(self.cpu, duration_us)  # checked above, as hold() would
 
     def compute(self, duration_us: float):
         """Application compute phase occupying one CPU (for fuzzy-barrier

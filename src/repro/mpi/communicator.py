@@ -100,10 +100,10 @@ class Communicator:
         return len(self.group)
 
     def _charge_call(self):
-        yield from self.port.node.cpu_use(self.params.call_overhead_us)
+        yield from self.port.node.cpu_charges[self.params.call_overhead_us]
 
     def _charge_message(self):
-        yield from self.port.node.cpu_use(self.params.per_message_overhead_us)
+        yield from self.port.node.cpu_charges[self.params.per_message_overhead_us]
 
     def _prime_pool(self):
         if not self._pool_primed:

@@ -146,13 +146,14 @@ class Network:
         )
         ch.tracer = self.tracer
         metrics = self.sim.metrics
-        metrics.observe(f"link.{name}.bytes", lambda c=ch: c.bytes_sent)
-        metrics.observe(f"link.{name}.utilization", lambda c=ch: c.utilization())
-        metrics.observe(f"link.{name}.queue_hw", lambda c=ch: c.max_queue_depth)
-        metrics.observe(f"link.{name}.dropped", lambda c=ch: c.packets_dropped)
-        metrics.observe(
-            f"link.{name}.corrupted", lambda c=ch: c.packets_corrupted
-        )
+        if metrics.enabled:  # a disabled registry drops every probe
+            metrics.observe(f"link.{name}.bytes", lambda c=ch: c.bytes_sent)
+            metrics.observe(f"link.{name}.utilization", lambda c=ch: c.utilization())
+            metrics.observe(f"link.{name}.queue_hw", lambda c=ch: c.max_queue_depth)
+            metrics.observe(f"link.{name}.dropped", lambda c=ch: c.packets_dropped)
+            metrics.observe(
+                f"link.{name}.corrupted", lambda c=ch: c.packets_corrupted
+            )
         return ch
 
     # ------------------------------------------------------------------

@@ -17,18 +17,26 @@ transmit-done event would take; the event is scheduled there only when
 a packet queues behind the transmission or the packet is lost (a run
 that ends on a drop still ends at that instant).  Otherwise the busy
 flag is settled lazily by comparing the reserved key with the engine's
-position (:meth:`~repro.sim.engine.Simulator.dispatched`), so a packet
-crossing an idle channel costs one event, its delivery, and every start
-time, delivery and ``seq`` is what an always-scheduled end event gives.
+position (what :meth:`~repro.sim.engine.Simulator.dispatched` says,
+compared in place on the per-packet paths), so a packet crossing an
+idle channel costs one event, its delivery, and every start time,
+delivery and ``seq`` is what an always-scheduled end event gives.
+
+The per-packet path calls no helper: a transmission pushes its own
+engine entries and takes its reserved ``seq`` in place (see "Wake-ups
+the kernel pushes itself" in ``docs/engine.md``), the wire size is
+``HEADER_BYTES + payload_bytes``, and an untraced delivery record goes
+straight onto the tracer's flight ring.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Callable, Deque, Optional, Protocol
 
-from repro.network.packet import Packet
-from repro.sim.engine import Simulator
+from repro.network.packet import HEADER_BYTES, Packet
+from repro.sim.engine import PRIORITY_NORMAL, Simulator
 
 
 class PacketSink(Protocol):
@@ -128,7 +136,17 @@ class Channel:
         if self.sink is None:
             raise RuntimeError(f"channel {self.name!r} has no sink connected")
         self._queue.append(packet)
-        busy = self._busy and self._on_wire()
+        busy = self._busy
+        if busy and self._tx_seq is not None:
+            # _on_wire() in place: the transmission is over once the
+            # engine has passed its reserved end (Simulator.dispatched).
+            sim = self.sim
+            at = sim._at
+            if (
+                self._tx_end <= sim.now if at is None
+                else [self._tx_end, PRIORITY_NORMAL, self._tx_seq] < at
+            ):
+                busy = self._busy = False
         depth = len(self._queue) + busy
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
@@ -207,7 +225,7 @@ class Channel:
         self._busy = True
         sim = self.sim
         packet = self._queue.popleft()
-        size = packet.size_bytes
+        size = HEADER_BYTES + packet.payload_bytes  # packet.size_bytes
         ser = size / self.bandwidth_mbps  # serialization_time(packet)
         self.busy_us += ser
         if (
@@ -218,6 +236,9 @@ class Channel:
             verdict = None  # what _transmit_verdict() says, uncalled
         else:
             verdict = self._transmit_verdict(packet)
+        # The delivery and transmit-done entries below are the ones
+        # ``sim.schedule`` would push, pushed in place, and the reserved
+        # key takes the next ``seq`` the same way (docs/engine.md).
         if verdict is not None:
             self.packets_dropped += 1
             if verdict == "corrupt":
@@ -227,21 +248,38 @@ class Channel:
         else:
             self.packets_sent += 1
             self.bytes_sent += size
-            sim.schedule(ser + self.propagation_us, self._deliver, packet)
+            sim._seq = seq = sim._seq + 1
+            sim._live += 1
+            heappush(sim._heap, [
+                sim.now + (ser + self.propagation_us), PRIORITY_NORMAL, seq,
+                self._deliver, (packet,),
+            ])
         # Channel frees up when the tail leaves the transmitter.
+        sim._seq = seq = sim._seq + 1
         if verdict is not None or self._queue:
             self._tx_seq = None
-            sim.schedule(ser, self._tx_done)
+            sim._live += 1
+            heappush(sim._heap, [
+                sim.now + ser, PRIORITY_NORMAL, seq, self._tx_done, (),
+            ])
         else:
             self._tx_end = sim.now + ser
-            self._tx_seq = sim.reserve_seq()
+            self._tx_seq = seq
 
     def _deliver(self, packet: Packet) -> None:
-        assert self.sink is not None
-        if self.tracer is not None and packet.ctx is not None:
-            self.tracer.record_payload("net", "link.deliver", {
+        tracer = self.tracer
+        if tracer is not None and packet.ctx is not None:
+            payload = {
                 "key": packet.packet_id, "channel": self.name, "ctx": packet.ctx,
-            })
+            }
+            # Tracer.record_payload, with the untraced case (the flight
+            # ring alone) fed in place.
+            if tracer.enabled:
+                tracer.record_payload("net", "link.deliver", payload)
+            elif tracer._flight_append is not None:
+                tracer._flight_append(
+                    (self.sim.now, "net", "link.deliver", payload)
+                )
         self.sink.receive_packet(packet)
 
     def _tx_done(self) -> None:

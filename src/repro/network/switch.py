@@ -16,15 +16,17 @@ has per-port route logic), so there is no shared "switch CPU" resource.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Dict, Optional
 
 from repro.network.link import Channel, PacketSink
 from repro.network.packet import Packet
-from repro.sim.engine import Simulator
+from repro.sim.engine import PRIORITY_NORMAL, Simulator
 
 
 class _SwitchInput:
-    """Receive sink for one switch port; forwards into the crossbar."""
+    """Receive sink for one switch port: routes each arriving packet
+    through the crossbar (see :meth:`CrossbarSwitch.attach`)."""
 
     __slots__ = ("switch", "port_index")
 
@@ -33,7 +35,60 @@ class _SwitchInput:
         self.port_index = port_index
 
     def receive_packet(self, packet: Packet) -> None:
-        self.switch._route(packet, self.port_index)
+        """Read the packet's next route byte and hand it to that output
+        port's channel ``routing_delay_us`` later."""
+        switch = self.switch
+        route = packet.route
+        if not route:  # what packet.hop() raises
+            raise RuntimeError(f"packet {packet} has exhausted its route")
+        out_port = route.pop(0)
+        ctx = packet.ctx
+        if ctx is not None:
+            # Advance the hop counter (same span ids: a hop is not a new
+            # causal edge, just progress along the wire).
+            packet.ctx = ctx = ctx.next_hop()
+        channel = switch._outputs.get(out_port)
+        if channel is None:
+            # A packet routed to an uncabled port is silently dropped by
+            # real Myrinet hardware; count it so tests can assert on it.
+            switch.packets_dead_ended += 1
+            return
+        switch.packets_routed += 1
+        tracer = switch.tracer
+        if tracer is not None and ctx is not None:
+            payload = {
+                "key": packet.packet_id, "switch": switch.name,
+                "in_port": self.port_index, "out_port": out_port, "ctx": ctx,
+            }
+            # Tracer.record_payload, with the untraced case (the flight
+            # ring alone) fed in place.
+            if tracer.enabled:
+                tracer.record_payload("net", "switch.route", payload)
+            elif tracer._flight_append is not None:
+                tracer._flight_append(
+                    (switch.sim.now, "net", "switch.route", payload)
+                )
+        sim = switch.sim
+        if channel._busy and channel._tx_seq is not None:
+            # Channel._on_wire() in place: settle a busy flag whose
+            # reserved transmit end the engine has passed.
+            at = sim._at
+            if (
+                channel._tx_end <= sim.now if at is None
+                else [channel._tx_end, PRIORITY_NORMAL, channel._tx_seq] < at
+            ):
+                channel._busy = False
+        if channel._queue or channel._busy:  # channel.queue_depth > 0
+            stalls = switch.output_stalls
+            stalls[out_port] = stalls.get(out_port, 0) + 1
+        # ``sim.schedule(routing_delay_us, channel.send, packet)``,
+        # pushed in place (docs/engine.md).
+        sim._seq = seq = sim._seq + 1
+        sim._live += 1
+        heappush(sim._heap, [
+            sim.now + switch.routing_delay_us, PRIORITY_NORMAL, seq,
+            channel.send, (packet,),
+        ])
 
 
 class CrossbarSwitch:
@@ -54,6 +109,8 @@ class CrossbarSwitch:
     ) -> None:
         if num_ports <= 0:
             raise ValueError("switch needs at least one port")
+        if routing_delay_us < 0:
+            raise ValueError("routing delay must be >= 0")
         self.sim = sim
         self.num_ports = num_ports
         self.routing_delay_us = routing_delay_us
@@ -86,29 +143,6 @@ class CrossbarSwitch:
     def output_channel(self, port_index: int) -> Optional[Channel]:
         """The channel cabled to a port, if attached."""
         return self._outputs.get(port_index)
-
-    # ------------------------------------------------------------------
-    def _route(self, packet: Packet, in_port: int) -> None:
-        out_port = packet.hop()
-        if packet.ctx is not None:
-            # Advance the hop counter (same span ids: a hop is not a new
-            # causal edge, just progress along the wire).
-            packet.ctx = packet.ctx.next_hop()
-        channel = self._outputs.get(out_port)
-        if channel is None:
-            # A packet routed to an uncabled port is silently dropped by
-            # real Myrinet hardware; count it so tests can assert on it.
-            self.packets_dead_ended += 1
-            return
-        self.packets_routed += 1
-        if self.tracer is not None and packet.ctx is not None:
-            self.tracer.record_payload("net", "switch.route", {
-                "key": packet.packet_id, "switch": self.name,
-                "in_port": in_port, "out_port": out_port, "ctx": packet.ctx,
-            })
-        if channel.queue_depth > 0:
-            self.output_stalls[out_port] = self.output_stalls.get(out_port, 0) + 1
-        self.sim.schedule(self.routing_delay_us, channel.send, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{self.name} ports={self.num_ports} attached={len(self._outputs)}>"

@@ -18,7 +18,7 @@ and ``RDMA`` terms are nonzero even for empty messages.
 from __future__ import annotations
 
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Hold, Resource
+from repro.sim.primitives import Hold, HoldTable, Resource
 
 
 class DmaEngine:
@@ -50,10 +50,18 @@ class DmaEngine:
         self._trace_label = f"{engine or 'dma'}.dma"
         self.transfers = 0
         self.bytes_moved = 0
+        #: ``size_bytes -> Hold`` of the bus for an untimed transfer of
+        #: that size, built on first use: DMA sizes take few values.
+        #: (Its duration is ``transfer_time``, bound to no method: the
+        #: engine must not be part of a reference cycle.)
+        self._holds = HoldTable(
+            pci_bus, lambda size: pci_setup_us + size / pci_bandwidth_mbps
+        )
         metrics = sim.metrics
         prefix = name or "dma"
-        metrics.observe(f"{prefix}.transfers", lambda: self.transfers)
-        metrics.observe(f"{prefix}.bytes", lambda: self.bytes_moved)
+        if metrics.enabled:  # a disabled registry drops every probe
+            metrics.observe(f"{prefix}.transfers", lambda: self.transfers)
+            metrics.observe(f"{prefix}.bytes", lambda: self.bytes_moved)
         #: Whether the two instruments below record (else they are no-ops).
         self._timed = metrics.enabled
         #: Simulated time this engine holds the PCI bus (merged intervals).
@@ -91,17 +99,17 @@ class DmaEngine:
         generator resumes.  A transfer interrupted or killed while
         holding the bus closes the busy interval and counts nothing.
         With metrics disabled both instruments are no-ops, so the hold
-        carries no hook at all.
+        carries no hook at all, and one shared hold per size serves
+        every transfer of that size.
         """
         if size_bytes < 0:
             raise ValueError("negative DMA size")
         sim = self.sim
         requested_at = sim.now
-        # transfer_time(size_bytes), written out on the per-packet path.
-        duration = self.pci_setup_us + size_bytes / self.pci_bandwidth_mbps
         if not self._timed:
-            yield Hold(self.pci_bus, duration)
+            yield self._holds[size_bytes]
         else:
+            duration = self.transfer_time(size_bytes)
             busy = self._busy
             granted = False
 
@@ -120,6 +128,6 @@ class DmaEngine:
         self.bytes_moved += size_bytes
         if ctx is not None and self.tracer is not None:
             self.tracer.record_payload(self._trace_category, self._trace_label, {
-                "size": size_bytes, "wait_us": self.sim.now - requested_at,
+                "size": size_bytes, "wait_us": sim.now - requested_at,
                 "ctx": ctx,
             })

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
-from repro.sim.primitives import Hold
+from repro.sim.primitives import HoldTable
 from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -25,10 +25,12 @@ class Firmware:
 
     A LANai charge is one :class:`~repro.sim.primitives.Hold` per
     operation, built on its first use and shared by every machine of
-    the NIC (``Nic.lanai_charges``).  The tracer's record method is
-    bound once per object, and each trace label is built once per
-    class, so a charge or a trace record allocates nothing and looks
-    nothing up through the NIC.
+    the NIC: a charge subscripts the NIC's charge table,
+    ``yield self.charge["recv_packet"]``, which calls no Python code
+    once the hold exists (an unknown operation raises ``KeyError``).
+    Each trace label is built once per class, and with tracing off a
+    record goes straight onto the tracer's flight ring, so an untraced
+    record calls no Python code beyond :meth:`trace` itself.
     """
 
     #: Subclasses set this for traces.
@@ -43,35 +45,28 @@ class Firmware:
 
     def __init__(self, nic: "Nic") -> None:
         self.nic = nic
-        self._charges = nic.lanai_charges
-        tracer = nic.tracer
-        self._record_payload = None if tracer is None else tracer.record_payload
+        self._sim = nic.sim
+        #: ``Nic.lanai_charges``: operation -> its shared hold.
+        self.charge: HoldTable = nic.lanai_charges
+        self._tracer = nic.tracer
         self._category = nic.trace_category
 
-    def cpu(self, operation: str) -> Hold:
-        """Charge one firmware operation against the NIC processor.
-
-        Usage: ``yield self.cpu("recv_packet")``.  Every call for one
-        operation returns the same hold.
-        """
-        try:
-            return self._charges[operation]
-        except KeyError:
-            nic = self.nic
-            charge = self._charges[operation] = Hold(
-                nic.cpu_resource, nic.model.costs[operation]
-            )
-            return charge
-
     def trace(self, label: str, **payload) -> None:
-        """Record a trace event if tracing is enabled."""
-        record = self._record_payload
-        if record is not None:
+        """Record a trace event: ``Tracer.record_payload``, with the
+        untraced case (the flight ring alone) fed in place.  The
+        tracer's ``enabled`` flag is read at every record."""
+        tracer = self._tracer
+        if tracer is not None:
             try:
                 full = self._labels[label]
             except KeyError:
                 full = self._labels[label] = f"{self.machine_name}.{label}"
-            record(self._category, full, payload)
+            if tracer.enabled:
+                tracer.record_payload(self._category, full, payload)
+            elif tracer._flight_append is not None:
+                tracer._flight_append(
+                    (self._sim.now, self._category, full, payload)
+                )
 
 
 class StateMachine(Firmware):

@@ -37,8 +37,9 @@ class RdmaMachine(StateMachine):
 
     def _run(self):
         nic = self.nic
+        queue = nic.rdma_queue
         while True:
-            item = yield nic.rdma_queue.get()
+            item = yield queue  # the Store is its own get() waitable
             kind = item[0]
             if kind == "deliver":
                 yield from self._deliver(item[1], item[2])
@@ -61,10 +62,10 @@ class RdmaMachine(StateMachine):
     def _deliver(self, packet, recv_token):
         """DMA an accepted message into its host buffer + post the event."""
         nic = self.nic
-        yield self.cpu("rdma_process")
+        yield self.charge["rdma_process"]
         yield from nic.rdma_engine.transfer(packet.payload_bytes, ctx=packet.ctx)
         nic.rx_buffers.release()
-        yield self.cpu("post_event")
+        yield self.charge["post_event"]
         yield from nic.rdma_engine.transfer(EVENT_DMA_BYTES, ctx=packet.ctx)
         port = nic.ports.get(packet.dst_port)
         if port is not None and port.is_open:
@@ -90,7 +91,7 @@ class RdmaMachine(StateMachine):
 
         nic = self.nic
         port = nic.ports.get(packet.dst_port)
-        yield self.cpu("rdma_process")
+        yield self.charge["rdma_process"]
         if packet.ptype is PacketType.PUT:
             region = None if port is None else port.exposed_regions.get(
                 packet.payload["region_id"]
@@ -106,7 +107,7 @@ class RdmaMachine(StateMachine):
             nic.rx_buffers.release()
             region.data[packet.payload["offset"]] = packet.payload["value"]
             if packet.payload.get("notify") and port.is_open:
-                yield self.cpu("post_event")
+                yield self.charge["post_event"]
                 yield from nic.rdma_engine.transfer(EVENT_DMA_BYTES)
                 nic.post_host_event(
                     port,
@@ -137,8 +138,8 @@ class RdmaMachine(StateMachine):
             # answer on the reliable stream -- the remote host never runs.
             yield from nic.sdma_engine.transfer(size)
             nic.rx_buffers.release()
-            yield self.cpu("packet_prep")
-            conn = nic.connection(packet.src_node)
+            yield self.charge["packet_prep"]
+            conn = nic.connections[packet.src_node]
             reply = nic.make_packet(
                 PacketType.GET_REPLY,
                 dst_node=packet.src_node,
@@ -161,7 +162,7 @@ class RdmaMachine(StateMachine):
             yield from nic.rdma_engine.transfer(packet.payload_bytes)
             nic.rx_buffers.release()
             if port is not None and port.is_open:
-                yield self.cpu("post_event")
+                yield self.charge["post_event"]
                 yield from nic.rdma_engine.transfer(EVENT_DMA_BYTES)
                 nic.post_host_event(
                     port,
@@ -177,8 +178,8 @@ class RdmaMachine(StateMachine):
     # ------------------------------------------------------------------
     def _send_ack(self, remote_node: int):
         nic = self.nic
-        conn = nic.connection(remote_node)
-        yield self.cpu("ack_gen")
+        conn = nic.connections[remote_node]
+        yield self.charge["ack_gen"]
         packet = nic.make_packet(
             PacketType.ACK,
             dst_node=remote_node,
@@ -190,8 +191,8 @@ class RdmaMachine(StateMachine):
 
     def _send_nack(self, remote_node: int):
         nic = self.nic
-        conn = nic.connection(remote_node)
-        yield self.cpu("ack_gen")
+        conn = nic.connections[remote_node]
+        yield self.charge["ack_gen"]
         packet = nic.make_packet(
             PacketType.NACK,
             dst_node=remote_node,
@@ -203,7 +204,7 @@ class RdmaMachine(StateMachine):
 
     def _send_barrier_ack(self, barrier_packet):
         nic = self.nic
-        yield self.cpu("ack_gen")
+        yield self.charge["ack_gen"]
         packet = nic.make_packet(
             PacketType.BARRIER_ACK,
             dst_node=barrier_packet.src_node,

@@ -38,27 +38,28 @@ class RecvMachine(StateMachine):
 
     def _run(self):
         nic = self.nic
+        queue = nic.recv_queue
         while True:
-            packet = yield nic.recv_queue.get()
+            packet = yield queue  # the Store is its own get() waitable
             ptype = packet.ptype
             if packet.src_node in nic.suspected_peers:
                 # Epoch fence: a suspect never recovers (fail-stop), so
                 # anything it sent before dying -- or anything delayed in
                 # the fabric -- is dropped before touching protocol state.
-                yield self.cpu("recv_control")
+                yield self.charge["recv_control"]
                 continue
             if ptype is PacketType.HEARTBEAT:
                 # Liveness was recorded at wire delivery (detector.saw);
                 # the payload carries nothing else.
-                yield self.cpu("recv_control")
+                yield self.charge["recv_control"]
                 continue
             if ptype is PacketType.ACK:
                 yield from self._handle_ack(packet)
             elif ptype is PacketType.NACK:
                 yield from self._handle_nack(packet)
             elif ptype is PacketType.BARRIER_ACK:
-                yield self.cpu("recv_control")
-                conn = nic.connection(packet.src_node)
+                yield self.charge["recv_control"]
+                conn = nic.connections[packet.src_node]
                 entry = conn.handle_barrier_ack(
                     packet.payload["acked_port"], packet.payload["acked_seqno"]
                 )
@@ -66,7 +67,7 @@ class RecvMachine(StateMachine):
                     nic.recovery_hist.observe(nic.sim.now - entry.first_sent_at)
                 nic.manage_barrier_retransmit_timer(conn)
             elif ptype is PacketType.BARRIER_REJECT:
-                yield self.cpu("recv_control")
+                yield self.charge["recv_control"]
                 nic.barrier_engine.on_reject(packet)
             elif ptype is PacketType.DATA:
                 yield from self._handle_data(packet)
@@ -80,8 +81,8 @@ class RecvMachine(StateMachine):
     # ------------------------------------------------------------------
     def _handle_ack(self, packet: Packet):
         nic = self.nic
-        yield self.cpu("recv_control")
-        conn = nic.connection(packet.src_node)
+        yield self.charge["recv_control"]
+        conn = nic.connections[packet.src_node]
         done = conn.handle_ack(packet.payload["cum_seqno"])
         nic.manage_retransmit_timer(conn)
         for entry in done:
@@ -100,7 +101,7 @@ class RecvMachine(StateMachine):
                 dst_node, dst_port = token.dst_node, token.dst_port
             port = nic.ports.get(token.src_port)
             if port is not None and port.is_open:
-                yield self.cpu("post_event")
+                yield self.charge["post_event"]
                 port.return_send_token()
                 nic.post_host_event(
                     port,
@@ -115,8 +116,8 @@ class RecvMachine(StateMachine):
     def _handle_nack(self, packet: Packet):
         """Go-back-N: retransmit everything from the NACKed seqno."""
         nic = self.nic
-        yield self.cpu("recv_control")
-        conn = nic.connection(packet.src_node)
+        yield self.charge["recv_control"]
+        conn = nic.connections[packet.src_node]
         for entry in conn.entries_from(packet.payload["expected_seqno"]):
             nic.sdma_inbox.put(("retransmit", conn.remote_node, entry))
         nic.manage_retransmit_timer(conn)
@@ -124,8 +125,8 @@ class RecvMachine(StateMachine):
     # ------------------------------------------------------------------
     def _handle_data(self, packet: Packet):
         nic = self.nic
-        yield self.cpu("recv_packet")
-        conn = nic.connection(packet.src_node)
+        yield self.charge["recv_packet"]
+        conn = nic.connections[packet.src_node]
         verdict = conn.classify_incoming(packet.seqno)
         if verdict == "duplicate":
             conn.duplicates_dropped += 1
@@ -164,8 +165,8 @@ class RecvMachine(StateMachine):
         host receive token is consumed -- the defining property of
         one-sided operations (the target process never posts a buffer)."""
         nic = self.nic
-        yield self.cpu("recv_packet")
-        conn = nic.connection(packet.src_node)
+        yield self.charge["recv_packet"]
+        conn = nic.connections[packet.src_node]
         verdict = conn.classify_incoming(packet.seqno)
         if verdict == "duplicate":
             conn.duplicates_dropped += 1
@@ -192,13 +193,13 @@ class RecvMachine(StateMachine):
     # ------------------------------------------------------------------
     def _handle_barrier_payload(self, packet: Packet):
         nic = self.nic
-        yield self.cpu("recv_barrier")
+        yield self.charge["recv_barrier"]
         self.trace("barrier_recv", key=packet.packet_id,
                    src=(packet.src_node, packet.src_port), ctx=packet.ctx)
         mode = nic.params.barrier_reliability
         if mode is BarrierReliability.TOKEN_PER_DESTINATION:
             # Barrier packets share the regular stream: same seqno rules.
-            conn = nic.connection(packet.src_node)
+            conn = nic.connections[packet.src_node]
             verdict = conn.classify_incoming(packet.seqno)
             if verdict == "duplicate":
                 conn.duplicates_dropped += 1
@@ -215,7 +216,7 @@ class RecvMachine(StateMachine):
             # Accepted and duplicate packets are ACKed (a duplicate means
             # the original ACK was lost); packets beyond a gap are dropped
             # silently so the sender's timer refills the window in order.
-            conn = nic.connection(packet.src_node)
+            conn = nic.connections[packet.src_node]
             verdict = conn.classify_barrier_incoming(packet.src_port, packet.seqno)
             if verdict == "future":
                 return

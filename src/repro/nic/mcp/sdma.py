@@ -36,8 +36,9 @@ class SdmaMachine(StateMachine):
 
     def _run(self):
         nic = self.nic
+        inbox = nic.sdma_inbox
         while True:
-            item = yield nic.sdma_inbox.get()
+            item = yield inbox  # the Store is its own get() waitable
             kind = item[0]
             if kind == "token":
                 _, port_id, token = item
@@ -86,18 +87,18 @@ class SdmaMachine(StateMachine):
     def _process_send_token(self, port_id: int, token: SendToken):
         """Ordinary reliable send: DMA payload in, prepare, hand to SEND."""
         nic = self.nic
-        yield self.cpu("token_process")
+        yield self.charge["token_process"]
         if token.dst_node in nic.suspected_peers:
             self._fake_ack(token, token.dst_node, token.dst_port)
             return
-        conn = nic.connection(token.dst_node)
-        token.seqno = conn.assign_seqno()
+        conn = nic.connections[token.dst_node]
 
-        # Stage the payload into a transmit buffer (blocks if pool empty).
-        yield nic.tx_buffers.request()
-        yield self.cpu("dma_setup")
+        # Stage the payload into a transmit buffer (blocks if pool empty;
+        # the Resource is its own request() waitable).
+        yield nic.tx_buffers
+        yield self.charge["dma_setup"]
         yield from nic.sdma_engine.transfer(token.size_bytes, ctx=token.ctx)
-        yield self.cpu("packet_prep")
+        yield self.charge["packet_prep"]
 
         wire_type = token.wire_type or PacketType.DATA
         packet = nic.make_packet(
@@ -105,7 +106,6 @@ class SdmaMachine(StateMachine):
             dst_node=token.dst_node,
             dst_port=token.dst_port,
             src_port=token.src_port,
-            seqno=token.seqno,
             payload_bytes=token.size_bytes,
             # One-sided packets carry their descriptor verbatim; ordinary
             # sends wrap the application body.
@@ -116,7 +116,11 @@ class SdmaMachine(StateMachine):
             ),
             ctx=token.ctx.child() if token.ctx is not None else None,
         )
-        yield self.cpu("send_queue_manage")
+        yield self.charge["send_queue_manage"]
+        # The sequence number is taken after the last yield, with no
+        # simulated time before the entry is recorded: a NIC crash at
+        # any charge above leaves no number unsent and unrecorded.
+        token.seqno = packet.seqno = conn.assign_seqno()
         conn.record_sent(SentEntry(seqno=token.seqno, packet=packet, token=token))
         nic.ensure_retransmit_timer(conn)
         self.trace("prepared", key=packet.packet_id, dst=token.dst_node,
@@ -127,7 +131,7 @@ class SdmaMachine(StateMachine):
         """NIC-assisted multidestination send (the paper's reference [2]):
         one host DMA, one packet prepared and queued per destination."""
         nic = self.nic
-        yield self.cpu("token_process")
+        yield self.charge["token_process"]
         live = [
             dest for dest in token.destinations
             if dest[0] not in nic.suspected_peers
@@ -136,26 +140,26 @@ class SdmaMachine(StateMachine):
             self._fake_ack(token, *token.destinations[-1])
             return
         # Stage the payload once.
-        yield nic.tx_buffers.request()
-        yield self.cpu("dma_setup")
+        yield nic.tx_buffers  # request()
+        yield self.charge["dma_setup"]
         yield from nic.sdma_engine.transfer(token.size_bytes, ctx=token.ctx)
         token.remaining_acks = len(live)
         last_index = len(live) - 1
         for i, (dst_node, dst_port) in enumerate(live):
-            yield self.cpu("packet_prep")
-            conn = nic.connection(dst_node)
-            seqno = conn.assign_seqno()
+            yield self.charge["packet_prep"]
+            conn = nic.connections[dst_node]
             packet = nic.make_packet(
                 PacketType.DATA,
                 dst_node=dst_node,
                 dst_port=dst_port,
                 src_port=token.src_port,
-                seqno=seqno,
                 payload_bytes=token.size_bytes,
                 payload={"body": token.payload},
                 ctx=token.ctx.child() if token.ctx is not None else None,
             )
-            yield self.cpu("send_queue_manage")
+            yield self.charge["send_queue_manage"]
+            # Numbered after the last yield, as in _process_send_token.
+            packet.seqno = seqno = conn.assign_seqno()
             conn.record_sent(SentEntry(seqno=seqno, packet=packet, token=token))
             nic.ensure_retransmit_timer(conn)
             # The SRAM buffer is released when the *last* replica has been
@@ -167,16 +171,16 @@ class SdmaMachine(StateMachine):
     def _retransmit(self, remote_node: int, entry: SentEntry):
         """Re-DMA and re-send one sent-list entry (if still unacked)."""
         nic = self.nic
-        conn = nic.connection(remote_node)
+        conn = nic.connections[remote_node]
         if entry not in conn.sent_list:
             return  # ACKed while the retransmit work item was queued.
-        yield self.cpu("token_process")
-        yield nic.tx_buffers.request()
-        yield self.cpu("dma_setup")
+        yield self.charge["token_process"]
+        yield nic.tx_buffers  # request()
+        yield self.charge["dma_setup"]
         yield from nic.sdma_engine.transfer(
             entry.packet.payload_bytes, ctx=entry.packet.ctx
         )
-        yield self.cpu("packet_prep")
+        yield self.charge["packet_prep"]
         entry.retransmits += 1
         conn.packets_retransmitted += 1
         packet = nic.clone_packet(entry.packet)

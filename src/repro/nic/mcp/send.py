@@ -22,9 +22,10 @@ class SendMachine(StateMachine):
 
     def _run(self):
         nic = self.nic
+        queue = nic.send_queue
         while True:
-            packet, uses_buffer = yield nic.send_queue.get()
-            yield self.cpu("send_dispatch")
+            packet, uses_buffer = yield queue  # the Store is its own get() waitable
+            yield self.charge["send_dispatch"]
             nic.inject(packet)
             if uses_buffer:
                 nic.tx_buffers.release()

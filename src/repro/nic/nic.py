@@ -25,7 +25,7 @@ from repro.nic.mcp.recv import RecvMachine
 from repro.nic.mcp.sdma import SdmaMachine
 from repro.nic.mcp.send import SendMachine
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Hold, Resource, Store
+from repro.sim.primitives import HoldTable, Resource, Store
 from repro.sim.tracing import TraceContext, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,6 +104,26 @@ class NicParams:
         return replace(self, **changes)
 
 
+class ConnectionTable(dict):
+    """``remote node id -> Connection`` of one NIC, each connection
+    created on its first lookup (a subscript, no Python call once it
+    exists); ``get`` and iteration see only the connections made."""
+
+    __slots__ = ("sim", "node_id", "num_ports")
+
+    def __init__(self, sim: Simulator, node_id: int, num_ports: int) -> None:
+        super().__init__()
+        self.sim = sim
+        self.node_id = node_id
+        self.num_ports = num_ports
+
+    def __missing__(self, remote_node: int) -> Connection:
+        conn = self[remote_node] = Connection(
+            self.sim, self.node_id, remote_node, self.num_ports
+        )
+        return conn
+
+
 class Nic:
     """A programmable LANai NIC attached to the fabric."""
 
@@ -129,9 +149,11 @@ class Nic:
 
         # -- hardware resources ---------------------------------------------
         self.cpu_resource = Resource(sim, 1, name=f"nic{node_id}.cpu")
-        #: operation -> its LANai charge, built on first use by
-        #: ``Firmware.cpu`` and shared by every machine of this NIC.
-        self.lanai_charges: Dict[str, Hold] = {}
+        #: operation -> its LANai charge, built on first use and shared
+        #: by every machine of this NIC (``Firmware.charge``).
+        self.lanai_charges: HoldTable = HoldTable(
+            self.cpu_resource, model.costs.__getitem__
+        )
         self.pci_bus = Resource(sim, 1, name=f"nic{node_id}.pci")
         self.sdma_engine = DmaEngine(
             sim, self.pci_bus, self.params.pci_bandwidth_mbps,
@@ -149,7 +171,11 @@ class Nic:
         self.ports: Dict[int, NicPort] = {
             pid: NicPort(sim, node_id, pid) for pid in range(num_ports)
         }
-        self._connections: Dict[int, Connection] = {}
+        #: remote node id -> the connection state toward it, created on
+        #: first lookup: ``nic.connections[remote_node]``.
+        self.connections: ConnectionTable = ConnectionTable(
+            sim, node_id, num_ports
+        )
         #: Give-up alarms raised by the reliability streams (each entry is
         #: the :class:`RetransmitLimitExceeded` that was raised).
         self.alarms: list = []
@@ -276,7 +302,7 @@ class Nic:
         metrics.observe(
             f"{prefix}.retransmits",
             lambda: sum(
-                c.packets_retransmitted for c in self._connections.values()
+                c.packets_retransmitted for c in self.connections.values()
             ),
         )
         # Recovery-path counters (drops are counted on the links; these
@@ -290,7 +316,7 @@ class Nic:
             metrics.observe(
                 f"{prefix}.{counter}",
                 lambda attr=counter: sum(
-                    getattr(c, attr) for c in self._connections.values()
+                    getattr(c, attr) for c in self.connections.values()
                 ),
             )
         metrics.observe(
@@ -302,7 +328,7 @@ class Nic:
         metrics.observe(
             f"{prefix}.gbn_window_hw",
             lambda: max(
-                (c.sent_list_high_water for c in self._connections.values()),
+                (c.sent_list_high_water for c in self.connections.values()),
                 default=0,
             ),
         )
@@ -311,7 +337,7 @@ class Nic:
             lambda: max(
                 (
                     c.barrier_unacked_high_water
-                    for c in self._connections.values()
+                    for c in self.connections.values()
                 ),
                 default=0,
             ),
@@ -340,19 +366,6 @@ class Nic:
     # ------------------------------------------------------------------
     # Factories and accessors
     # ------------------------------------------------------------------
-    def connection(self, remote_node: int) -> Connection:
-        """The (lazily created) connection state toward a peer node."""
-        conn = self._connections.get(remote_node)
-        if conn is None:
-            conn = Connection(self.sim, self.node_id, remote_node, self.num_ports)
-            self._connections[remote_node] = conn
-        return conn
-
-    @property
-    def connections(self) -> Dict[int, Connection]:
-        """All live connections, keyed by remote node id."""
-        return self._connections
-
     def port(self, port_id: int) -> NicPort:
         """The port structure for ``port_id`` (raises if out of range)."""
         try:
@@ -419,7 +432,7 @@ class Nic:
         """
         token.queued_at = self.sim.now
         self.sim.schedule(
-            self.model.time("poll_detect"),
+            self.model.costs["poll_detect"],
             self.sdma_inbox.put,
             ("token", port_id, token),
         )
@@ -457,7 +470,7 @@ class Nic:
         and cancels the barrier retransmit timer if the unacked list
         emptied, so no timer keeps firing for an abandoned stream.
         """
-        for conn in self._connections.values():
+        for conn in self.connections.values():
             conn.drop_barrier_unacked_for_port(port_id)
             conn.clear_unexpected_for_port(port_id)
             if not conn.barrier_unacked and conn.barrier_retransmit_timer is not None:
@@ -584,7 +597,7 @@ class Nic:
             self.tracer.record(
                 self.trace_category, "peer.failed", peer=peer
             )
-        conn = self._connections.get(peer)
+        conn = self.connections.get(peer)
         if conn is not None:
             self._abandon_connection(conn)
         suspects = frozenset({peer})
@@ -659,7 +672,7 @@ class Nic:
             self.detector.stop()
         for machine in self.machines:
             machine.kill()
-        for conn in self._connections.values():
+        for conn in self.connections.values():
             conn.cancel_timers()
 
     def restart(self) -> None:

@@ -268,27 +268,21 @@ class Simulator:
                 self._wheel_compact(entry)
         return handle
 
-    def reserve_seq(self) -> int:
-        """Allocate the ``seq`` the next scheduled event would take,
-        for an event that may never need to run.
-
-        The caller keeps the key and either places the event there
-        later with :meth:`schedule_reserved`, or asks :meth:`dispatched`
-        whether the engine has already passed it -- an event that would
-        only have found nothing to do need never be queued (a channel's
-        transmit end, see ``network/link.py``).
-        """
-        self._seq = seq = self._seq + 1
-        return seq
-
     def schedule_reserved(
         self, time: float, seq: int, callback: Callable[..., None], *args: Any
     ) -> list:
         """Schedule ``callback(*args)`` at the reserved key ``(time,
         PRIORITY_NORMAL, seq)``, which must not have been passed yet.
 
-        It fires exactly where :meth:`schedule` would have fired it had
-        it been scheduled when ``seq`` was reserved.
+        A key is reserved by taking the next ``seq`` (``sim._seq += 1``)
+        for an event that may never need to run; the caller keeps the
+        key and either places the event there later with this method,
+        or asks :meth:`dispatched` whether the engine has already passed
+        it -- an event that would only have found nothing to do need
+        never be queued (a channel's transmit end, see
+        ``network/link.py``).  It fires exactly where :meth:`schedule`
+        would have fired it had it been scheduled when ``seq`` was
+        reserved.
         """
         self._live += 1
         handle = [time, PRIORITY_NORMAL, seq, callback, args]

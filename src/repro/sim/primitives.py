@@ -31,14 +31,19 @@ instead of vanishing.  See ``docs/engine.md`` for the full semantics.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Deque, Generic, List, Optional, TypeVar
 
-from repro.sim.engine import PRIORITY_HIGH, Simulator
+from repro.sim.engine import PRIORITY_HIGH, PRIORITY_NORMAL, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import Process
 
 T = TypeVar("T")
+
+#: Arguments of a plain resume, ``Process._advance(None, None)``: one
+#: shared tuple, which no wake-up ever mutates.
+_RESUME = (None, None)
 
 
 class Interrupted(Exception):
@@ -212,9 +217,15 @@ class Store(Generic[T]):
         """
         if self._getters:
             getter = self._getters.popleft()
-            getter._timer = self.sim.schedule(
-                0.0, getter._advance, item, None, priority=PRIORITY_HIGH
-            )
+            # ``sim.schedule(0.0, getter._advance, item, None,
+            # priority=PRIORITY_HIGH)``, pushed in place.
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            sim._live += 1
+            getter._timer = entry = [
+                sim.now, PRIORITY_HIGH, seq, getter._advance, (item, None),
+            ]
+            heappush(sim._heap, entry)
             return
         if self.capacity is not None and len(self._items) >= self.capacity:
             raise OverflowError(
@@ -363,8 +374,24 @@ class Resource:
         if in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name!r}")
         if self._waiters:
-            # Hand the unit directly to the next waiter: _in_use unchanged.
-            self._waiters.popleft()._grant()
+            # Hand the unit directly to the next waiter (_in_use
+            # unchanged) and push its wake-up, as ``Process._advance``
+            # does for a unit free at once: a request's this instant, a
+            # hold's end event ``duration`` us later.
+            waiter = self._waiters.popleft()
+            wait = waiter._current_wait
+            sim = self.sim
+            if type(wait) is Resource:
+                when, priority = sim.now, PRIORITY_HIGH
+            else:
+                waiter._held = self
+                if wait.on_grant is not None:
+                    wait.on_grant()
+                when, priority = sim.now + wait.duration, PRIORITY_NORMAL
+            sim._seq = seq = sim._seq + 1
+            sim._live += 1
+            waiter._timer = entry = [when, priority, seq, waiter._advance, _RESUME]
+            heappush(sim._heap, entry)
         else:
             # _account() written out: every charge ends here.
             now = self.sim.now
@@ -398,9 +425,9 @@ class Hold:
 
     A hold is an immutable descriptor -- nothing in it changes when a
     process yields it -- so one hold can be built once and yielded by
-    any number of processes, concurrently too (``Firmware.cpu`` keeps
-    one per LANai operation).  The yielding process is the wait record:
-    it is queued on the resource or holds a unit.
+    any number of processes, concurrently too (a :class:`HoldTable`
+    keeps one per LANai operation or DMA size).  The yielding process
+    is the wait record: it is queued on the resource or holds a unit.
 
     The grant is inline: the moment a unit is free for the process --
     when it yields the hold, or in the ``release()`` that hands it the
@@ -435,3 +462,30 @@ class Hold:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Hold({self.resource.name!r}, {self.duration})"
+
+
+class HoldTable(dict):
+    """``key -> Hold`` of one unit of ``resource``, each built on the
+    first lookup of its key and shared by every later one.
+
+    A charge whose duration takes few values -- a LANai operation, a DMA
+    of a given size -- is then a dict subscript, ``yield
+    table[key]``, which runs no Python code once the hold exists.  The
+    hold's duration is ``duration_of(key)``, or the key itself.
+    """
+
+    __slots__ = ("resource", "duration_of")
+
+    def __init__(
+        self,
+        resource: Resource,
+        duration_of: Optional[Callable[[Any], float]] = None,
+    ) -> None:
+        super().__init__()
+        self.resource = resource
+        self.duration_of = duration_of
+
+    def __missing__(self, key: Any) -> Hold:
+        duration = key if self.duration_of is None else self.duration_of(key)
+        hold = self[key] = Hold(self.resource, duration)
+        return hold

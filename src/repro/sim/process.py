@@ -28,10 +28,19 @@ for the full cancellation semantics.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Generator, Optional
 
-from repro.sim.engine import ARGS, CALLBACK, PRIORITY_HIGH, Simulator
-from repro.sim.primitives import Hold, Interrupted, Resource, SimEvent, Store, Timeout
+from repro.sim.engine import ARGS, CALLBACK, PRIORITY_HIGH, PRIORITY_NORMAL, Simulator
+from repro.sim.primitives import (
+    _RESUME,
+    Hold,
+    Interrupted,
+    Resource,
+    SimEvent,
+    Store,
+    Timeout,
+)
 
 
 class ProcessKilled(Exception):
@@ -117,7 +126,12 @@ class Process:
         self._held = None
         # Kick off at the current instant, high priority so a process created
         # inside a callback starts before ordinary same-instant events.
-        sim.schedule(0.0, self._advance, None, None, priority=PRIORITY_HIGH)
+        # Pushed in place: ``sim.schedule(0.0, self._advance, None, None,
+        # priority=PRIORITY_HIGH)`` (see "Wake-ups the kernel pushes
+        # itself" in docs/engine.md).
+        sim._seq = seq = sim._seq + 1
+        sim._live += 1
+        heappush(sim._heap, [sim.now, PRIORITY_HIGH, seq, self._advance, _RESUME])
 
     # ------------------------------------------------------------------
     @property
@@ -172,74 +186,59 @@ class Process:
         except BaseException as err:  # noqa: BLE001 - deliberately broad
             self._fail(err)
             return
+        # A wait that can wake at once sets the wake-up's time, priority
+        # and arguments; the one push below is the entry
+        # ``sim.schedule`` would build, with the ``seq`` taken there.
         cls = type(waitable)
+        sim = self.sim
         if cls is Hold:
             self._current_wait = waitable
             resource = waitable.resource
             in_use = resource._in_use
-            if in_use < resource.capacity and not resource._waiters:
-                # Granted at once; the busy-time accounting of
-                # Resource._account, in place.
-                if in_use:
-                    resource._account()
-                else:
-                    # Idle: the busy integral grows by 0 * dt, so only
-                    # the accounting instant moves.
-                    resource._last_change = self.sim.now
-                resource._in_use = in_use + 1
-                self._held = resource
-                if waitable.on_grant is not None:
-                    waitable.on_grant()
-                self._timer = self.sim.schedule(
-                    waitable.duration, self._advance, None, None
-                )
-            else:
+            if in_use >= resource.capacity or resource._waiters:
                 self._timer = None
                 resource._waiters.append(self)
+                return
+            # Granted at once; the busy-time accounting of
+            # Resource._account, in place.  (Idle, the busy integral
+            # grows by 0 * dt, so only the accounting instant moves.)
+            now = sim.now
+            if in_use:
+                resource._busy_time += in_use * (now - resource._last_change)
+            resource._last_change = now
+            resource._in_use = in_use + 1
+            self._held = resource
+            if waitable.on_grant is not None:
+                waitable.on_grant()
+            when, priority, args = now + waitable.duration, PRIORITY_NORMAL, _RESUME
         elif cls is Store:
             self._current_wait = waitable
             items = waitable._items
-            if items:
-                self._timer = self.sim.schedule(
-                    0.0, self._advance, items.popleft(), None,
-                    priority=PRIORITY_HIGH,
-                )
-            else:
+            if not items:
                 self._timer = None
                 waitable._getters.append(self)
+                return
+            when, priority, args = sim.now, PRIORITY_HIGH, (items.popleft(), None)
         elif cls is Timeout:
             self._current_wait = waitable
             delay = waitable.delay
-            self._timer = self.sim.schedule(delay, self._advance, delay, None)
+            when, priority, args = sim.now + delay, PRIORITY_NORMAL, (delay, None)
         elif cls is Resource:
             # An open-ended request(): a free unit is taken now and the
             # process wakes this instant; otherwise it queues.
             self._current_wait = waitable
-            if waitable.try_request():
-                self._timer = self.sim.schedule(
-                    0.0, self._advance, None, None, priority=PRIORITY_HIGH
-                )
-            else:
+            if not waitable.try_request():
                 self._timer = None
                 waitable._waiters.append(self)
+                return
+            when, priority, args = sim.now, PRIORITY_HIGH, _RESUME
         else:
             self._wait_on(waitable)
-
-    def _grant(self) -> None:
-        """``Resource.release`` handed this queued process the unit:
-        schedule its wake-up, as ``_advance`` does for a unit free at
-        once -- a request's this instant, a hold's end event
-        ``duration`` us later."""
-        wait = self._current_wait
-        if type(wait) is Resource:
-            self._timer = self.sim.schedule(
-                0.0, self._advance, None, None, priority=PRIORITY_HIGH
-            )
             return
-        self._held = wait.resource
-        if wait.on_grant is not None:
-            wait.on_grant()
-        self._timer = self.sim.schedule(wait.duration, self._advance, None, None)
+        sim._seq = seq = sim._seq + 1
+        sim._live += 1
+        self._timer = entry = [when, priority, seq, self._advance, args]
+        heappush(sim._heap, entry)
 
     def _abandon(self, wait: Any) -> None:
         """Tear down the pending ``wait`` (interrupt, kill or close)."""

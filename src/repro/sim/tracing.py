@@ -14,8 +14,12 @@ payload).  It powers three things:
   an always-on :class:`FlightRecorder` ring holding the last K records
   even when full tracing is off.
 
-Tracing is off by default and costs one ring append plus one predicate
-call per record when off.
+Tracing is off by default and costs one ring append per record when
+off.  The per-event trace sites (``Firmware.trace``, a channel's
+delivery record, a switch's route record) read :attr:`Tracer.enabled`
+at every record and, when it is off, append the ``(time, category,
+label, payload)`` tuple to the ring themselves, without a call into the
+tracer: exactly the record :meth:`Tracer.record_payload` would keep.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from repro.sim.engine import Simulator
 # ----------------------------------------------------------------------
 _trace_ids = itertools.count(1)
 _span_ids = itertools.count(1)
+#: A bare instance, without ``__init__`` (``object.__new__``, in C).
+_new_context = object.__new__
 
 
 class TraceContext:
@@ -70,28 +76,46 @@ class TraceContext:
         self.hop = hop
         self.attempt = attempt
 
+    # The derivations below fill a bare instance in place of calling
+    # ``__init__``: one Python call per derived context, not two.
     @classmethod
     def root(cls) -> "TraceContext":
         """A fresh trace tree (a host-initiated operation)."""
-        return cls(next(_trace_ids), next(_span_ids))
+        ctx = _new_context(cls)
+        ctx.trace_id = next(_trace_ids)
+        ctx.span_id = next(_span_ids)
+        ctx.parent_span_id = None
+        ctx.hop = ctx.attempt = 0
+        return ctx
 
     def child(self) -> "TraceContext":
         """A new span caused by this one (e.g. the packet a token sends)."""
-        return TraceContext(self.trace_id, next(_span_ids), self.span_id)
+        ctx = _new_context(TraceContext)
+        ctx.trace_id = self.trace_id
+        ctx.span_id = next(_span_ids)
+        ctx.parent_span_id = self.span_id
+        ctx.hop = ctx.attempt = 0
+        return ctx
 
     def next_hop(self) -> "TraceContext":
         """The same span one switch hop further along the wire."""
-        return TraceContext(
-            self.trace_id, self.span_id, self.parent_span_id,
-            self.hop + 1, self.attempt,
-        )
+        ctx = _new_context(TraceContext)
+        ctx.trace_id = self.trace_id
+        ctx.span_id = self.span_id
+        ctx.parent_span_id = self.parent_span_id
+        ctx.hop = self.hop + 1
+        ctx.attempt = self.attempt
+        return ctx
 
     def retry(self) -> "TraceContext":
         """The same span retransmitted: attempt bumped, hops restarted."""
-        return TraceContext(
-            self.trace_id, self.span_id, self.parent_span_id,
-            0, self.attempt + 1,
-        )
+        ctx = _new_context(TraceContext)
+        ctx.trace_id = self.trace_id
+        ctx.span_id = self.span_id
+        ctx.parent_span_id = self.parent_span_id
+        ctx.hop = 0
+        ctx.attempt = self.attempt + 1
+        return ctx
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able form (the ``ctx`` schema of exported records)."""
@@ -313,6 +337,11 @@ class Tracer:
     flight_size:
         Depth of the always-on :class:`FlightRecorder` ring; 0 disables
         it entirely (benchmark baselines).
+
+    ``enabled`` may be switched at any time: the hot trace sites that
+    feed the ring in place (see the module docstring) read it at every
+    record.  The ring's bound ``append`` (``_flight_append``, None
+    without a ring) is fixed at construction.
     """
 
     def __init__(

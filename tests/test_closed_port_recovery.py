@@ -211,7 +211,7 @@ class TestCloseClearsUnexpectedState:
     def test_close_purges_records_for_that_port_only(self):
         cluster = two_node_cluster()
         nic1 = cluster.node(1).nic
-        conn = nic1.connection(0)
+        conn = nic1.connections[0]
         conn.unexpected.set(1, dst_port=2)
         conn.unexpected.set(3, dst_port=4)
         conn.coll_unexpected.set(5, dst_port=2, value=42)
@@ -225,7 +225,7 @@ class TestCloseClearsUnexpectedState:
     def test_bit_without_destination_is_conservatively_kept(self):
         cluster = two_node_cluster()
         nic1 = cluster.node(1).nic
-        conn = nic1.connection(0)
+        conn = nic1.connections[0]
         conn.unexpected.set(1)  # origin unknown (legacy callers)
         nic1.on_port_close(2)
         assert conn.unexpected.is_set(1)
@@ -257,11 +257,11 @@ class TestCloseClearsUnexpectedState:
 
         def old_b_then_new_b():
             yield Timeout(200.0)
-            assert cluster.node(1).nic.connection(0).unexpected.is_set(2), (
+            assert cluster.node(1).nic.connections[0].unexpected.is_set(2), (
                 "test setup: old A's message should be recorded"
             )
             b.close()  # old B dies; the stale record must die with it
-            assert not cluster.node(1).nic.connection(0).unexpected.is_set(2)
+            assert not cluster.node(1).nic.connections[0].unexpected.is_set(2)
             yield Timeout(100.0)
             b2 = cluster.node(1).driver.open_port(2)
             enters["B'"] = cluster.now

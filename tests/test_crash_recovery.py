@@ -292,6 +292,82 @@ class TestNicCrash:
         assert cluster.sim.pending_events == 0
 
 
+class TestSenderRestart:
+    """A sender NIC that crashes and restarts loses no sequence number:
+    SDMA numbers a packet only after the last charge before it records
+    the sent entry, so a crash at any charge of the send path leaves no
+    number that is neither on the wire nor on the sent list."""
+
+    @pytest.mark.parametrize("tx_buffers", [1, 16])
+    @pytest.mark.parametrize("crash_at", [20.0, 60.0, 100.0])
+    def test_restarted_sender_leaves_no_seqno_gap(self, crash_at, tx_buffers):
+        """Eight 512 B sends; the sender's NIC crashes mid-burst and
+        restarts 50 us later.  The send in SDMA at the crash dies with
+        the firmware; every other one is numbered, delivered in order
+        and ACKed, and the run is quiet by 250.1 us -- no retransmit
+        alarm (a gap in the numbers used to raise one after 64
+        retransmissions, about 96 ms in)."""
+        cluster = build_cluster(ClusterConfig(
+            num_nodes=2, nic_params=NicParams(tx_buffers=tx_buffers),
+        ))
+        a = cluster.open_port(0, 2)
+        b = cluster.open_port(1, 2)
+        nic = cluster.nodes[0].nic
+
+        def sender():
+            for i in range(8):
+                yield from a.send_with_callback(1, 2, payload=i, size_bytes=512)
+
+        cluster.spawn(sender())
+        cluster.spawn(b.ensure_receive_buffers(16))
+        cluster.sim.schedule_at(crash_at, nic.crash)
+        cluster.sim.schedule_at(crash_at + 50.0, nic.restart)
+        cluster.run(max_events=3_000_000)
+        conn = nic.connections[1]
+        numbered = conn.next_send_seqno - 1
+        assert nic.alarms == []
+        assert conn.sent_list == []
+        assert cluster.nodes[1].nic.connections[0].expected_seqno == numbered + 1
+        assert b.port.messages_received == numbered == 7
+        assert cluster.sim.now <= 250.1
+
+
+class TestSendToSuspect:
+    """``SdmaMachine._fake_ack``: a send issued after its peer was
+    declared failed completes host-side, as a cumulative ACK would."""
+
+    def test_send_to_suspected_peer_returns_token_and_posts_sent_event(self):
+        from repro.gm.events import SentEvent
+
+        cluster = build_cluster(ClusterConfig(num_nodes=2, trace=True))
+        a = cluster.open_port(0, 2)
+        cluster.open_port(1, 2)
+        nic = cluster.nodes[0].nic
+        got = []
+
+        def sender():
+            nic.on_peer_suspected(1)
+            a.acknowledge_failures({1})
+            token = yield from a.send_with_callback(1, 2, payload="x", size_bytes=64)
+            event = yield from a.receive()
+            got.append((token, event))
+
+        cluster.spawn(sender())
+        cluster.run(max_events=100_000)
+        [(token, event)] = got
+        assert isinstance(event, SentEvent)
+        assert (event.token_id, event.dst_node, event.dst_port) == (
+            token.token_id, 1, 2,
+        )
+        assert a.port.send_tokens_free == a.port.send_tokens_total
+        # Nothing was numbered or sent: the data dies with the peer.
+        assert token.seqno is None
+        assert cluster.network.tx_channel(0).packets_sent == 0
+        [record] = cluster.tracer.filter(label="sdma.suspect_fake_ack")
+        assert record.payload["key"] == token.token_id
+        assert record.payload["dst"] == 1
+
+
 class TestCleanRunIdentity:
     def test_no_fault_plan_means_no_detector_and_determinism(self):
         """Without a fault plan no detector exists, no heartbeat ever

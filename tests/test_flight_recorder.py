@@ -192,3 +192,69 @@ class TestSoakDump:
             )
         assert excinfo.value.flight_records
         assert list(tmp_path.glob("flight-*")) == []
+
+
+def figure5_job_ring(monkeypatch, nic_based: bool, trace: bool = False) -> list:
+    """The flight ring after one Figure-5 job (16 nodes, LANai 4.3, PE,
+    the sweep's repetitions), as ``FlightRecorder.snapshot()`` gives it.
+
+    Packet, token, event and trace-context ids come from process-global
+    counters; they are restarted for the job, so the ring does not
+    depend on what ran before it in the process.
+    """
+    import itertools
+
+    import repro.gm.events as gm_events
+    import repro.gm.tokens as gm_tokens
+    import repro.network.packet as net_packet
+    import repro.sim.tracing as tracing
+    from repro.analysis import experiments, figure5
+    from repro.analysis.calibration import LANAI_4_3_SYSTEM
+    from repro.cluster.runner import default_group
+
+    for module, name in ((net_packet, "_packet_ids"), (gm_events, "_event_ids"),
+                         (gm_tokens, "_token_ids"), (tracing, "_trace_ids"),
+                         (tracing, "_span_ids")):
+        monkeypatch.setattr(module, name, itertools.count(1))
+    config = LANAI_4_3_SYSTEM.cluster_config(16).with_(trace=trace)
+    with build_cluster(config) as cluster:
+        run_on_group(
+            cluster, experiments._barrier_loop_program,
+            group=default_group(cluster), max_events=5_000_000,
+            nic_based=nic_based, algorithm="pe", dimension=None,
+            repetitions=figure5.BENCH_REPS + figure5.BENCH_WARMUP,
+            skew_max_us=0.0, enter_times={}, exit_times={},
+        )
+        return cluster.tracer.flight.snapshot()
+
+
+def ring_digest(snapshot: list) -> str:
+    import hashlib
+
+    text = json.dumps(snapshot, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestUntracedRingFeed:
+    """With tracing off the per-event trace sites append to the ring
+    themselves; the ring must hold exactly what ``record_payload`` would
+    have put there."""
+
+    #: ``ring_digest`` of the two Figure-5 jobs' rings, recorded with
+    #: every record fed through ``Tracer.record_payload``.
+    DIGESTS = {
+        "nic-pe": "2dbf3cea767747e974aa23cebfefef15f9b7899825e32933e06daacdc2c8b524",
+        "host-pe": "69b69a374fe267b5e094fde4e1e545426cc7b0858fec5f5a0bbd7a59c42eec1d",
+    }
+
+    @pytest.mark.parametrize("variant", ["nic-pe", "host-pe"])
+    def test_untraced_ring_is_pinned(self, monkeypatch, variant):
+        snapshot = figure5_job_ring(monkeypatch, nic_based=variant == "nic-pe")
+        assert len(snapshot) == FLIGHT_RECORDER_SIZE
+        assert ring_digest(snapshot) == self.DIGESTS[variant]
+
+    @pytest.mark.parametrize("nic_based", [True, False], ids=["nic-pe", "host-pe"])
+    def test_untraced_ring_equals_traced_ring(self, monkeypatch, nic_based):
+        untraced = figure5_job_ring(monkeypatch, nic_based)
+        traced = figure5_job_ring(monkeypatch, nic_based, trace=True)
+        assert untraced == traced

@@ -181,7 +181,7 @@ class TestFlowControl:
 
         _, payload = drive(cluster, sender(), receiver())
         assert payload == "patience"
-        conn = cluster.node(0).nic.connection(1)
+        conn = cluster.node(0).nic.connections[1]
         assert conn.packets_retransmitted >= 1
 
     def test_closed_port_send_raises(self):

@@ -48,7 +48,7 @@ class TestAckCoalescing:
         cluster.spawn(sender())
         cluster.spawn(receiver())
         cluster.run(max_events=2_000_000)
-        acked = cluster.node(0).nic.connection(1).packets_acked
+        acked = cluster.node(0).nic.connections[1].packets_acked
         assert acked == n
         # ACK packets that crossed the wire back to node 0: observe via
         # node 1's tx channel counter minus data-ish traffic (node 1 sent
@@ -107,7 +107,7 @@ class TestRetransmissionPaths:
         assert got and got[0][1] == "x"
         # Recovery came via the timer: total time > the timeout.
         assert got[0][0] > 300.0
-        assert cluster.node(0).nic.connection(1).packets_retransmitted == 1
+        assert cluster.node(0).nic.connections[1].packets_retransmitted == 1
 
     def test_nack_storm_suppression(self):
         """Out-of-order arrivals trigger at most one outstanding NACK."""
@@ -144,7 +144,7 @@ class TestRetransmissionPaths:
         cluster.run(max_events=2_000_000)
         assert got == [0, 1, 2, 3, 4]
         # Go-back-N recovered with a bounded number of NACKs (no storm).
-        assert cluster.node(1).nic.connection(0).nacks_sent <= 3
+        assert cluster.node(1).nic.connections[0].nacks_sent <= 3
 
     def test_duplicate_data_dropped_and_reacked(self):
         cluster, a, b = two_nodes(
@@ -174,7 +174,7 @@ class TestRetransmissionPaths:
         cluster.run(until=3000.0)
         # Delivered exactly once despite the retransmission.
         assert got == ["once"]
-        assert cluster.node(1).nic.connection(0).duplicates_dropped >= 1
+        assert cluster.node(1).nic.connections[0].duplicates_dropped >= 1
         p.kill()
 
 
@@ -286,7 +286,7 @@ def queue_charging_work(nic, machine):
     """Queue one work item on which ``machine`` charges the LANai."""
     if machine == "sdma":
         def step():
-            yield nic.barrier_engine.cpu("token_process")
+            yield nic.barrier_engine.charge["token_process"]
 
         nic.sdma_inbox.put(("firmware", step))
     elif machine == "send":
@@ -340,17 +340,20 @@ class TestMachineKill:
 
 
 def test_lanai_charge_is_built_once_per_nic_and_operation():
-    """``Firmware.cpu`` returns one ``Hold`` per operation, built on
+    """``Firmware.charge`` holds one ``Hold`` per operation, built on
     first use and shared by every firmware object of the NIC."""
     with build_cluster(ClusterConfig(num_nodes=2)) as cluster:
         nic = cluster.node(0).nic
         engine = nic.barrier_engine
-        charge = engine.cpu("barrier_check")
-        assert engine.cpu("barrier_check") is charge
-        assert Firmware(nic).cpu("barrier_check") is charge
+        assert "barrier_check" not in nic.lanai_charges  # not built yet
+        charge = engine.charge["barrier_check"]
+        assert engine.charge["barrier_check"] is charge
+        assert Firmware(nic).charge["barrier_check"] is charge
         assert nic.lanai_charges["barrier_check"] is charge
         assert charge.resource is nic.cpu_resource
         assert charge.duration == nic.model.time("barrier_check")
-        assert engine.cpu("barrier_advance") is not charge
+        assert engine.charge["barrier_advance"] is not charge
         other = cluster.node(1).nic
-        assert other.barrier_engine.cpu("barrier_check") is not charge
+        assert other.barrier_engine.charge["barrier_check"] is not charge
+        with pytest.raises(KeyError):
+            engine.charge["no_such_operation"]

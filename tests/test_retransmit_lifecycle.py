@@ -105,7 +105,7 @@ class TestBarrierStreamTimer:
             yield from a.provide_barrier_buffer()
             yield from a.barrier_send_with_callback(barrier_plan)
             yield Timeout(500.0)  # a couple of retransmission cycles
-            conn = nic0.connection(1)
+            conn = nic0.connections[1]
             observed["unacked_before"] = len(conn.barrier_unacked)
             observed["timer_before"] = conn.barrier_retransmit_timer is not None
             observed["retransmits"] = conn.packets_retransmitted

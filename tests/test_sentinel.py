@@ -323,3 +323,46 @@ class TestMachineKey:
         # Unkeyed stages stay one group, judged as before.
         checks = check_entries(legacy + [entry("new", wall_s=5.0)])
         assert [c.status for c in checks] == ["regression"]
+
+
+class TestExactCounts:
+    """``*_python_calls`` are exact counts: judged against the previous
+    stage of the same machine, with no noise band."""
+
+    MACHINE, OTHER = "CPython-3.11.7-x86_64-2cpu", "CPython-3.12.1-x86_64-2cpu"
+
+    def stage(self, label, calls, machine=None):
+        return dict(entry(label, fig5_python_calls=calls),
+                    machine=machine or self.MACHINE)
+
+    def status(self, *stages):
+        [check] = check_entries(list(stages))
+        return check.status, check.baseline
+
+    def test_direction_is_lower(self):
+        assert metric_direction("fabric64_python_calls") == "lower"
+
+    def test_any_rise_is_a_regression(self):
+        # 1 call more than the last stage: far inside a 15% band.
+        assert self.status(self.stage("a", 1000), self.stage("b", 1001)) == (
+            "regression", 1000,
+        )
+
+    def test_equal_is_ok_and_a_fall_an_improvement(self):
+        assert self.status(self.stage("a", 1000), self.stage("b", 1000))[0] == "ok"
+        assert self.status(self.stage("a", 1000), self.stage("b", 999))[0] == (
+            "improvement"
+        )
+
+    def test_judged_against_the_previous_stage_not_the_median(self):
+        stages = [self.stage("a", 900), self.stage("b", 1200), self.stage("c", 800),
+                  self.stage("d", 850)]
+        assert self.status(*stages) == ("regression", 800)
+
+    def test_other_machines_are_ignored(self):
+        stages = [self.stage("a", 1000), self.stage("b", 700, self.OTHER),
+                  self.stage("c", 900)]
+        assert self.status(*stages) == ("improvement", 1000)
+        assert self.status(self.stage("a", 1000), self.stage("b", 2000, self.OTHER))[0] == (
+            "no_history"
+        )
