@@ -64,7 +64,8 @@ def bench_raw_dispatch(count: int = 100_000) -> float:
 
 
 def bench_producer_consumer(items: int = 20_000) -> float:
-    """Process/Store/SimEvent machinery throughput."""
+    """Process/Store machinery throughput: a Timeout and a put per
+    item, and a blocking get the process itself is the record of."""
     sim = Simulator()
     store = Store(sim)
 

@@ -31,7 +31,7 @@ Usage::
         repetitions=6,
     )
     result = run_campaign(spec, jobs=4, cache_dir=".campaign-cache")
-    latencies = [v["mean_latency_us"] for v in result.values()]
+    latencies = [r.value["mean_latency_us"] for r in result.results if r.ok]
 """
 
 from repro.campaign.executor import (

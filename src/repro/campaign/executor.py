@@ -271,14 +271,6 @@ class CampaignResult:
         """Jobs that ended in an error."""
         return sum(1 for r in self.results if not r.ok)
 
-    def failures(self) -> List[JobResult]:
-        """The failed jobs, in submission order."""
-        return [r for r in self.results if not r.ok]
-
-    def values(self) -> List[dict]:
-        """The successful result payloads, in submission order."""
-        return [r.value for r in self.results if r.ok]
-
     def raise_on_failure(self) -> "CampaignResult":
         """Raise :class:`CampaignJobError` for the first failed job."""
         for r in self.results:

@@ -97,9 +97,6 @@ class ResultStore:
     def __len__(self) -> int:
         return len(self.keys())
 
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
     def prune(self, live_keys: Iterable[str]) -> List[str]:
         """Delete records not in ``live_keys``; returns removed keys."""
         live = set(live_keys)

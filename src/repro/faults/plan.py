@@ -394,11 +394,3 @@ class FaultPlan:
                 )
             )
         return plan
-
-    def describe(self) -> str:
-        """One line per rule, for logs and the soak report."""
-        lines = [f"FaultPlan(seed={self.seed}, rules={self.num_rules})"]
-        for key in _RULE_TYPES:
-            for rule in getattr(self, key):
-                lines.append(f"  {key}: {rule}")
-        return "\n".join(lines)

@@ -67,9 +67,6 @@ class SendToken:
     #: Dispatch flag: ordinary sends are not barrier tokens.
     is_barrier = False
 
-    #: Dispatch flag: ordinary sends are not collective tokens.
-    is_collective = False
-
     #: Dispatch flag: ordinary sends have one destination.
     is_multicast = False
 
@@ -105,9 +102,6 @@ class MulticastSendToken:
 
     #: Dispatch flag: multicast is not a barrier token.
     is_barrier = False
-
-    #: Dispatch flag: multicast is not a collective token.
-    is_collective = False
 
     #: Dispatch flag: SDMA fans this token out to every destination.
     is_multicast = True
@@ -230,9 +224,6 @@ class BarrierSendToken:
     #: Dispatch flag: SDMA routes this token to the barrier engine.
     is_barrier = True
 
-    #: True for the data collectives (:class:`CollectiveSendToken`).
-    is_collective = False
-
     #: Dispatch flag: barrier tokens are not multicast.
     is_multicast = False
 
@@ -316,9 +307,6 @@ class CollectiveSendToken(BarrierSendToken):
             result=self.result,
             nic_complete_time=nic_complete_time,
         )
-
-    #: True: a data collective.
-    is_collective = True
 
 
 @dataclass

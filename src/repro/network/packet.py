@@ -146,11 +146,6 @@ class Packet:
         """Shorthand for ``ptype.is_barrier``."""
         return self.ptype.is_barrier
 
-    @property
-    def is_collective(self) -> bool:
-        """Shorthand for ``ptype.is_collective``."""
-        return self.ptype.is_collective
-
     def hop(self) -> int:
         """Consume and return the next route byte (called by switches)."""
         if not self.route:

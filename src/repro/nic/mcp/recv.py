@@ -91,7 +91,7 @@ class RecvMachine(StateMachine):
             if entry.token is None:
                 continue
             token = entry.token
-            if getattr(token, "is_multicast", False):
+            if token.is_multicast:
                 # The token returns only when every replica is ACKed.
                 token.remaining_acks -= 1
                 if token.remaining_acks > 0:

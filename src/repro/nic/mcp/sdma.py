@@ -44,10 +44,15 @@ class SdmaMachine(StateMachine):
                 _, port_id, token = item
                 if token.is_barrier:
                     yield from nic.barrier_engine.initiate(port_id, token)
-                elif token.is_multicast:
+                    continue
+                # SDMA alone holds the token until it is on a sent list
+                # or fake-acked (no yield between that and the return).
+                nic.sdma_token = token
+                if token.is_multicast:
                     yield from self._process_multicast_token(port_id, token)
                 else:
                     yield from self._process_send_token(port_id, token)
+                nic.sdma_token = None
             elif kind == "retransmit":
                 _, remote_node, entry = item
                 yield from self._retransmit(remote_node, entry)

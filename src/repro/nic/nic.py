@@ -205,6 +205,10 @@ class Nic:
         # -- fail-stop state ---------------------------------------------------
         #: Set by :meth:`crash`: a crashed NIC neither receives nor injects.
         self.crashed = False
+        #: The host send token SDMA is working on: taken from its inbox,
+        #: not yet on a sent list or fake-acked.  A crash kills SDMA with
+        #: it in hand, and :meth:`restart` returns it to its port.
+        self.sdma_token = None
         #: Peers declared failed by the detector (monotone suspect set;
         #: the RECV machine's epoch fence drops their late packets).
         self.suspected_peers: set = set()
@@ -626,7 +630,7 @@ class Nic:
             token = entry.token
             if token is None:
                 continue
-            if getattr(token, "is_multicast", False):
+            if token.is_multicast:
                 token.remaining_acks -= 1
                 if token.remaining_acks > 0:
                     continue
@@ -682,16 +686,22 @@ class Nic:
         pools start free: the killed machines' claims died with them,
         and queued work still carrying a buffer -- a prepared packet on
         the send queue, an accepted message or one-sided packet on the
-        RDMA queue -- is dropped, its data lost.  Connection state is
-        *not* recovered and peers keep this node suspect -- rejoin (a
-        group-membership grow) is out of scope, so a restarted node can
-        open ports and talk to nodes that never suspected it, but not
-        rejoin a shrunken communicator.
+        RDMA queue -- is dropped, its data lost.  So is the send SDMA
+        was working on, but its send token goes back to its port.
+        Connection state is *not* recovered and peers keep this node
+        suspect -- rejoin (a group-membership grow) is out of scope, so
+        a restarted node can open ports and talk to nodes that never
+        suspected it, but not rejoin a shrunken communicator.
         """
         if not self.crashed:
             return
         self.crashed = False
         self._make_buffer_pools()
+        token, self.sdma_token = self.sdma_token, None
+        if token is not None:
+            port = self.ports.get(token.src_port)
+            if port is not None and port.is_open:
+                port.return_send_token()
         self.send_queue.discard(lambda item: item[1])
         self.rdma_queue.discard(lambda item: item[0] in ("deliver", "onesided_rx"))
         self._start_machines()

@@ -12,10 +12,12 @@ Key concepts
 :class:`~repro.sim.process.Process`
     A generator-based coroutine.  A process yields one *waitable* at a
     time -- a :class:`~repro.sim.primitives.Timeout`, a
-    :class:`~repro.sim.primitives.SimEvent`, a ``Store.get()``, a
-    :class:`~repro.sim.primitives.Hold` or another process -- and is
-    resumed when it fires.  For a timeout, a hold and a get, the waiting
-    process is itself the wait record: those waits allocate nothing.
+    :class:`~repro.sim.primitives.Hold`, a ``Store.get()``, a
+    ``Resource.request()`` or another process -- and is resumed when it
+    fires.  For every wait but the last, the waiting process is itself
+    the wait record: those waits allocate nothing.  A process is its own
+    completion; joining one (``yield process``) is the one wait with a
+    handle of its own, a ``_WaitHandle`` the joined process keeps.
 :class:`~repro.sim.primitives.Store` / :class:`~repro.sim.primitives.Resource`
     FIFO queues with blocking ``get`` and capacity-limited resources with
     FIFO grant order, used to model NIC processors, DMA engines, buses and
@@ -42,7 +44,6 @@ from repro.sim.primitives import (
     Hold,
     Interrupted,
     Resource,
-    SimEvent,
     Store,
     Timeout,
 )
@@ -61,7 +62,6 @@ __all__ = [
     "Process",
     "ProcessKilled",
     "Resource",
-    "SimEvent",
     "SimRng",
     "Simulator",
     "Store",

@@ -15,15 +15,14 @@ their wake-up is the process's own ``_advance``.  A Store queues its
 blocked getters, and a Resource its queued holds and requests, as
 processes.
 
-A :class:`SimEvent` exposes ``_subscribe(handle)``, which arranges for
-``handle._deliver(value, exc)`` to be called exactly once when it
-fires; the process waits on it through a per-suspension handle
-(``repro.sim.process._WaitHandle``).
+The one other wait is a process join, ``yield process``; a process is
+its own completion, and the join's record is a per-suspension
+``repro.sim.process._WaitHandle`` (see that module).
 
 Abandonment protocol (the lost-wakeup fix): tearing a wait down on
 interrupt/kill *actively* releases what it claimed -- pending timers are
-cancelled, queued getters, holds and requests are purged, and an item
-or unit already in flight to the dead waiter is handed back to its
+cancelled, queued getters, holds, requests and joins are purged, and an
+item or unit already in flight to the dead waiter is handed back to its
 owner (``Store`` re-queues the item, ``Resource`` re-releases the unit)
 instead of vanishing.  See ``docs/engine.md`` for the full semantics.
 """
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Deque, Generic, List, Optional, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Deque, Generic, Optional, TypeVar
 
 from repro.sim.engine import PRIORITY_HIGH, PRIORITY_NORMAL, Simulator
 
@@ -72,99 +71,6 @@ class Timeout:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Timeout({self.delay})"
-
-
-class SimEvent(Generic[T]):
-    """One-shot event: processes wait on it; someone succeeds or fails it.
-
-    Unlike a callback list, a ``SimEvent`` remembers its outcome, so a
-    process that waits *after* the event fired resumes immediately at the
-    current instant (with high priority, preserving causality).
-    """
-
-    __slots__ = ("sim", "_callbacks", "_triggered", "_value", "_exception", "name")
-
-    def __init__(self, sim: Simulator, name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        # Lazy: most events fire with exactly zero or one waiter, so the
-        # list is only materialized when someone actually subscribes.
-        self._callbacks: Optional[
-            List[Callable[[Any, Optional[BaseException]], None]]
-        ] = None
-        self._triggered = False
-        self._value: Any = None
-        self._exception: Optional[BaseException] = None
-
-    # -- firing --------------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """Whether the event already fired."""
-        return self._triggered
-
-    @property
-    def value(self) -> Any:
-        """The fired value (raises the failure exception if failed)."""
-        if not self._triggered:
-            raise RuntimeError(f"event {self.name!r} has not fired yet")
-        if self._exception is not None:
-            raise self._exception
-        return self._value
-
-    def succeed(self, value: T = None) -> "SimEvent[T]":
-        """Fire the event with ``value``.  Waiters resume this instant."""
-        if self._triggered:
-            raise RuntimeError(f"event {self.name!r} already triggered")
-        self._triggered = True
-        self._value = value
-        self._dispatch()
-        return self
-
-    def fail(self, exception: BaseException) -> "SimEvent[T]":
-        """Fire the event with an exception; waiters have it raised."""
-        if self._triggered:
-            raise RuntimeError(f"event {self.name!r} already triggered")
-        self._triggered = True
-        self._exception = exception
-        self._dispatch()
-        return self
-
-    def _dispatch(self) -> None:
-        callbacks = self._callbacks
-        if callbacks is None:
-            return
-        self._callbacks = None
-        schedule = self.sim.schedule
-        value = self._value
-        exception = self._exception
-        for cb in callbacks:
-            # Deliver at the current instant but before ordinary events so
-            # that a waiter observes the world exactly as the firer left it.
-            schedule(0.0, cb, value, exception, priority=PRIORITY_HIGH)
-
-    # -- waiting -------------------------------------------------------
-    def _subscribe(self, handle: Any) -> None:
-        deliver = handle._deliver
-        if self._triggered:
-            self.sim.schedule(
-                0.0, deliver, self._value, self._exception, priority=PRIORITY_HIGH
-            )
-        elif self._callbacks is None:
-            self._callbacks = [deliver]
-        else:
-            self._callbacks.append(deliver)
-        handle.event = self
-
-    def _unsubscribe(self, handle: Any) -> None:
-        """The handle subscribed via ``_subscribe`` gave up: a pending
-        event drops its callback.  A fired event has none left; its
-        delivery to the handle runs as a no-op."""
-        if not self._triggered:
-            self._callbacks.remove(handle._deliver)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "fired" if self._triggered else "pending"
-        return f"<SimEvent {self.name!r} {state}>"
 
 
 class Store(Generic[T]):

@@ -1,12 +1,12 @@
 """Generator-coroutine processes.
 
 A process wraps a Python generator.  Each ``yield`` hands the engine one
-*waitable* (Timeout, SimEvent, Hold, a ``Store.get()``, a
-``Resource.request()``, another Process);
-the process is resumed with the waitable's value, or has an exception
-thrown into it when the waitable fails.  ``return value`` inside the
-generator completes the process and fires its ``completion_event`` with
-that value.
+*waitable* (Timeout, Hold, a ``Store.get()``, a ``Resource.request()``,
+another Process); the process is resumed with the waitable's value, or
+has an exception thrown into it when the waitable fails.  A process is
+its own completion: ``return value`` inside the generator (or a failure)
+records the outcome on the process and wakes the processes joined on
+it.
 
 Stale-wakeup safety: every suspension has one *wait record*.  For the
 four waits of the packet path -- a :class:`~repro.sim.primitives.Timeout`,
@@ -15,15 +15,16 @@ a :class:`~repro.sim.primitives.Hold`, a ``Store.get()`` and a
 the engine entry of its wake-up (``_timer``) and the unit a hold was
 granted (``_held``), a Store or Resource queues it as itself, and the
 wake-up calls :meth:`Process._advance` directly, which releases a held
-unit before it resumes the generator.  A SimEvent or process-join wait
-gets a fresh :class:`_WaitHandle`.  If the process is interrupted (or
+unit before it resumes the generator.  A join (``yield process``) is
+the one wait with a record of its own, a fresh :class:`_WaitHandle`
+queued on the joined process.  If the process is interrupted (or
 killed) while suspended, its wait is abandoned, so nothing that fires
 later can resume the process into the wrong wait.  Abandonment is
 *active*, not just a dead flag: a pending timer is cancelled, a queued
-getter, hold or request is purged, an event subscription is removed,
-and an item or unit already in flight to the process is handed back to
-its owner (Store/Resource) rather than lost -- see ``docs/engine.md``
-for the full cancellation semantics.
+getter, hold, request or join is purged, and an item or unit already in
+flight to the process is handed back to its owner (Store/Resource)
+rather than lost -- see ``docs/engine.md`` for the full cancellation
+semantics.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.sim.primitives import (
     Hold,
     Interrupted,
     Resource,
-    SimEvent,
     Store,
     Timeout,
 )
@@ -48,41 +48,37 @@ class ProcessKilled(Exception):
 
 
 class _WaitHandle:
-    """Per-suspension proxy for a wait on a ``SimEvent`` or on another
-    process.
+    """The record of a join: ``process`` waits for ``event``, the joined
+    process, to end.
 
-    Offers the ``_deliver`` callback a ``SimEvent`` subscribes, but
-    delivers only while it is the process's *current* wait.
-    This makes abandoned waits (after interrupt/kill) harmless.
-
-    The handle also records *how to tear the wait down*: ``event`` is
-    the ``SimEvent`` subscribed to, which drops the subscription.
+    The joined process keeps the handle among its joiners until its end
+    schedules ``_deliver``, which resumes the waiter only while the
+    handle is its *current* wait; ``abandon()`` (interrupt or kill)
+    leaves the joiners, or lets a delivery already scheduled run as a
+    no-op.  The join is the one wait not recorded on the waiting process
+    itself: perfbench's profiler labels its delivery by
+    ``_WaitHandle.process``.
     """
 
-    __slots__ = ("process", "active", "event")
+    __slots__ = ("process", "event")
 
-    def __init__(self, process: "Process") -> None:
+    def __init__(self, process: "Process", event: "Process") -> None:
         self.process = process
-        self.active = True
-        self.event: Optional[SimEvent] = None
+        self.event = event
 
     def _deliver(self, value: Any, exc: Optional[BaseException]) -> None:
-        """The SimEvent callback: resume with ``value``, or throw ``exc``
-        (a failed event's value is None)."""
-        if self.active:
-            self.active = False
-            process = self.process
+        """The joined process ended: resume with its value, or throw the
+        exception it failed with (its value is then None)."""
+        process = self.process
+        if process._current_wait is self:
             # Delivered: no longer a wait for _advance to tear down.
             process._current_wait = None
             process._advance(value, exc)
 
     def abandon(self) -> None:
-        """Deactivate and tear down the event subscription."""
-        self.active = False
-        event = self.event
-        if event is not None:
-            self.event = None
-            event._unsubscribe(self)
+        """Leave the joiners of a still-running process."""
+        if not self.event._done:
+            self.event._joiners.remove(self)
 
 
 class Process:
@@ -110,11 +106,16 @@ class Process:
         self.sim = sim
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        self.completion_event: SimEvent = SimEvent(sim, name=f"done:{self.name}")
+        #: The outcome, set when the generator returns, fails or is closed.
+        self._done = False
+        self._value: Any = None
+        self._exception: Optional[BaseException] = None
+        #: Handles of the joins on this process, built on the first join.
+        self._joiners: Optional[list] = None
         #: What the current suspension waits on -- a ``Timeout``,
         #: ``Hold``, ``Store`` or ``Resource`` (the process is the
-        #: record), or a ``_WaitHandle`` -- None while running or once
-        #: delivered.
+        #: record), or a join's ``_WaitHandle`` -- None while running or
+        #: once delivered.
         self._current_wait: Any = None
         #: Engine entry of the wake-up of a ``Timeout``, ``Hold``,
         #: ``Store`` or ``Resource`` wait; None while it is queued.
@@ -137,12 +138,16 @@ class Process:
     @property
     def alive(self) -> bool:
         """Whether the process has not yet completed."""
-        return not self.completion_event.triggered
+        return not self._done
 
     @property
     def result(self) -> Any:
         """Return value of the generator (raises if failed / not done)."""
-        return self.completion_event.value
+        if not self._done:
+            raise RuntimeError(f"process {self.name!r} has not finished")
+        if self._exception is not None:
+            raise self._exception
+        return self._value
 
     # ------------------------------------------------------------------
     def _advance(self, value: Any, exc: Optional[BaseException]) -> None:
@@ -150,10 +155,10 @@ class Process:
 
         This is the wake-up of every wait: a ``Timeout`` or ``Hold``
         end event, a ``Store`` hand-off, a ``request()`` grant, a
-        ``_WaitHandle`` delivery, an interrupt or kill.  Only the last
-        two bring an exception while a wait is pending.
+        join's delivery, an interrupt or kill.  Only the last two bring
+        an exception while a wait is pending.
         """
-        if self.completion_event._triggered:
+        if self._done:
             return
         wait = self._current_wait
         if wait is not None:
@@ -175,16 +180,16 @@ class Process:
             else:
                 waitable = self._generator.throw(exc)
         except StopIteration as stop:
-            self.completion_event.succeed(stop.value)
+            self._finish(stop.value, None)
             return
         except ProcessKilled:
             if self._killed:
-                self.completion_event.succeed(None)
+                self._finish(None, None)
                 return
-            self._fail(ProcessKilled("ProcessKilled raised without kill()"))
+            self._finish(None, ProcessKilled("ProcessKilled raised without kill()"))
             return
         except BaseException as err:  # noqa: BLE001 - deliberately broad
-            self._fail(err)
+            self._finish(None, err)
             return
         # A wait that can wake at once sets the wake-up's time, priority
         # and arguments; the one push below is the entry
@@ -232,8 +237,31 @@ class Process:
                 waitable._waiters.append(self)
                 return
             when, priority, args = sim.now, PRIORITY_HIGH, _RESUME
+        elif cls is Process:
+            # A join: the handle waits among the joined process's
+            # joiners, or is delivered this instant if it has ended.
+            handle = self._current_wait = _WaitHandle(self, waitable)
+            if waitable._done:
+                sim.schedule(
+                    0.0,
+                    handle._deliver,
+                    waitable._value,
+                    waitable._exception,
+                    priority=PRIORITY_HIGH,
+                )
+            elif waitable._joiners is None:
+                waitable._joiners = [handle]
+            else:
+                waitable._joiners.append(handle)
+            return
         else:
-            self._wait_on(waitable)
+            sim.schedule(
+                0.0,
+                self._advance,
+                None,
+                TypeError(f"process {self.name!r} yielded non-waitable {waitable!r}"),
+                priority=PRIORITY_HIGH,
+            )
             return
         sim._seq = seq = sim._seq + 1
         sim._live += 1
@@ -280,45 +308,34 @@ class Process:
         """A ``Store`` hand-off or ``request()`` grant whose process was
         torn down before it ran."""
 
-    def _fail(self, exc: BaseException) -> None:
-        # Record the failure on the completion event so waiters see it; if
-        # nobody is waiting, escalate out of the event loop rather than
-        # silently swallowing a firmware bug.
-        had_waiters = bool(self.completion_event._callbacks)
-        self.completion_event.fail(exc)
-        if not had_waiters:
+    def _finish(self, value: Any, exc: Optional[BaseException]) -> None:
+        """Record the outcome and wake the joiners at this instant, in
+        join order, before ordinary events: each sees the world exactly
+        as this process left it.  A failure nobody joined escalates out
+        of the event loop rather than silently swallowing a firmware
+        bug."""
+        self._done = True
+        self._value = value
+        self._exception = exc
+        joiners, self._joiners = self._joiners, None
+        if joiners:
+            schedule = self.sim.schedule
+            for handle in joiners:
+                schedule(0.0, handle._deliver, value, exc, priority=PRIORITY_HIGH)
+        elif exc is not None:
             raise exc
-
-    def _wait_on(self, waitable: Any) -> None:
-        """Suspend on a waitable the process is not the record of."""
-        if isinstance(waitable, (SimEvent, Process)):
-            handle = _WaitHandle(self)
-            self._current_wait = handle
-            waitable._subscribe(handle)
-        else:
-            self.sim.schedule(
-                0.0,
-                self._advance,
-                None,
-                TypeError(f"process {self.name!r} yielded non-waitable {waitable!r}"),
-                priority=PRIORITY_HIGH,
-            )
-
-    # Processes are waitable ------------------------------------------------
-    def _subscribe(self, handle: Any) -> None:
-        self.completion_event._subscribe(handle)
 
     # ------------------------------------------------------------------
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupted` into the process at this instant.
 
         The interrupted wait is abandoned: its timer is cancelled, a
-        queued getter, hold or request is purged, its event subscription
-        removed, and an item or unit already in flight to it is handed
-        back to its owner (see :meth:`_abandon`) -- so a stale wakeup
-        can neither resume the process nor lose an item.
+        queued getter, hold, request or join is purged, and an item or
+        unit already in flight to it is handed back to its owner (see
+        :meth:`_abandon`) -- so a stale wakeup can neither resume the
+        process nor lose an item.
         """
-        if not self.alive:
+        if self._done:
             return
         wait = self._current_wait
         if wait is not None:
@@ -330,7 +347,7 @@ class Process:
 
     def kill(self) -> None:
         """Terminate the process (it sees :class:`ProcessKilled`)."""
-        if not self.alive or self._killed:
+        if self._done or self._killed:
             return
         self._killed = True
         wait = self._current_wait
@@ -343,16 +360,16 @@ class Process:
 
     def close(self) -> None:
         """End the process now, with no event (``Cluster.close``): the
-        wait is abandoned as on :meth:`kill`, the completion event is
-        marked fired without waking anyone, the generator is closed."""
+        wait is abandoned as on :meth:`kill`, the process is marked done
+        without waking its joiners, the generator is closed."""
         wait, self._current_wait = self._current_wait, None
         if wait is not None:
             self._abandon(wait)
         held, self._held = self._held, None
         if held is not None:
             held.release()
-        self.completion_event._triggered = True
-        self.completion_event._callbacks = None
+        self._done = True
+        self._joiners = None
         self._generator.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -130,19 +130,6 @@ class TraceContext:
             out["attempt"] = self.attempt
         return out
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TraceContext)
-            and self.trace_id == other.trace_id
-            and self.span_id == other.span_id
-            and self.parent_span_id == other.parent_span_id
-            and self.hop == other.hop
-            and self.attempt == other.attempt
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.trace_id, self.span_id, self.hop, self.attempt))
-
     def __repr__(self) -> str:
         extra = ""
         if self.hop:

@@ -287,7 +287,7 @@ class TestCollectiveReliability:
         counter = {"seen": 0}
 
         def drop_nth(packet):
-            if packet.is_collective:
+            if packet.ptype.is_collective:
                 counter["seen"] += 1
                 return counter["seen"] == nth
             return False
@@ -320,7 +320,7 @@ class TestCollectiveReliability:
         counter = {"seen": 0}
 
         def drop_first(packet):
-            if packet.is_collective:
+            if packet.ptype.is_collective:
                 counter["seen"] += 1
                 return counter["seen"] == 1
             return False

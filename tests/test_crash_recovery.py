@@ -303,10 +303,11 @@ class TestSenderRestart:
     def test_restarted_sender_leaves_no_seqno_gap(self, crash_at, tx_buffers):
         """Eight 512 B sends; the sender's NIC crashes mid-burst and
         restarts 50 us later.  The send in SDMA at the crash dies with
-        the firmware; every other one is numbered, delivered in order
-        and ACKed, and the run is quiet by 250.1 us -- no retransmit
-        alarm (a gap in the numbers used to raise one after 64
-        retransmissions, about 96 ms in)."""
+        the firmware, and the restart returns its send token; every
+        other one is numbered, delivered in order and ACKed, and the run
+        is quiet by 250.1 us -- no retransmit alarm (a gap in the
+        numbers used to raise one after 64 retransmissions, about 96 ms
+        in)."""
         cluster = build_cluster(ClusterConfig(
             num_nodes=2, nic_params=NicParams(tx_buffers=tx_buffers),
         ))
@@ -329,6 +330,7 @@ class TestSenderRestart:
         assert conn.sent_list == []
         assert cluster.nodes[1].nic.connections[0].expected_seqno == numbered + 1
         assert b.port.messages_received == numbered == 7
+        assert a.port.send_tokens_free == a.port.send_tokens_total
         assert cluster.sim.now <= 250.1
 
 

@@ -334,7 +334,7 @@ class TestMachineKill:
             sim.run(max_events=1_000)
             for proc in nic.machines if how == "crash" else (process,):
                 assert not proc.alive
-                assert proc.completion_event._exception is None
+                assert proc._exception is None
                 assert proc.result is None
             assert nic.cpu_resource.in_use == 0
 

@@ -26,7 +26,7 @@ class TestToken:
 
     def test_dispatch_flags(self):
         t = MulticastSendToken(src_port=2, destinations=[(1, 2)])
-        assert t.is_multicast and not t.is_barrier and not t.is_collective
+        assert t.is_multicast and not t.is_barrier
 
 
 class TestDelivery:

@@ -1,6 +1,7 @@
 """Tests for the report-regeneration CLI."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,8 @@ from repro.analysis.report import (
     render_report,
 )
 from repro.analysis.calibration import LANAI_7_2_SYSTEM
+from repro.analysis.figure5 import VARIANTS
+from repro.campaign.serialize import CODE_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +59,44 @@ class TestCliEndToEnd:
         assert rows[0] == HEADERS
         assert len(rows) == 1 + len(LANAI_7_2_SYSTEM.sizes)
         assert (tmp_path / "report.md").read_text().startswith("# Regenerated")
+
+    def test_json_tables(self, tmp_path):
+        """``--json`` writes the paper-vs-measured tables: one row per
+        size, every variant measured in the ResultStore payload schema,
+        both factors, and the paper's anchors where it published one."""
+        out = tmp_path / "tables" / "figure5.json"
+        rc = main(["--quick", "--system", "7.2", "--out", str(tmp_path),
+                   "--json", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"code_version", "systems"}
+        assert doc["code_version"] == CODE_VERSION
+        [system] = doc["systems"]
+        assert system["card"] == LANAI_7_2_SYSTEM.lanai_model.name
+        assert system["name"] == LANAI_7_2_SYSTEM.name
+        rows = system["rows"]
+        assert [row["num_nodes"] for row in rows] == list(LANAI_7_2_SYSTEM.sizes)
+        for row in rows:
+            measured = row["measured"]
+            assert set(measured) == set(VARIANTS) | {"factor-pe", "factor-gb"}
+            for variant in VARIANTS:
+                assert measured[variant]["num_nodes"] == row["num_nodes"]
+                assert measured[variant]["mean_latency_us"] > 0
+            assert measured["factor-pe"] == (
+                measured["host-pe"]["mean_latency_us"]
+                / measured["nic-pe"]["mean_latency_us"]
+            )
+            for variant, anchor in row["paper"].items():
+                assert set(anchor) == {"description", "kind", "value"}
+                assert anchor["value"] == LANAI_7_2_SYSTEM.anchor(
+                    row["num_nodes"], variant
+                ).value
+        [eight] = [row for row in rows if row["num_nodes"] == 8]
+        assert eight["paper"]["nic-pe"] == {
+            "description": "NIC-based PE, 8 nodes",
+            "kind": "latency_us",
+            "value": 49.25,
+        }
 
     def test_module_entrypoint(self, tmp_path):
         # Run outside the checkout: the CLI writes its outputs (and the

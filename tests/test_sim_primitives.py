@@ -1,31 +1,12 @@
-"""Unit + property tests for Store, Resource and SimEvent."""
+"""Unit + property tests for Store and Resource."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Hold, Interrupted, Resource, SimEvent, Store, Timeout
+from repro.sim.primitives import Hold, Interrupted, Resource, Store, Timeout
 from repro.sim.process import Process
-
-
-class TestSimEvent:
-    def test_succeed_once(self, sim):
-        ev = SimEvent(sim)
-        ev.succeed(1)
-        with pytest.raises(RuntimeError, match="already triggered"):
-            ev.succeed(2)
-
-    def test_value_before_fire_raises(self, sim):
-        ev = SimEvent(sim)
-        with pytest.raises(RuntimeError, match="not fired"):
-            _ = ev.value
-
-    def test_value_after_fail_raises_exception(self, sim):
-        ev = SimEvent(sim)
-        ev.fail(KeyError("k"))
-        with pytest.raises(KeyError):
-            _ = ev.value
 
 
 class TestStore:

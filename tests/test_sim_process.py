@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Interrupted, SimEvent, Timeout
-from repro.sim.process import Process, ProcessKilled
+from repro.sim.primitives import Interrupted, Timeout
+from repro.sim.process import Process, ProcessKilled, _WaitHandle
 
 
 class TestBasics:
@@ -15,6 +15,8 @@ class TestBasics:
             return "done"
 
         p = Process(sim, proc())
+        with pytest.raises(RuntimeError, match="has not finished"):
+            _ = p.result
         sim.run()
         assert not p.alive
         assert p.result == "done"
@@ -34,34 +36,6 @@ class TestBasics:
         Process(sim, proc())
         sim.run()
         assert values == [1.5]
-
-    def test_wait_on_event_value(self, sim):
-        ev = SimEvent(sim)
-        results = []
-
-        def waiter():
-            v = yield ev
-            results.append(v)
-
-        Process(sim, waiter())
-        sim.schedule(2.0, ev.succeed, 42)
-        sim.run()
-        assert results == [42]
-        assert sim.now == 2.0
-
-    def test_wait_on_already_fired_event(self, sim):
-        ev = SimEvent(sim)
-        ev.succeed("early")
-        results = []
-
-        def waiter():
-            yield Timeout(5.0)
-            v = yield ev
-            results.append((sim.now, v))
-
-        Process(sim, waiter())
-        sim.run()
-        assert results == [(5.0, "early")]
 
     def test_wait_on_child_process(self, sim):
         def child():
@@ -100,15 +74,19 @@ class TestFailure:
             yield Timeout(1.0)
             raise ValueError("boom")
 
+        child = Process(sim, failing())
+
         def waiter():
             try:
-                yield Process(sim, failing())
+                yield child
             except ValueError as e:
                 return f"caught:{e}"
 
         w = Process(sim, waiter())
         sim.run()
         assert w.result == "caught:boom"
+        with pytest.raises(ValueError, match="boom"):
+            _ = child.result
 
     def test_unobserved_failure_escalates(self, sim):
         def failing():
@@ -119,19 +97,126 @@ class TestFailure:
         with pytest.raises(ValueError, match="unseen"):
             sim.run()
 
-    def test_event_fail_raises_in_waiter(self, sim):
-        ev = SimEvent(sim)
 
-        def waiter():
-            try:
-                yield ev
-            except RuntimeError:
-                return "failed"
+def _child(delay, value):
+    yield Timeout(delay)
+    return value
 
-        w = Process(sim, waiter())
-        sim.schedule(1.0, ev.fail, RuntimeError("nope"))
+
+@pytest.fixture
+def deliveries(monkeypatch):
+    """Every join delivery run, as ``(joiner name, value)``, no-ops too."""
+    log = []
+    deliver = _WaitHandle._deliver
+
+    def logged(handle, value, exc):
+        log.append((handle.process.name, value))
+        deliver(handle, value, exc)
+
+    monkeypatch.setattr(_WaitHandle, "_deliver", logged)
+    return log
+
+
+class TestJoin:
+    def test_join_finished_process_resumes_at_once(self, sim, deliveries):
+        child = Process(sim, _child(1.0, "early"))
+        results = []
+
+        def joiner():
+            yield Timeout(5.0)
+            v = yield child
+            results.append((sim.now, v))
+
+        Process(sim, joiner(), name="joiner")
         sim.run()
-        assert w.result == "failed"
+        assert results == [(5.0, "early")]
+        assert deliveries == [("joiner", "early")]
+
+    @pytest.mark.parametrize("strike", ["interrupt", "kill"])
+    def test_struck_joiner_is_not_woken_by_the_end(self, sim, deliveries, strike):
+        child = Process(sim, _child(10.0, "late"))
+        log = []
+
+        def joiner():
+            try:
+                yield child
+            except Interrupted:
+                log.append(("interrupted", sim.now))
+            v = yield Timeout(20.0)
+            log.append(("slept", sim.now, v))
+
+        j = Process(sim, joiner(), name="joiner")
+        sim.schedule(3.0, getattr(j, strike))
+        sim.run(until=5.0)
+        assert child._joiners == []
+        sim.run()
+        assert deliveries == []
+        assert child.result == "late"
+        assert not j.alive
+        if strike == "interrupt":
+            assert log == [("interrupted", 3.0), ("slept", 23.0, 20.0)]
+        else:
+            assert log == []
+            assert j.result is None
+
+    @pytest.mark.parametrize("strike", ["interrupt", "kill"])
+    def test_strike_after_the_delivery_is_queued(self, sim, deliveries, strike):
+        """The first joiner's delivery runs first and strikes the second,
+        whose delivery is already queued for the same instant: it runs
+        as a no-op, and the second joiner sees only the strike."""
+        child = Process(sim, _child(10.0, "value"))
+        log = []
+
+        def second():
+            try:
+                v = yield child
+                log.append(("joined", sim.now, v))
+            except Interrupted:
+                log.append(("interrupted", sim.now))
+            v = yield Timeout(5.0)
+            log.append(("slept", sim.now, v))
+
+        def first():
+            v = yield child
+            log.append(("first", sim.now, v))
+            getattr(b, strike)()
+
+        Process(sim, first(), name="first")
+        b = Process(sim, second(), name="second")
+        sim.run()
+        assert deliveries == [("first", "value"), ("second", "value")]
+        if strike == "interrupt":
+            assert log == [
+                ("first", 10.0, "value"),
+                ("interrupted", 10.0),
+                ("slept", 15.0, 5.0),
+            ]
+        else:
+            assert log == [("first", 10.0, "value")]
+            assert b.result is None
+
+    def test_failure_after_abandoned_join_escalates(self, sim, deliveries):
+        def failing():
+            yield Timeout(10.0)
+            raise ValueError("unjoined")
+
+        child = Process(sim, failing())
+
+        def joiner():
+            try:
+                yield child
+            except Interrupted:
+                return "gave up"
+
+        j = Process(sim, joiner(), name="joiner")
+        sim.schedule(3.0, j.interrupt)
+        with pytest.raises(ValueError, match="unjoined"):
+            sim.run()
+        assert sim.now == 10.0
+        assert j.result == "gave up"
+        assert deliveries == []
+        with pytest.raises(ValueError, match="unjoined"):
+            _ = child.result
 
 
 class TestInterrupt:
