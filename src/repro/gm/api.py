@@ -67,7 +67,7 @@ class GmPort:
         """Host-side trace record (category ``host<node_id>``)."""
         tracer = self.nic.tracer
         if tracer is not None:
-            tracer.record_payload(self.trace_category, label, payload)
+            tracer.emit((self.nic.sim.now, self.trace_category, label, payload))
 
     # ------------------------------------------------------------------
     @property
@@ -89,11 +89,14 @@ class GmPort:
         dst_port: int,
         size_bytes: int = 0,
         payload: Any = None,
-        callback: Optional[Callable[[SendToken], None]] = None,
         ctx: Optional[TraceContext] = None,
     ):
         """Queue a reliable send (gm_send_with_callback).  Host generator;
         returns the :class:`~repro.gm.tokens.SendToken`.
+
+        GM's completion callback is a :class:`SentEvent` here: the NIC
+        posts one naming the token's ``token_id`` when the send is
+        acknowledged, and :meth:`receive` returns it like any event.
 
         ``ctx`` lets a caller thread its own :class:`TraceContext`
         through the message (schedule rounds attribute wire time to
@@ -110,7 +113,6 @@ class GmPort:
             dst_port=dst_port,
             size_bytes=size_bytes,
             payload=payload,
-            callback=callback,
             ctx=ctx if ctx is not None else TraceContext.root(),
         )
         self.nic.post_token(self.port_id, token)
@@ -201,8 +203,6 @@ class GmPort:
                     )
             elif isinstance(event, CollectiveCompletedEvent):
                 self._collective_pending = False
-            if isinstance(event, SendToken) and event.callback:  # pragma: no cover
-                event.callback(event)
             return event
 
     def _raise_failure(self, event: PeerFailureEvent) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.gm.events import BarrierCompletedEvent, CollectiveCompletedEvent, GmEvent
 from repro.network.packet import PacketType
@@ -40,9 +40,9 @@ class SendToken:
         Payload size; drives SDMA/wire/RDMA timing.
     payload:
         Opaque message body carried through the simulation.
-    callback:
-        Host-side completion callback, invoked (by the host process, in
-        host time) when the NIC returns the token.
+
+    The NIC returns the token, once the send is acknowledged, by posting
+    a :class:`~repro.gm.events.SentEvent` naming its ``token_id``.
     """
 
     src_port: int
@@ -50,7 +50,6 @@ class SendToken:
     dst_port: int
     size_bytes: int = 0
     payload: Any = None
-    callback: Optional[Callable[["SendToken"], None]] = None
     token_id: int = field(default_factory=lambda: next(_token_ids))
     #: Regular-stream sequence number, assigned by SDMA when it records
     #: the prepared packet on the sent list (after its last charge).
@@ -223,9 +222,6 @@ class BarrierSendToken:
 
     #: Dispatch flag: SDMA routes this token to the barrier engine.
     is_barrier = True
-
-    #: Dispatch flag: barrier tokens are not multicast.
-    is_multicast = False
 
     @property
     def current_step(self) -> "PeStep":

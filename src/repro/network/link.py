@@ -25,8 +25,8 @@ delivery and ``seq`` is what an always-scheduled end event gives.
 The per-packet path calls no helper: a transmission pushes its own
 engine entries and takes its reserved ``seq`` in place (see "Wake-ups
 the kernel pushes itself" in ``docs/engine.md``), the wire size is
-``HEADER_BYTES + payload_bytes``, and an untraced delivery record goes
-straight onto the tracer's flight ring.
+``HEADER_BYTES + payload_bytes``, and the delivery record is one
+``Tracer.emit`` call, which calls no Python code untraced.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class Channel:
         self.fault_filter: Optional[Callable[[Packet], Optional[str]]] = None
         self._queue: Deque[Packet] = deque()
         #: A packet is on the wire -- or was, if ``_tx_seq`` is set and
-        #: the engine has passed the reserved end (see :meth:`_on_wire`).
+        #: the engine has passed the reserved end (see :attr:`queue_depth`).
         self._busy = False
         #: Reserved transmit-done key ``(_tx_end, _tx_seq)``; ``_tx_seq``
         #: is None while the end event is scheduled (or nothing is sent).
@@ -138,8 +138,9 @@ class Channel:
         self._queue.append(packet)
         busy = self._busy
         if busy and self._tx_seq is not None:
-            # _on_wire() in place: the transmission is over once the
-            # engine has passed its reserved end (Simulator.dispatched).
+            # queue_depth's settling in place: the transmission is over
+            # once the engine has passed its reserved end
+            # (Simulator.dispatched).
             sim = self.sim
             at = sim._at
             if (
@@ -159,19 +160,15 @@ class Channel:
 
     @property
     def queue_depth(self) -> int:
-        """Packets queued or on the wire."""
-        return len(self._queue) + self._on_wire()
-
-    def _on_wire(self) -> bool:
-        """Whether a packet is on the wire; clears a busy flag whose
-        unscheduled transmit end the engine has already passed."""
+        """Packets queued or on the wire.  Reading it clears a busy flag
+        whose unscheduled transmit end the engine has already passed."""
         if (
             self._busy
             and self._tx_seq is not None
             and self.sim.dispatched(self._tx_end, self._tx_seq)
         ):
             self._busy = False
-        return self._busy
+        return len(self._queue) + self._busy
 
     def serialization_time(self, packet: Packet) -> float:
         """Wire occupancy time for one packet."""
@@ -249,7 +246,6 @@ class Channel:
             self.packets_sent += 1
             self.bytes_sent += size
             sim._seq = seq = sim._seq + 1
-            sim._live += 1
             heappush(sim._heap, [
                 sim.now + (ser + self.propagation_us), PRIORITY_NORMAL, seq,
                 self._deliver, (packet,),
@@ -258,7 +254,6 @@ class Channel:
         sim._seq = seq = sim._seq + 1
         if verdict is not None or self._queue:
             self._tx_seq = None
-            sim._live += 1
             heappush(sim._heap, [
                 sim.now + ser, PRIORITY_NORMAL, seq, self._tx_done, (),
             ])
@@ -269,17 +264,9 @@ class Channel:
     def _deliver(self, packet: Packet) -> None:
         tracer = self.tracer
         if tracer is not None and packet.ctx is not None:
-            payload = {
+            tracer.emit((self.sim.now, "net", "link.deliver", {
                 "key": packet.packet_id, "channel": self.name, "ctx": packet.ctx,
-            }
-            # Tracer.record_payload, with the untraced case (the flight
-            # ring alone) fed in place.
-            if tracer.enabled:
-                tracer.record_payload("net", "link.deliver", payload)
-            elif tracer._flight_append is not None:
-                tracer._flight_append(
-                    (self.sim.now, "net", "link.deliver", payload)
-                )
+            }))
         self.sink.receive_packet(packet)
 
     def _tx_done(self) -> None:

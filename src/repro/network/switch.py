@@ -12,6 +12,11 @@ requested output port, and streams the packet through.  We model this as:
 
 Routing decisions for distinct packets proceed in parallel (a crossbar
 has per-port route logic), so there is no shared "switch CPU" resource.
+
+A route is the per-packet path of the fabric: it pushes its hand-off to
+the output channel in place (see "Wake-ups the kernel pushes itself" in
+``docs/engine.md``), records through ``Tracer.emit``, and counts an
+output stall from the channel's own :attr:`~Channel.queue_depth`.
 """
 
 from __future__ import annotations
@@ -54,37 +59,19 @@ class _SwitchInput:
             switch.packets_dead_ended += 1
             return
         switch.packets_routed += 1
+        sim = switch.sim
         tracer = switch.tracer
         if tracer is not None and ctx is not None:
-            payload = {
+            tracer.emit((sim.now, "net", "switch.route", {
                 "key": packet.packet_id, "switch": switch.name,
                 "in_port": self.port_index, "out_port": out_port, "ctx": ctx,
-            }
-            # Tracer.record_payload, with the untraced case (the flight
-            # ring alone) fed in place.
-            if tracer.enabled:
-                tracer.record_payload("net", "switch.route", payload)
-            elif tracer._flight_append is not None:
-                tracer._flight_append(
-                    (switch.sim.now, "net", "switch.route", payload)
-                )
-        sim = switch.sim
-        if channel._busy and channel._tx_seq is not None:
-            # Channel._on_wire() in place: settle a busy flag whose
-            # reserved transmit end the engine has passed.
-            at = sim._at
-            if (
-                channel._tx_end <= sim.now if at is None
-                else [channel._tx_end, PRIORITY_NORMAL, channel._tx_seq] < at
-            ):
-                channel._busy = False
-        if channel._queue or channel._busy:  # channel.queue_depth > 0
+            }))
+        if channel.queue_depth:
             stalls = switch.output_stalls
             stalls[out_port] = stalls.get(out_port, 0) + 1
         # ``sim.schedule(routing_delay_us, channel.send, packet)``,
         # pushed in place (docs/engine.md).
         sim._seq = seq = sim._seq + 1
-        sim._live += 1
         heappush(sim._heap, [
             sim.now + switch.routing_delay_us, PRIORITY_NORMAL, seq,
             channel.send, (packet,),

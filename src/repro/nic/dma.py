@@ -127,7 +127,7 @@ class DmaEngine:
         self.transfers += 1
         self.bytes_moved += size_bytes
         if ctx is not None and self.tracer is not None:
-            self.tracer.record_payload(self._trace_category, self._trace_label, {
+            self.tracer.emit((sim.now, self._trace_category, self._trace_label, {
                 "size": size_bytes, "wait_us": sim.now - requested_at,
                 "ctx": ctx,
-            })
+            }))

@@ -5,7 +5,8 @@ loop.  Every unit of work charges NIC-processor time through the shared
 CPU resource, so the machines interleave on the single LANai processor
 exactly as the real MCP's cooperative dispatch loop does.  The charge
 and trace helpers live in :class:`Firmware`, which the NIC barrier
-engine (:mod:`repro.core.nic_barrier`) shares.
+engine (:mod:`repro.core.nic_barrier`) shares; a trace record is one
+``Tracer.emit`` call, and the tracer decides where it goes.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ class Firmware:
     the NIC: a charge subscripts the NIC's charge table,
     ``yield self.charge["recv_packet"]``, which calls no Python code
     once the hold exists (an unknown operation raises ``KeyError``).
-    Each trace label is built once per class, and with tracing off a
-    record goes straight onto the tracer's flight ring, so an untraced
-    record calls no Python code beyond :meth:`trace` itself.
+    Each trace label is built once per class, and a record is one
+    :meth:`~repro.sim.tracing.Tracer.emit` call, which calls no Python
+    code when tracing is off.
     """
 
     #: Subclasses set this for traces.
@@ -52,21 +53,15 @@ class Firmware:
         self._category = nic.trace_category
 
     def trace(self, label: str, **payload) -> None:
-        """Record a trace event: ``Tracer.record_payload``, with the
-        untraced case (the flight ring alone) fed in place.  The
-        tracer's ``enabled`` flag is read at every record."""
+        """Record a trace event ``"<machine_name>.<label>"`` through
+        ``Tracer.emit``."""
         tracer = self._tracer
         if tracer is not None:
             try:
                 full = self._labels[label]
             except KeyError:
                 full = self._labels[label] = f"{self.machine_name}.{label}"
-            if tracer.enabled:
-                tracer.record_payload(self._category, full, payload)
-            elif tracer._flight_append is not None:
-                tracer._flight_append(
-                    (self._sim.now, self._category, full, payload)
-                )
+            tracer.emit((self._sim.now, self._category, full, payload))
 
 
 class StateMachine(Firmware):

@@ -27,7 +27,6 @@ Dispatch rules:
 from __future__ import annotations
 
 from repro.gm.constants import BarrierReliability
-from repro.gm.events import SentEvent
 from repro.network.packet import Packet, PacketType
 from repro.nic.mcp.machine import StateMachine
 
@@ -88,30 +87,13 @@ class RecvMachine(StateMachine):
         for entry in done:
             if entry.retransmits:
                 nic.recovery_hist.observe(nic.sim.now - entry.first_sent_at)
-            if entry.token is None:
-                continue
             token = entry.token
-            if token.is_multicast:
-                # The token returns only when every replica is ACKed.
-                token.remaining_acks -= 1
-                if token.remaining_acks > 0:
-                    continue
-                dst_node, dst_port = token.destinations[-1]
-            else:
-                dst_node, dst_port = token.dst_node, token.dst_port
-            port = nic.ports.get(token.src_port)
-            if port is not None and port.is_open:
+            if token is None:
+                continue
+            port = nic.sent_port(token)
+            if port is not None:
                 yield self.charge["post_event"]
-                port.return_send_token()
-                nic.post_host_event(
-                    port,
-                    SentEvent(
-                        port_id=port.port_id,
-                        token_id=token.token_id,
-                        dst_node=dst_node,
-                        dst_port=dst_port,
-                    ),
-                )
+                nic.post_sent(port, token)
 
     def _handle_nack(self, packet: Packet):
         """Go-back-N: retransmit everything from the NACKed seqno."""

@@ -62,7 +62,7 @@ class SdmaMachine(StateMachine):
                 raise RuntimeError(f"SDMA: unknown work item {item!r}")
 
     # ------------------------------------------------------------------
-    def _fake_ack(self, token, dst_node: int, dst_port: int) -> None:
+    def _fake_ack(self, token, dst_node: int) -> None:
         """Complete a send toward a declared-dead peer host-side.
 
         The token returns and the usual ``SentEvent`` posts, exactly as a
@@ -71,21 +71,10 @@ class SdmaMachine(StateMachine):
         forever: the retransmit path is fenced for suspects, so no ACK
         and no alarm would ever release the blocked host process.
         """
-        from repro.gm.events import SentEvent
-
         nic = self.nic
-        port = nic.ports.get(token.src_port)
-        if port is not None and port.is_open:
-            port.return_send_token()
-            nic.post_host_event(
-                port,
-                SentEvent(
-                    port_id=port.port_id,
-                    token_id=token.token_id,
-                    dst_node=dst_node,
-                    dst_port=dst_port,
-                ),
-            )
+        port = nic.sent_port(token)
+        if port is not None:
+            nic.post_sent(port, token)
         self.trace("suspect_fake_ack", key=token.token_id, dst=dst_node,
                    ctx=token.ctx)
 
@@ -94,7 +83,7 @@ class SdmaMachine(StateMachine):
         nic = self.nic
         yield self.charge["token_process"]
         if token.dst_node in nic.suspected_peers:
-            self._fake_ack(token, token.dst_node, token.dst_port)
+            self._fake_ack(token, token.dst_node)
             return
         conn = nic.connections[token.dst_node]
 
@@ -142,7 +131,7 @@ class SdmaMachine(StateMachine):
             if dest[0] not in nic.suspected_peers
         ]
         if not live:
-            self._fake_ack(token, *token.destinations[-1])
+            self._fake_ack(token, token.destinations[-1][0])
             return
         # Stage the payload once.
         yield nic.tx_buffers  # request()

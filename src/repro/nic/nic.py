@@ -454,6 +454,43 @@ class Nic:
             for listener in tuple(listeners):
                 listener(event)
 
+    def sent_port(self, token) -> Optional[NicPort]:
+        """The open port a completed send returns ``token`` to, or None.
+
+        A send completes when its packet is acknowledged or fake-acked
+        toward a dead peer; a multicast token completes with the last
+        of its replicas, each call counting one down (one fake-acked
+        before its fan-out has no count yet and completes at once).
+        The caller charges what posting costs it, then calls
+        :meth:`post_sent`.
+        """
+        if token.is_multicast:
+            token.remaining_acks -= 1
+            if token.remaining_acks > 0:
+                return None
+        port = self.ports.get(token.src_port)
+        if port is not None and port.is_open:
+            return port
+        return None
+
+    def post_sent(self, port: NicPort, token) -> None:
+        """Return ``token`` to ``port`` and post its :class:`SentEvent`,
+        naming the destination (a multicast's last) it completed on."""
+        if token.is_multicast:
+            dst_node, dst_port = token.destinations[-1]
+        else:
+            dst_node, dst_port = token.dst_node, token.dst_port
+        port.return_send_token()
+        self.post_host_event(
+            port,
+            SentEvent(
+                port_id=port.port_id,
+                token_id=token.token_id,
+                dst_node=dst_node,
+                dst_port=dst_port,
+            ),
+        )
+
     def add_host_event_listener(self, port_id: int, listener) -> None:
         """Register ``listener(event)`` to run on every host event the
         MCP machines post to ``port_id``'s event ring."""
@@ -628,27 +665,10 @@ class Nic:
         conn.nack_outstanding = False
         for entry in entries:
             token = entry.token
-            if token is None:
-                continue
-            if token.is_multicast:
-                token.remaining_acks -= 1
-                if token.remaining_acks > 0:
-                    continue
-                dst_node, dst_port = token.destinations[-1]
-            else:
-                dst_node, dst_port = token.dst_node, token.dst_port
-            port = self.ports.get(token.src_port)
-            if port is not None and port.is_open:
-                port.return_send_token()
-                self.post_host_event(
-                    port,
-                    SentEvent(
-                        port_id=port.port_id,
-                        token_id=token.token_id,
-                        dst_node=dst_node,
-                        dst_port=dst_port,
-                    ),
-                )
+            if token is not None:
+                port = self.sent_port(token)
+                if port is not None:
+                    self.post_sent(port, token)
 
     def crash(self) -> None:
         """Fail-stop death of this NIC (the LANai stops executing).

@@ -115,8 +115,10 @@ class Simulator:
     ) -> None:
         self.now: float = start_time
         self._seq: int = 0
-        #: Live (non-cancelled, non-executed) entries on the heap.
-        self._live: int = 0
+        #: Cancelled entries still on the heap: ``cancel()`` adds one and
+        #: every pop that skips one takes it off, so the live entries on
+        #: the heap are ``len(_heap) - _dead`` and no push counts.
+        self._dead: int = 0
         self._running: bool = False
         self._stop_requested: bool = False
         self._heap: List[list] = []
@@ -198,7 +200,6 @@ class Simulator:
                 )
         t = self.now + delay
         self._seq = seq = self._seq + 1
-        self._live += 1
         handle = [t, priority, seq, callback, args]
         heappush(self._heap, handle)
         return handle
@@ -216,7 +217,6 @@ class Simulator:
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
         self._seq = seq = self._seq + 1
-        self._live += 1
         handle = [time, priority, seq, callback, args]
         heappush(self._heap, handle)
         return handle
@@ -250,9 +250,8 @@ class Simulator:
             # negative delay lands here too, for schedule() to judge).
             return self.schedule(delay, callback, *args, priority=priority)
         self._seq = seq = self._seq + 1
-        # Parked timers are *not* counted into ``_live`` until flushed --
-        # arming and cancelling must stay free of simulator bookkeeping;
-        # ``pending_events`` folds the wheel in lazily instead.
+        # A parked timer is off the heap, so its cancel counts no dead
+        # entry; ``pending_events`` folds the wheel in lazily instead.
         handle = [t, priority, seq, callback, args, key]
         if t < self._wheel_lo:
             self._wheel_lo = t
@@ -284,7 +283,6 @@ class Simulator:
         would have fired it had it been scheduled when ``seq`` was
         reserved.
         """
-        self._live += 1
         handle = [time, PRIORITY_NORMAL, seq, callback, args]
         heappush(self._heap, handle)
         return handle
@@ -314,10 +312,10 @@ class Simulator:
         handle[CALLBACK] = None
         handle[ARGS] = ()
         if len(handle) > WHEEL_KEY:
-            # Still parked: it was never counted live.
+            # Still parked: the bucket drops it, the heap never sees it.
             self.timers_reclaimed += 1
         else:
-            self._live -= 1
+            self._dead += 1
 
     # ------------------------------------------------------------------
     # Timer wheel internals
@@ -346,7 +344,6 @@ class Simulator:
         wheel = self._wheel
         heap = self._heap
         lo = _INF
-        live = 0
         for key, entry in list(wheel.items()):
             lb = entry[0]
             if lb > t:
@@ -358,8 +355,6 @@ class Simulator:
                 if handle[3] is not None:
                     del handle[WHEEL_KEY]
                     heappush(heap, handle)
-                    live += 1
-        self._live += live
         self._wheel_lo = lo
 
     # ------------------------------------------------------------------
@@ -376,7 +371,6 @@ class Simulator:
         args = handle[4]
         handle[3] = None
         handle[4] = None
-        self._live -= 1
         self.events_executed += 1
         if self._profile:
             self._dispatch_profiled(callback, args)
@@ -384,13 +378,9 @@ class Simulator:
             callback(*args)
         return True
 
-    def _dispatch_profiled(self, callback, args, batched: int = 0) -> None:
-        """Execute one callback under the wall-clock profiler.
-
-        ``batched`` is the number of executions ``run()`` has not yet
-        subtracted from ``_live``.
-        """
-        depth = self._live - batched
+    def _dispatch_profiled(self, callback, args) -> None:
+        """Execute one callback under the wall-clock profiler."""
+        depth = len(self._heap) - self._dead
         if depth > self.heap_high_water:
             self.heap_high_water = depth
         t0 = time.perf_counter()
@@ -425,10 +415,12 @@ class Simulator:
         float
             The clock value at return.
 
-        There is one dispatch loop for every mode.  ``events_executed``,
-        ``_live`` and ``cancelled_pops`` are accumulated in locals and
-        flushed on every exit path (exceptions included), so they are
-        exact whenever ``run()`` is not on the stack.
+        There is one dispatch loop for every mode.  ``events_executed``
+        is accumulated in a local and flushed on every exit path
+        (exceptions included), so it is exact whenever ``run()`` is not
+        on the stack.  A skipped dead entry moves ``cancelled_pops`` and
+        the dead-entry count at once, so :attr:`pending_events` is exact
+        inside a callback too.
         """
         if self._running:
             raise RuntimeError("Simulator.run() is not re-entrant")
@@ -438,7 +430,6 @@ class Simulator:
         budget = -1 if max_events is None else max_events
         profiled = self._profile
         executed = 0
-        dead = 0
         pop = heappop
         heap = self._heap
         wheel = self._wheel
@@ -454,7 +445,8 @@ class Simulator:
                 handle = pop(heap)
                 callback = handle[3]
                 if callback is None:
-                    dead += 1
+                    self.cancelled_pops += 1
+                    self._dead -= 1
                     continue
                 t = handle[0]
                 if t >= self._wheel_lo or t > limit or executed == budget:
@@ -478,7 +470,7 @@ class Simulator:
                 handle[4] = None
                 executed += 1
                 if profiled:
-                    self._dispatch_profiled(callback, args, executed)
+                    self._dispatch_profiled(callback, args)
                 else:
                     callback(*args)
             if until is not None and self.now < until:
@@ -489,8 +481,6 @@ class Simulator:
             return self.now
         finally:
             self.events_executed += executed
-            self._live -= executed
-            self.cancelled_pops += dead
             self._running = False
 
     def run_until_idle(self, max_events: Optional[int] = None) -> float:
@@ -515,7 +505,7 @@ class Simulator:
         self._heap.clear()
         self._wheel.clear()
         self._wheel_lo = _INF
-        self._live = 0
+        self._dead = 0
         self.metrics.close()
         self.telemetry.close()
 
@@ -567,11 +557,12 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of live (non-cancelled) pending entries.
 
-        O(1) for the heap (a maintained counter); parked wheel timers
-        are folded in by a scan so that arming/cancelling timers never
-        pays for this introspection counter.
+        O(1) for the heap (its length less the dead-entry count);
+        parked wheel timers are folded in by a scan so that
+        arming/cancelling timers never pays for this introspection
+        counter.
         """
-        live = self._live
+        live = len(self._heap) - self._dead
         for entry in self._wheel.values():
             for handle in entry[2]:
                 if handle[3] is not None:
@@ -591,6 +582,7 @@ class Simulator:
             if head[3] is None:
                 heappop(heap)
                 self.cancelled_pops += 1
+                self._dead -= 1
                 continue
             t = head[0]
             if t >= self._wheel_lo:
@@ -599,4 +591,4 @@ class Simulator:
             return t
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Simulator t={self.now:.3f} pending={self._live}>"
+        return f"<Simulator t={self.now:.3f} pending={len(self._heap) - self._dead}>"

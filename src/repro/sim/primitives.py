@@ -127,7 +127,6 @@ class Store(Generic[T]):
             # priority=PRIORITY_HIGH)``, pushed in place.
             sim = self.sim
             sim._seq = seq = sim._seq + 1
-            sim._live += 1
             getter._timer = entry = [
                 sim.now, PRIORITY_HIGH, seq, getter._advance, (item, None),
             ]
@@ -295,7 +294,6 @@ class Resource:
                     wait.on_grant()
                 when, priority = sim.now + wait.duration, PRIORITY_NORMAL
             sim._seq = seq = sim._seq + 1
-            sim._live += 1
             waiter._timer = entry = [when, priority, seq, waiter._advance, _RESUME]
             heappush(sim._heap, entry)
         else:

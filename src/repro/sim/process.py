@@ -131,7 +131,6 @@ class Process:
         # priority=PRIORITY_HIGH)`` (see "Wake-ups the kernel pushes
         # itself" in docs/engine.md).
         sim._seq = seq = sim._seq + 1
-        sim._live += 1
         heappush(sim._heap, [sim.now, PRIORITY_HIGH, seq, self._advance, _RESUME])
 
     # ------------------------------------------------------------------
@@ -264,7 +263,6 @@ class Process:
             )
             return
         sim._seq = seq = sim._seq + 1
-        sim._live += 1
         self._timer = entry = [when, priority, seq, self._advance, args]
         heappush(sim._heap, entry)
 

@@ -14,12 +14,12 @@ payload).  It powers three things:
   an always-on :class:`FlightRecorder` ring holding the last K records
   even when full tracing is off.
 
-Tracing is off by default and costs one ring append per record when
-off.  The per-event trace sites (``Firmware.trace``, a channel's
-delivery record, a switch's route record) read :attr:`Tracer.enabled`
-at every record and, when it is off, append the ``(time, category,
-label, payload)`` tuple to the ring themselves, without a call into the
-tracer: exactly the record :meth:`Tracer.record_payload` would keep.
+Every trace site hands its record to :meth:`Tracer.emit` as one
+``(time, category, label, payload)`` tuple, and the tracer alone
+decides where it goes: setting :attr:`Tracer.enabled` rebinds ``emit``.
+Tracing is off by default, and then ``emit`` *is* the flight ring's
+``append`` (or, without a ring, a C-level discard), so an untraced
+record calls no Python code at all.
 """
 
 from __future__ import annotations
@@ -187,12 +187,16 @@ def _format_record(time: float, category: str, label: str, payload: dict) -> str
 #: Default flight-recorder depth (records, not bytes).
 FLIGHT_RECORDER_SIZE = 256
 
+#: ``Tracer.emit`` with tracing off and no flight ring: keeps nothing,
+#: and, like the ring's own ``append``, calls no Python code.
+_discard = deque(maxlen=0).append
+
 
 class FlightRecorder:
     """Always-on ring of the last K trace records (the black box).
 
-    Every :meth:`Tracer.record` call lands here *before* the
-    enabled-check, so a simulation that dies -- a
+    Every record a :class:`Tracer` emits lands here, traced or not, so
+    a simulation that dies -- a
     ``RetransmitLimitExceeded`` alarm, an unhandled exception in a
     campaign job -- can ship its final moments back as data even when
     full tracing was off.  The ring stores plain ``(time, category,
@@ -222,7 +226,7 @@ class FlightRecorder:
     ) -> None:
         """Retain one record, dropping the oldest at capacity.
 
-        (:meth:`Tracer.record` writes to the ring directly -- it is the
+        (:meth:`Tracer.emit` writes to the ring directly -- it is the
         simulator's hot path -- but external feeders go through here.)
         """
         self._ring.append((time, category, label, payload or {}))
@@ -318,17 +322,15 @@ class Tracer:
     sim:
         Simulator whose clock stamps the records.
     enabled:
-        If False, :meth:`record` only feeds the flight ring (cheap).
+        If False, :meth:`emit` only feeds the flight ring (cheap).
     categories:
         If given, only these categories are recorded.
     flight_size:
         Depth of the always-on :class:`FlightRecorder` ring; 0 disables
         it entirely (benchmark baselines).
 
-    ``enabled`` may be switched at any time: the hot trace sites that
-    feed the ring in place (see the module docstring) read it at every
-    record.  The ring's bound ``append`` (``_flight_append``, None
-    without a ring) is fixed at construction.
+    ``enabled`` may be switched at any time: its setter rebinds
+    :meth:`emit`, and the trace sites look ``emit`` up at every record.
     """
 
     def __init__(
@@ -339,7 +341,6 @@ class Tracer:
         flight_size: int = FLIGHT_RECORDER_SIZE,
     ) -> None:
         self.sim = sim
-        self.enabled = enabled
         self.categories = set(categories) if categories is not None else None
         self.events: List[TraceEvent] = []
         #: Optional live sink, e.g. ``print``, for interactive debugging.
@@ -348,12 +349,7 @@ class Tracer:
         self.flight: Optional[FlightRecorder] = (
             FlightRecorder(flight_size) if flight_size else None
         )
-        # Pre-bound ring append: record() is on the simulator's hot path
-        # (every trace site calls it even untraced), so the three
-        # attribute hops flight._ring.append are resolved once here.
-        self._flight_append = (
-            self.flight._ring.append if self.flight is not None else None
-        )
+        self.enabled = enabled
         #: Unmatched span-record counts per (category, start, end) pairing,
         #: populated by :meth:`spans` (and therefore by the exports).
         self.unmatched_spans: Dict[Tuple[str, str, str], int] = {}
@@ -362,32 +358,49 @@ class Tracer:
     def _unmatched_total(self) -> int:
         return sum(self.unmatched_spans.values())
 
-    def record(self, category: str, label: str, **payload: Any) -> None:
-        """Record one event if tracing is enabled for ``category``.
+    @property
+    def enabled(self) -> bool:
+        """Whether records reach :attr:`events` and the sink."""
+        return self._enabled
 
-        The flight ring is fed unconditionally (that is its point); the
-        full event list and sink only when enabled.
-        """
-        self.record_payload(category, label, payload)
+    @enabled.setter
+    def enabled(self, on: bool) -> None:
+        self._enabled = on = bool(on)
+        if on:
+            # The class's emit() -- the traced path -- shows through.
+            # Bound at each lookup, it leaves no tracer -> method -> tracer
+            # cycle behind.
+            self.__dict__.pop("emit", None)
+        else:
+            self.emit = (
+                self.flight._ring.append if self.flight is not None else _discard
+            )
 
-    def record_payload(
-        self, category: str, label: str, payload: Dict[str, Any]
-    ) -> None:
-        """:meth:`record` with the payload passed as a dict, which the
-        flight ring and the event keep as it is: a hot caller that
-        builds a fresh dict per record hands it over without a copy.
+    def emit(self, record: Tuple[float, str, str, Dict[str, Any]]) -> None:
+        """Route one ``(time, category, label, payload)`` record.
+
+        This method is the traced path: the record goes onto the flight
+        ring, and, when its category passes ``categories``, into
+        :attr:`events` and to the sink.  With tracing off, the instance
+        attribute ``emit`` shadows it with the ring's ``append`` (or a
+        discard without a ring).  The payload dict is kept as it is, so
+        a caller that builds a fresh dict per record hands it over
+        without a copy.
         """
-        flight_append = self._flight_append
-        if flight_append is not None:
-            flight_append((self.sim.now, category, label, payload))
-        if not self.enabled:
+        flight = self.flight
+        if flight is not None:
+            flight._ring.append(record)
+        if self.categories is not None and record[1] not in self.categories:
             return
-        if self.categories is not None and category not in self.categories:
-            return
-        ev = TraceEvent(self.sim.now, category, label, payload)
+        ev = TraceEvent(*record)
         self.events.append(ev)
         if self.sink is not None:
             self.sink(ev)
+
+    def record(self, category: str, label: str, **payload: Any) -> None:
+        """Record one event stamped with the simulator's clock (see
+        :meth:`emit`)."""
+        self.emit((self.sim.now, category, label, payload))
 
     # -- queries --------------------------------------------------------
     def filter(self, category: Optional[str] = None, label: Optional[str] = None) -> List[TraceEvent]:

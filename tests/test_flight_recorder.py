@@ -76,6 +76,21 @@ class TestRing:
         assert len(tracer.flight) == 1
         assert tracer.flight.capacity == FLIGHT_RECORDER_SIZE
 
+    def test_no_ring_and_tracing_off_keeps_nothing(self):
+        sim = Simulator()
+        tracer = Tracer(sim, enabled=False, flight_size=0)
+        for i in range(10):
+            tracer.record("test", "tick", i=i)
+        assert tracer.flight is None and tracer.events == []
+        # Untraced and ringless, emit is a bound C discard: a deque that
+        # can hold nothing.
+        assert len(tracer.emit.__self__) == 0
+        tracer.enabled = True
+        tracer.record("test", "on")
+        tracer.enabled = False
+        tracer.record("test", "off")
+        assert [ev.label for ev in tracer.events] == ["on"]
+
     def test_dump_files(self, tmp_path):
         ring = FlightRecorder(capacity=8)
         ring.append(1.5, "nic0", "send.xmit", {"key": 3})
@@ -194,13 +209,16 @@ class TestSoakDump:
         assert list(tmp_path.glob("flight-*")) == []
 
 
-def figure5_job_ring(monkeypatch, nic_based: bool, trace: bool = False) -> list:
-    """The flight ring after one Figure-5 job (16 nodes, LANai 4.3, PE,
-    the sweep's repetitions), as ``FlightRecorder.snapshot()`` gives it.
+def figure5_job_tracer(monkeypatch, nic_based: bool, trace: bool = False,
+                       window=None) -> Tracer:
+    """The tracer after one Figure-5 job (16 nodes, LANai 4.3, PE, the
+    sweep's repetitions); its cluster is closed, the tracer intact.
 
-    Packet, token, event and trace-context ids come from process-global
-    counters; they are restarted for the job, so the ring does not
-    depend on what ran before it in the process.
+    ``window=(t_on, t_off)`` switches tracing on once every event at or
+    before ``t_on`` has run, and off again once every event at or before
+    ``t_off`` has.  Packet, token, event and trace-context ids come from
+    process-global counters; they are restarted for the job, so the
+    records do not depend on what ran before it in the process.
     """
     import itertools
 
@@ -210,7 +228,7 @@ def figure5_job_ring(monkeypatch, nic_based: bool, trace: bool = False) -> list:
     import repro.sim.tracing as tracing
     from repro.analysis import experiments, figure5
     from repro.analysis.calibration import LANAI_4_3_SYSTEM
-    from repro.cluster.runner import default_group
+    from repro.cluster.runner import default_group, spawn_group
 
     for module, name in ((net_packet, "_packet_ids"), (gm_events, "_event_ids"),
                          (gm_tokens, "_token_ids"), (tracing, "_trace_ids"),
@@ -218,14 +236,28 @@ def figure5_job_ring(monkeypatch, nic_based: bool, trace: bool = False) -> list:
         monkeypatch.setattr(module, name, itertools.count(1))
     config = LANAI_4_3_SYSTEM.cluster_config(16).with_(trace=trace)
     with build_cluster(config) as cluster:
-        run_on_group(
+        procs = spawn_group(
             cluster, experiments._barrier_loop_program,
-            group=default_group(cluster), max_events=5_000_000,
+            group=default_group(cluster),
             nic_based=nic_based, algorithm="pe", dimension=None,
             repetitions=figure5.BENCH_REPS + figure5.BENCH_WARMUP,
             skew_max_us=0.0, enter_times={}, exit_times={},
         )
-        return cluster.tracer.flight.snapshot()
+        if window is not None:
+            t_on, t_off = window
+            cluster.run(until=t_on)
+            cluster.tracer.enabled = True
+            cluster.run(until=t_off)
+            cluster.tracer.enabled = False
+        cluster.run(max_events=5_000_000)
+        assert not any(p.alive for p in procs)
+        return cluster.tracer
+
+
+def figure5_job_ring(monkeypatch, nic_based: bool, trace: bool = False) -> list:
+    """:func:`figure5_job_tracer`'s flight ring, as
+    ``FlightRecorder.snapshot()`` gives it."""
+    return figure5_job_tracer(monkeypatch, nic_based, trace).flight.snapshot()
 
 
 def ring_digest(snapshot: list) -> str:
@@ -236,12 +268,11 @@ def ring_digest(snapshot: list) -> str:
 
 
 class TestUntracedRingFeed:
-    """With tracing off the per-event trace sites append to the ring
-    themselves; the ring must hold exactly what ``record_payload`` would
-    have put there."""
+    """With tracing off, ``Tracer.emit`` is the ring's own ``append``;
+    the ring must hold exactly what the traced path puts there, and
+    switching tracing mid-run must not change it."""
 
-    #: ``ring_digest`` of the two Figure-5 jobs' rings, recorded with
-    #: every record fed through ``Tracer.record_payload``.
+    #: ``ring_digest`` of the two Figure-5 jobs' rings.
     DIGESTS = {
         "nic-pe": "2dbf3cea767747e974aa23cebfefef15f9b7899825e32933e06daacdc2c8b524",
         "host-pe": "69b69a374fe267b5e094fde4e1e545426cc7b0858fec5f5a0bbd7a59c42eec1d",
@@ -258,3 +289,22 @@ class TestUntracedRingFeed:
         untraced = figure5_job_ring(monkeypatch, nic_based)
         traced = figure5_job_ring(monkeypatch, nic_based, trace=True)
         assert untraced == traced
+
+    @pytest.mark.parametrize("nic_based", [True, False], ids=["nic-pe", "host-pe"])
+    def test_tracing_switched_mid_run(self, monkeypatch, nic_based):
+        """Tracing on from 300 us to 700 us only: the ring is the
+        untraced run's, and ``events`` holds exactly the records a fully
+        traced run makes inside that window."""
+        t_on, t_off = 300.0, 700.0
+        untraced = figure5_job_ring(monkeypatch, nic_based)
+        full = figure5_job_tracer(monkeypatch, nic_based, trace=True)
+        switched = figure5_job_tracer(monkeypatch, nic_based, window=(t_on, t_off))
+        assert switched.flight.snapshot() == untraced
+
+        def rows(tracer):
+            return [json.loads(line) for line in tracer.to_jsonl().splitlines()]
+
+        everything = rows(full)
+        expected = [row for row in everything if t_on < row["time"] <= t_off]
+        assert 0 < len(expected) < len(everything)
+        assert rows(switched) == expected

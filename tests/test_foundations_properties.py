@@ -97,6 +97,60 @@ class TestEngineAgainstReference:
         assert sim.pending_events == 0
         assert (sim.events_executed, sim.cancelled_pops, sim.timers_reclaimed) == counters
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=50.0),
+                st.booleans(),  # a timer, parked past the clock's granule
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sets(st.integers(min_value=0, max_value=39)),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=39),
+                st.integers(min_value=0, max_value=39),
+            ),
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pending_events_inside_callbacks(self, entries, to_cancel, strikes):
+        """``pending_events`` read inside a callback, with cancelled
+        entries still on the heap, equals the reference model's count of
+        entries neither run nor cancelled.  Some entries are cancelled
+        before the run; a strike ``(i, j)`` makes entry ``i`` cancel
+        entry ``j`` when it runs (a no-op if ``j`` already ran)."""
+        sim = Simulator()
+        live = set(range(len(entries)))
+        readings = []
+        struck = {}
+        for i, j in strikes:
+            if i < len(entries) and j < len(entries):
+                struck.setdefault(i, []).append(j)
+
+        def fire(i):
+            live.discard(i)
+            for j in struck.get(i, ()):
+                sim.cancel(handles[j])
+                live.discard(j)
+            readings.append((sim.pending_events, len(live)))
+
+        handles = [
+            sim.schedule_timer(WHEEL_GRANULE + delay, fire, i) if timer
+            else sim.schedule(delay, fire, i)
+            for i, (delay, timer) in enumerate(entries)
+        ]
+        for i in to_cancel:
+            if i < len(entries):
+                sim.cancel(handles[i])
+                live.discard(i)
+        assert sim.pending_events == len(live)
+        sim.run()
+        assert [got for got, _ in readings] == [want for _, want in readings]
+        assert sim.pending_events == 0 and not live
+
     @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_clock_is_monotone(self, delays):

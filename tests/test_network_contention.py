@@ -138,3 +138,33 @@ class TestTrunkContention:
             ]
         )
         assert trunk_bytes > 0
+
+
+class TestOutputStalls:
+    #: Each switch's ``output_stalls`` total after twelve NIC-PE barriers
+    #: on 64 nodes (the 16-port switch tree, LANai 4.3; the perfbench
+    #: fabric64 NIC loop).  A switch counts a stall when it routes a
+    #: packet to an output channel with traffic queued or on the wire,
+    #: settled against the channel's reserved transmit end.
+    STALLS = {
+        "switch0": 216, "switch1": 230, "switch2": 235,
+        "switch3": 292, "switch4": 45, "switch5": 1057,
+    }
+
+    def test_nic_pe_64_loop(self):
+        from repro.analysis import experiments
+        from repro.analysis.calibration import LANAI_4_3_SYSTEM
+        from repro.cluster.runner import run_on_group
+
+        with build_cluster(LANAI_4_3_SYSTEM.cluster_config(64)) as cluster:
+            run_on_group(
+                cluster, experiments._barrier_loop_program,
+                max_events=5_000_000, nic_based=True, algorithm="pe",
+                dimension=None, repetitions=12, skew_max_us=0.0,
+                enter_times={}, exit_times={},
+            )
+            stalls = {
+                sw.name: sum(sw.output_stalls.values())
+                for sw in cluster.network.switches
+            }
+        assert stalls == self.STALLS
