@@ -262,3 +262,47 @@ class TestTelemetryKnob:
         back = cluster_config_from_dict(cluster_config_to_dict(cfg))
         assert back.telemetry is True
         assert back.telemetry_sample_us == 3.5
+
+
+class TestCompiledJobsPinned:
+    """Every compiled job dict and cache key is pinned, so a warm cache
+    from earlier code keeps hitting after any change to compilation."""
+
+    DIGEST = (
+        "7097c42b0e46d7e2223f40c2ac8921c0f85024386952be17fc42b325b7813ee1"
+    )
+
+    def test_compiled_jobs_and_cache_keys_are_unchanged(self):
+        import hashlib
+        import json
+
+        from repro.analysis.calibration import LANAI_4_3_SYSTEM
+        from repro.analysis.nbc_overlap import overlap_sweep_spec
+
+        jobs = (
+            figure5_spec(LANAI_4_3_SYSTEM).compile()
+            + figure5_spec(LANAI_7_2_SYSTEM).compile()
+            + overlap_sweep_spec(ClusterConfig(num_nodes=8)).compile()
+            + soak_jobs(7)
+        )
+        for kind in ("measure", "nbc_overlap"):
+            jobs += CampaignSpec(
+                name="faulty", kind=kind, base_config={"num_nodes": 4},
+                fault_seed=5, critical_path=True, telemetry=True,
+            ).compile()
+        # Point values of the wrong type pin each key's cast.
+        jobs += CampaignSpec(name="cast", points=[{
+            "nic_based": 0, "algorithm": "gb", "dimension": 2,
+            "repetitions": 2.0, "warmup": 1.0, "skew_max_us": 5,
+            "max_events": None, "critical_path": 1, "telemetry": 0,
+            "num_nodes": 4, "seed": 3,
+        }]).compile()
+        jobs += CampaignSpec(
+            name="cast", kind="nbc_overlap", max_events=None, points=[{
+                "iterations": 4.0, "compute_us": 30, "chunk_us": 2,
+                "skew_max_us": 10, "num_nodes": 4,
+            }],
+        ).compile()
+        assert len(jobs) == 107
+        text = json.dumps([(j.to_dict(), j.cache_key()) for j in jobs])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
