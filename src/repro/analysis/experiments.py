@@ -31,6 +31,8 @@ Endpoint = Tuple[int, int]
 #: simulator (the paper needed 100k on real noisy hardware).
 DEFAULT_WARMUP = 3
 DEFAULT_REPS = 12
+#: Event cap a measurement runs under: turns a hung barrier into an error.
+DEFAULT_MAX_EVENTS = 20_000_000
 
 
 @dataclass
@@ -122,14 +124,14 @@ def _barrier_loop_program(
 def measure_barrier(
     config: ClusterConfig,
     *,
-    nic_based: bool,
+    nic_based: bool = True,
     algorithm: str = "pe",
     dimension: Optional[int] = None,
     repetitions: int = DEFAULT_REPS,
     warmup: int = DEFAULT_WARMUP,
     skew_max_us: float = 0.0,
     group: Optional[Sequence[Endpoint]] = None,
-    max_events: Optional[int] = 20_000_000,
+    max_events: Optional[int] = DEFAULT_MAX_EVENTS,
     critical_path: bool = False,
     telemetry: bool = False,
 ) -> BarrierMeasurement:

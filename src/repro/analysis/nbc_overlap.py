@@ -39,8 +39,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
+from repro.analysis.experiments import DEFAULT_MAX_EVENTS
 from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.runner import default_group, run_on_group
+from repro.fileio import atomic_write_text
 from repro.mpi.communicator import Communicator, MpiParams
 from repro.sim.primitives import Timeout
 
@@ -151,7 +153,7 @@ def measure_nbc_overlap(
     chunk_us: float = DEFAULT_CHUNK_US,
     skew_max_us: float = 0.0,
     params: Optional[MpiParams] = None,
-    max_events: Optional[int] = 20_000_000,
+    max_events: Optional[int] = DEFAULT_MAX_EVENTS,
 ) -> OverlapMeasurement:
     """Measure Ibarrier overlap on fresh clusters built from ``config``.
 
@@ -263,19 +265,15 @@ def run_nbc_sweep(
     :class:`~repro.campaign.executor.CampaignJobError` on any failed
     job.
     """
-    from repro.campaign.executor import CampaignJobError, run_campaign
+    from repro.campaign.executor import run_campaign
 
     spec = overlap_sweep_spec(
         config, compute_grid=compute_grid, skew_grid=skew_grid,
         iterations=iterations, chunk_us=chunk_us, name=name,
     )
     result = run_campaign(spec, jobs=jobs, store=store, cache_dir=cache_dir)
-    measurements: List[OverlapMeasurement] = []
-    for job in result.results:
-        if not job.ok:
-            raise CampaignJobError(job)
-        measurements.append(OverlapMeasurement.from_dict(job.value))
-    return measurements, result
+    jobs = result.raise_on_failure().results
+    return [OverlapMeasurement.from_dict(j.value) for j in jobs], result
 
 
 def write_nbc_bench(path, measurements: Sequence[OverlapMeasurement],
@@ -305,9 +303,7 @@ def write_nbc_bench(path, measurements: Sequence[OverlapMeasurement],
     if result is not None:
         doc["campaign"] = {
             "jobs": len(result.results),
-            "cache_hits": sum(1 for j in result.results if j.cached),
-            "simulated": sum(1 for j in result.results if not j.cached),
+            "cache_hits": result.cache_hits,
+            "simulated": result.simulated,
         }
-    path = Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
+    return atomic_write_text(Path(path), json.dumps(doc, indent=2) + "\n")

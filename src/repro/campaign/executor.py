@@ -36,8 +36,8 @@ import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
-from repro.campaign.serialize import CODE_VERSION
-from repro.campaign.spec import CampaignSpec, JobSpec
+from repro.campaign.serialize import CODE_VERSION, cluster_config_from_dict
+from repro.campaign.spec import KINDS, CampaignSpec, JobSpec
 from repro.campaign.store import ResultStore, write_bench
 from repro.sim.metrics import MetricsRegistry
 
@@ -73,44 +73,18 @@ def _execute_job_payload(job: dict) -> dict:
     """Execute one serialized job; always returns a payload dict.
 
     Module-level so it pickles under every multiprocessing start method.
-    Imports are lazy both to keep worker startup light and to avoid
-    import cycles (the soak harness itself submits through this module).
+    A :data:`~repro.campaign.spec.KINDS` job runs as
+    ``harness(config, **params)``, so a param the job leaves out takes
+    the harness default.  The soak import is lazy: the soak harness
+    itself submits through this module.
     """
     start = time.perf_counter()
     try:
         kind = job["kind"]
         params = job.get("params", {})
-        if kind == "measure":
-            from repro.analysis.experiments import measure_barrier
-            from repro.campaign.serialize import cluster_config_from_dict
-
+        if kind in KINDS:
             config = cluster_config_from_dict(job["config"])
-            measurement = measure_barrier(
-                config,
-                nic_based=params["nic_based"],
-                algorithm=params.get("algorithm", "pe"),
-                dimension=params.get("dimension"),
-                repetitions=params.get("repetitions", 12),
-                warmup=params.get("warmup", 3),
-                skew_max_us=params.get("skew_max_us", 0.0),
-                max_events=params.get("max_events"),
-                critical_path=params.get("critical_path", False),
-                telemetry=params.get("telemetry", False),
-            )
-            value = measurement.to_dict()
-        elif kind == "nbc_overlap":
-            from repro.analysis.nbc_overlap import measure_nbc_overlap
-            from repro.campaign.serialize import cluster_config_from_dict
-
-            config = cluster_config_from_dict(job["config"])
-            value = measure_nbc_overlap(
-                config,
-                iterations=params.get("iterations", 10),
-                compute_us=params.get("compute_us", 60.0),
-                chunk_us=params.get("chunk_us", 5.0),
-                skew_max_us=params.get("skew_max_us", 0.0),
-                max_events=params.get("max_events"),
-            ).to_dict()
+            value = KINDS[kind].harness(config, **params).to_dict()
         elif kind == "soak":
             from repro.faults.soak import run_soak_combo
 

@@ -7,57 +7,48 @@ it into a flat list of :class:`JobSpec` -- one fully-resolved,
 independently executable simulation each -- which the executor runs in
 any order, in any process, with bit-identical results.
 
-Point semantics: each point is a dict whose keys split into measurement
-parameters (:data:`MEASURE_KEYS`: ``nic_based``, ``algorithm``,
-``dimension``, ``repetitions``, ``warmup``, ``skew_max_us``,
-``max_events``) and :class:`~repro.cluster.builder.ClusterConfig`
-overrides (everything else, e.g. ``num_nodes``, ``seed``,
-``nic_params``).  Grid axes expand by cartesian product; explicit
-``points`` are appended as-is.  With ``fault_seed`` set, every compiled
-config that has no explicit fault plan gets
-``FaultPlan.random(fault_seed, num_nodes)``.
+Point semantics: :data:`KINDS` declares each job kind a spec compiles
+to -- its harness, the point keys routed to that harness, and its tag
+label.  A point's harness keys become the job's params (for
+``"measure"``: ``nic_based``, ``algorithm``, ``dimension``,
+``repetitions``, ``warmup``, ``skew_max_us``, ``max_events``,
+``critical_path``, ``telemetry``); a harness key the point leaves out
+takes the :class:`CampaignSpec` field of its name (``iterations`` takes
+``repetitions``), else the harness's own keyword default.  Every other
+key must name a :class:`~repro.cluster.builder.ClusterConfig` field
+(``num_nodes``, ``seed``, ``nic_params``, ...) and overrides the base
+config.  Grid axes expand by cartesian product; explicit ``points`` are
+appended as-is.  With ``fault_seed`` set, every compiled config that has
+no explicit fault plan gets ``FaultPlan.random(fault_seed, num_nodes)``.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
+from repro.analysis.experiments import (
+    DEFAULT_MAX_EVENTS,
+    DEFAULT_REPS,
+    DEFAULT_WARMUP,
+    measure_barrier,
+)
+from repro.analysis.nbc_overlap import measure_nbc_overlap
 from repro.campaign.serialize import (
     CODE_VERSION,
     cluster_config_from_dict,
     cluster_config_to_dict,
     content_key,
 )
+from repro.cluster.builder import ClusterConfig
 
-#: Point keys routed to the measurement harness rather than the config.
-MEASURE_KEYS = (
-    "nic_based",
-    "algorithm",
-    "dimension",
-    "repetitions",
-    "warmup",
-    "skew_max_us",
-    "max_events",
-    "critical_path",
-    "telemetry",
-)
+#: Point keys that are not harness keys must name one of these.
+_CONFIG_FIELDS = frozenset(ClusterConfig.__dataclass_fields__)
 
-#: Point keys for the non-blocking overlap harness
-#: (:func:`repro.analysis.nbc_overlap.measure_nbc_overlap`).
-NBC_MEASURE_KEYS = (
-    "iterations",
-    "compute_us",
-    "chunk_us",
-    "skew_max_us",
-    "max_events",
-)
-
-#: Defaults matching :mod:`repro.analysis.experiments`.
-DEFAULT_REPETITIONS = 12
-DEFAULT_WARMUP = 3
-DEFAULT_MAX_EVENTS = 20_000_000
+#: Harness keys whose CampaignSpec fallback field has another name.
+_SPEC_FIELD = {"iterations": "repetitions"}
 
 
 @dataclass
@@ -101,26 +92,44 @@ class JobSpec:
         )
 
 
-def _measure_tag(name: str, config: dict, params: dict) -> str:
-    """Stable human-readable label for a measurement job."""
-    where = "nic" if params.get("nic_based", True) else "host"
-    algo = params.get("algorithm", "pe")
-    tag = f"{name}/{config['lanai_model']['name']}/n{config['num_nodes']}"
-    tag += f"/{where}-{algo}"
-    if params.get("dimension") is not None:
-        tag += f"-d{params['dimension']}"
-    if config.get("seed"):
-        tag += f"/s{config['seed']}"
-    return tag
+def _measure_label(params: dict) -> str:
+    where = "nic" if params["nic_based"] else "host"
+    label = f"{where}-{params['algorithm']}"
+    if params["dimension"] is not None:
+        label += f"-d{params['dimension']}"
+    return label
 
 
-def _nbc_tag(name: str, config: dict, params: dict) -> str:
-    """Stable human-readable label for an overlap-measurement job."""
-    tag = f"{name}/{config['lanai_model']['name']}/n{config['num_nodes']}"
-    tag += f"/c{params['compute_us']:g}-k{params['skew_max_us']:g}"
-    if config.get("seed"):
-        tag += f"/s{config['seed']}"
-    return tag
+def _nbc_label(params: dict) -> str:
+    return f"c{params['compute_us']:g}-k{params['skew_max_us']:g}"
+
+
+class JobKind(NamedTuple):
+    """One job kind: the harness the executor calls as
+    ``harness(config, **params)``, its point keys (each with the cast
+    compile applies, or None) and the params part of its tag."""
+
+    harness: Callable
+    keys: Dict[str, Optional[type]]
+    label: Callable[[dict], str]
+
+
+#: Every job kind a CampaignSpec compiles to.
+KINDS: Dict[str, JobKind] = {
+    "measure": JobKind(
+        measure_barrier,
+        {"nic_based": bool, "algorithm": str, "dimension": None,
+         "repetitions": int, "warmup": int, "skew_max_us": float,
+         "max_events": None, "critical_path": bool, "telemetry": bool},
+        _measure_label,
+    ),
+    "nbc_overlap": JobKind(
+        measure_nbc_overlap,
+        {"iterations": int, "compute_us": float, "chunk_us": float,
+         "skew_max_us": float, "max_events": None},
+        _nbc_label,
+    ),
+}
 
 
 @dataclass
@@ -130,9 +139,8 @@ class CampaignSpec:
     ``kind`` selects what each point measures: ``"measure"`` (the
     default) runs the blocking-barrier latency harness; ``"nbc_overlap"``
     runs the non-blocking communication/computation overlap harness,
-    whose points carry :data:`NBC_MEASURE_KEYS` (``iterations``,
-    ``compute_us``, ``chunk_us``, ``skew_max_us``) instead of the
-    barrier measurement keys.
+    whose points carry ``iterations``, ``compute_us``, ``chunk_us``,
+    ``skew_max_us`` and ``max_events`` instead (see :data:`KINDS`).
     """
 
     name: str = "campaign"
@@ -142,7 +150,7 @@ class CampaignSpec:
     grid: Dict[str, list] = field(default_factory=dict)
     #: Explicit sweep points appended after the grid expansion.
     points: List[dict] = field(default_factory=list)
-    repetitions: int = DEFAULT_REPETITIONS
+    repetitions: int = DEFAULT_REPS
     warmup: int = DEFAULT_WARMUP
     skew_max_us: float = 0.0
     #: Derive a FaultPlan.random(fault_seed, num_nodes) for every point
@@ -194,40 +202,30 @@ class CampaignSpec:
         """Resolve every point into an executable, hashable job."""
         from repro.faults.plan import FaultPlan  # lazy: avoids pkg cycle
 
-        if self.kind == "nbc_overlap":
-            return self._compile_nbc(FaultPlan)
-        if self.kind != "measure":
+        if self.kind not in KINDS:
             raise ValueError(f"unknown campaign kind {self.kind!r}")
+        harness, keys, label = KINDS[self.kind]
+        defaults = inspect.signature(harness).parameters
+        fields = vars(self)
+        fallback = {
+            key: fields.get(_SPEC_FIELD.get(key, key), defaults[key].default)
+            for key in keys
+        }
         jobs: List[JobSpec] = []
         for point in self.expand_points():
-            unknown = (
-                set(point)
-                - set(MEASURE_KEYS)
-                - {"lanai_model", "host_params", "nic_params", "net_params",
-                   "topology", "fault_plan", "num_nodes", "seed", "trace",
-                   "metrics", "profile"}
-            )
+            unknown = set(point) - set(keys) - _CONFIG_FIELDS
             if unknown:
                 raise ValueError(
                     f"campaign {self.name!r}: unknown point keys "
                     f"{sorted(unknown)}"
                 )
-            params = {
-                "nic_based": bool(point.get("nic_based", True)),
-                "algorithm": str(point.get("algorithm", "pe")),
-                "dimension": point.get("dimension"),
-                "repetitions": int(point.get("repetitions", self.repetitions)),
-                "warmup": int(point.get("warmup", self.warmup)),
-                "skew_max_us": float(point.get("skew_max_us", self.skew_max_us)),
-                "max_events": point.get("max_events", self.max_events),
-                "critical_path": bool(
-                    point.get("critical_path", self.critical_path)
-                ),
-                "telemetry": bool(point.get("telemetry", self.telemetry)),
-            }
+            params = {}
+            for key, cast in keys.items():
+                value = point.get(key, fallback[key])
+                params[key] = value if cast is None else cast(value)
             config_dict = dict(self.base_config)
             config_dict.update(
-                {k: v for k, v in point.items() if k not in MEASURE_KEYS}
+                {k: v for k, v in point.items() if k not in keys}
             )
             config = cluster_config_from_dict(config_dict)
             if self.fault_seed is not None and config.fault_plan is None:
@@ -237,57 +235,14 @@ class CampaignSpec:
                     )
                 )
             resolved = cluster_config_to_dict(config)
+            seed = f"/s{resolved['seed']}" if resolved.get("seed") else ""
             jobs.append(
                 JobSpec(
-                    kind="measure",
+                    kind=self.kind,
                     config=resolved,
                     params=params,
-                    tag=_measure_tag(self.name, resolved, params),
-                )
-            )
-        return jobs
-
-    def _compile_nbc(self, fault_plan_cls) -> List[JobSpec]:
-        """Resolve every point into an ``nbc_overlap`` job."""
-        jobs: List[JobSpec] = []
-        for point in self.expand_points():
-            unknown = (
-                set(point)
-                - set(NBC_MEASURE_KEYS)
-                - {"lanai_model", "host_params", "nic_params", "net_params",
-                   "topology", "fault_plan", "num_nodes", "seed", "trace",
-                   "metrics", "profile"}
-            )
-            if unknown:
-                raise ValueError(
-                    f"campaign {self.name!r}: unknown nbc point keys "
-                    f"{sorted(unknown)}"
-                )
-            params = {
-                "iterations": int(point.get("iterations", self.repetitions)),
-                "compute_us": float(point.get("compute_us", 60.0)),
-                "chunk_us": float(point.get("chunk_us", 5.0)),
-                "skew_max_us": float(point.get("skew_max_us", self.skew_max_us)),
-                "max_events": point.get("max_events", self.max_events),
-            }
-            config_dict = dict(self.base_config)
-            config_dict.update(
-                {k: v for k, v in point.items() if k not in NBC_MEASURE_KEYS}
-            )
-            config = cluster_config_from_dict(config_dict)
-            if self.fault_seed is not None and config.fault_plan is None:
-                config = config.with_(
-                    fault_plan=fault_plan_cls.random(
-                        self.fault_seed, config.num_nodes
-                    )
-                )
-            resolved = cluster_config_to_dict(config)
-            jobs.append(
-                JobSpec(
-                    kind="nbc_overlap",
-                    config=resolved,
-                    params=params,
-                    tag=_nbc_tag(self.name, resolved, params),
+                    tag=f"{self.name}/{resolved['lanai_model']['name']}"
+                    f"/n{resolved['num_nodes']}/{label(params)}{seed}",
                 )
             )
         return jobs

@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.campaign.serialize import CODE_VERSION
 from repro.campaign.spec import JobSpec
+from repro.fileio import atomic_write_text
 
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".campaign-cache"
@@ -69,9 +70,9 @@ class ResultStore:
         """Store a successful job result under ``key``, the job's
         :meth:`key_for`; returns the full record.
 
-        The write is atomic (temp file + ``os.replace``) so a crashed or
-        parallel writer can never leave a half-record that a later run
-        would trust.
+        The write is atomic (:func:`~repro.fileio.atomic_write_text`) so
+        a crashed or parallel writer can never leave a half-record that
+        a later run would trust.
         """
         record = {
             "key": key,
@@ -82,11 +83,9 @@ class ResultStore:
             "params": job.params,
             "result": result,
         }
-        path = self.path_for(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w") as f:
-            json.dump(record, f, indent=1, sort_keys=True)
-        os.replace(tmp, path)
+        atomic_write_text(
+            self.path_for(key), json.dumps(record, indent=1, sort_keys=True)
+        )
         return record
 
     # -- introspection ----------------------------------------------------
@@ -193,8 +192,6 @@ def write_bench(path: os.PathLike | str, result) -> Path:
     if telemetry:
         payload["telemetry"] = telemetry
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-    os.replace(tmp, path)
-    return path
+    return atomic_write_text(
+        path, json.dumps(payload, indent=1, sort_keys=True)
+    )

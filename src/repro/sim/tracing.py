@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.fileio import atomic_write_text
 from repro.sim.engine import Simulator
 
 # ----------------------------------------------------------------------
@@ -155,14 +155,6 @@ def _json_value(value: Any) -> Any:
     if isinstance(value, TraceContext):
         return value.to_dict()
     return str(value)
-
-
-def _atomic_write_text(path: Path, text: str) -> Path:
-    """Write ``text`` via tmp-file + ``os.replace`` (never truncated)."""
-    tmp = path.with_suffix(path.suffix + f".tmp.{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-    return path
 
 
 @dataclass(frozen=True)
@@ -297,10 +289,10 @@ def dump_flight_records(
             )
             for row in records
         )
-    jsonl_path = _atomic_write_text(
+    jsonl_path = atomic_write_text(
         prefix.with_suffix(".jsonl"), jsonl + "\n" if jsonl else ""
     )
-    text_path = _atomic_write_text(
+    text_path = atomic_write_text(
         prefix.with_suffix(".txt"), text + "\n" if text else ""
     )
     return jsonl_path, text_path
@@ -499,12 +491,12 @@ class Tracer:
         )
 
     def write_jsonl(self, path: Union[str, Path]) -> Path:
-        """Write :meth:`to_jsonl` to ``path`` atomically (tmp-file +
-        ``os.replace``, the :mod:`repro.campaign.store` pattern), so a
-        crashed run never leaves a truncated trace behind."""
+        """Write :meth:`to_jsonl` to ``path`` atomically (see
+        :func:`repro.fileio.atomic_write_text`), so a crashed run never
+        leaves a truncated trace behind."""
         path = Path(path)
         text = self.to_jsonl()
-        return _atomic_write_text(path, text + "\n" if text else "")
+        return atomic_write_text(path, text + "\n" if text else "")
 
     def to_chrome_trace(
         self,
@@ -648,7 +640,7 @@ class Tracer:
         doc = self.to_chrome_trace(
             span_pairs, flow_steps=flow_steps, counter_series=counter_series
         )
-        return _atomic_write_text(path, json.dumps(doc))
+        return atomic_write_text(path, json.dumps(doc))
 
 
 def flow_events(

@@ -13,9 +13,9 @@ Two consumers of a :class:`~repro.telemetry.sampler.Telemetry`:
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import Dict, Iterable, List, Optional
+
+from repro.fileio import atomic_write_text
 
 from .series import TimeSeries
 
@@ -38,21 +38,7 @@ def telemetry_jsonl_lines(series: Iterable[TimeSeries]) -> List[str]:
 def write_telemetry_jsonl(path: str, series: Iterable[TimeSeries]) -> str:
     """Atomically write the JSONL export (temp file + rename)."""
     text = "\n".join(telemetry_jsonl_lines(series))
-    if text:
-        text += "\n"
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".telemetry-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write_text(path, text + "\n" if text else "")
 
 
 def counter_events(

@@ -104,10 +104,44 @@ class TestFailureContainment:
         rerun = run_campaign([probe("raise")], store=store)
         assert rerun.cache_hits == 0  # failure re-executes, never caches
 
+    def test_failed_put_leaves_no_temp_file(self, tmp_path):
+        store = ResultStore(tmp_path)
+        job = probe()
+        with pytest.raises(TypeError):
+            store.put(job, store.key_for(job), {"value": object()})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_put_writes_with_a_plain_open_file_mode(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        job = probe()
+        store.put(job, store.key_for(job), {"value": 1})
+        (tmp_path / "plain").write_text("")
+        (record,) = (tmp_path / "cache").iterdir()
+        assert record.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
     def test_unknown_kind_is_a_job_error(self):
         result = run_campaign([JobSpec(kind="nonsense")])
         assert not result.results[0].ok
         assert "unknown campaign job kind" in result.results[0].error
+
+    def test_hand_built_job_takes_harness_defaults(self):
+        """A param the job leaves out takes the harness's own default."""
+        from repro.analysis.experiments import measure_barrier
+
+        config = ClusterConfig(num_nodes=2)
+        job = JobSpec(kind="measure", config=cluster_config_to_dict(config),
+                      params={"repetitions": 1, "warmup": 0})
+        (jr,) = run_campaign([job]).results
+        assert jr.ok, jr.error
+        assert jr.value == measure_barrier(
+            config, repetitions=1, warmup=0).to_dict()
+
+    def test_param_the_harness_does_not_take_is_a_job_error(self):
+        job = JobSpec(kind="nbc_overlap",
+                      config=cluster_config_to_dict(ClusterConfig()),
+                      params={"nic_based": True})
+        (jr,) = run_campaign([job]).results
+        assert not jr.ok and jr.error_type == "TypeError", jr.error
 
 
 class TestCachingAndDeterminism:

@@ -62,6 +62,21 @@ class TestSpecCompilation:
         with pytest.raises(ValueError, match="unknown point keys"):
             spec.compile()
 
+    def test_config_field_point_key_accepted_for_measure(self):
+        """A point key naming a ClusterConfig field sets the config,
+        even one the measure harness does not consume."""
+        (job,) = CampaignSpec(points=[{"telemetry_sample_us": 2.0}]).compile()
+        assert job.config["telemetry_sample_us"] == 2.0
+
+    def test_config_field_point_key_accepted_for_nbc(self):
+        """``telemetry`` is a harness key of measure jobs only: on an
+        nbc_overlap point it is the config field."""
+        (job,) = CampaignSpec(
+            kind="nbc_overlap", points=[{"telemetry": True}]
+        ).compile()
+        assert job.config["telemetry"] is True
+        assert "telemetry" not in job.params
+
     def test_fault_seed_derives_per_size_plans(self):
         spec = CampaignSpec(
             base_config={"num_nodes": 4},
