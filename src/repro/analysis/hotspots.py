@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import format_table
-from repro.telemetry import Telemetry, TimeSeries
+from repro.telemetry import CONTENTION_SIGNALS, Telemetry, TimeSeries
 
 __all__ = [
     "RoundSpan",
@@ -193,10 +193,9 @@ def _component_signals(
     """Window means of one component's contention signals."""
     signals: Dict[str, float] = {}
     for s in series_list:
-        suffix = s.name.rsplit(".", 1)[-1]
-        if suffix not in ("util", "queue", "depth", "backlog", "paused"):
+        key = CONTENTION_SIGNALS.get(s.name.rsplit(".", 1)[-1])
+        if key is None:
             continue
-        key = "queue" if suffix in ("depth", "backlog") else suffix
         stats = s.stats(t0, t1)
         if stats is None:
             # No sample landed inside a short round: carry the last

@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.campaign.serialize import CODE_VERSION
 from repro.campaign.spec import JobSpec
 from repro.fileio import atomic_write_text
+from repro.telemetry import CONTENTION_SIGNALS
 
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".campaign-cache"
@@ -159,7 +160,7 @@ def write_bench(path: os.PathLike | str, result) -> Path:
                 (
                     (doc.get("stats", {}).get("mean", 0.0), name)
                     for name, doc in series.items()
-                    if name.endswith((".util", ".queue", ".depth", ".backlog"))
+                    if name.rsplit(".", 1)[-1] in CONTENTION_SIGNALS
                 ),
                 reverse=True,
             )[:5]

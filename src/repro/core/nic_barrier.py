@@ -82,14 +82,19 @@ class NicBarrierEngine(Firmware):
         self.unexpected_recorded = 0
         self.rejects_sent = 0
         self.resends = 0
-        metrics = nic.sim.metrics
+        sim = nic.sim
         prefix = f"nic{nic.node_id}.barrier"
-        metrics.observe(f"{prefix}.initiated", lambda: self.barriers_initiated)
-        metrics.observe(f"{prefix}.unexpected", lambda: self.unexpected_recorded)
-        metrics.observe(f"{prefix}.rejects", lambda: self.rejects_sent)
-        metrics.observe(f"{prefix}.resends", lambda: self.resends)
+        if sim.probing:
+            for name, attr in (
+                ("initiated", "barriers_initiated"),
+                ("unexpected", "unexpected_recorded"),
+                ("rejects", "rejects_sent"),
+                ("resends", "resends"),
+            ):
+                sim.probe(f"{prefix}.{name}", lambda a=attr: getattr(self, a),
+                          "counter", prefix, "ops/us")
         #: Host-queue-to-NIC-complete latency of each finished operation.
-        self._latency_hist = metrics.histogram(f"{prefix}.latency_us")
+        self._latency_hist = sim.metrics.histogram(f"{prefix}.latency_us")
 
     # ------------------------------------------------------------------
     # Helpers

@@ -119,7 +119,8 @@ class FaultController:
         self.crashes_scheduled = 0
         self.crashes_fired = 0
         self._install(cluster)
-        self._register_metrics(cluster.sim.metrics)
+        if cluster.sim.probing:
+            self._declare_probes(cluster.sim)
 
     @property
     def drops(self) -> int:
@@ -280,15 +281,17 @@ class FaultController:
             yield Timeout(at_us)
         yield nic.cpu_resource.hold(duration_us)
 
-    def _register_metrics(self, metrics) -> None:
-        if not metrics.enabled:
-            return
-        metrics.observe("faults.drops", lambda: self.drops)
-        metrics.observe("faults.corruptions", lambda: self.corruptions)
-        metrics.observe("faults.flaps", lambda: self.flaps_scheduled)
-        metrics.observe("faults.stalls", lambda: self.stalls_scheduled)
-        metrics.observe("faults.pauses", lambda: self.pauses_scheduled)
-        metrics.observe("faults.crashes", lambda: self.crashes_scheduled)
+    def _declare_probes(self, sim) -> None:
+        for name, attr in (
+            ("drops", "drops"),
+            ("corruptions", "corruptions"),
+            ("flaps", "flaps_scheduled"),
+            ("stalls", "stalls_scheduled"),
+            ("pauses", "pauses_scheduled"),
+            ("crashes", "crashes_scheduled"),
+        ):
+            sim.probe(f"faults.{name}", lambda a=attr: getattr(self, a),
+                      "counter", "faults", f"{name}/us")
 
     # ------------------------------------------------------------------
     @property

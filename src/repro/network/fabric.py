@@ -75,69 +75,37 @@ class Network:
             )
             switch.tracer = tracer
             self._switches[spec.switch_id] = switch
-            metrics = sim.metrics
-            metrics.observe(
-                f"{switch.name}.packets_routed",
-                lambda sw=switch: sw.packets_routed,
-            )
-            metrics.observe(
-                f"{switch.name}.output_stalls",
-                lambda sw=switch: sum(sw.output_stalls.values()),
-            )
+            if sim.probing:
+                sim.probe(f"{switch.name}.packets_routed",
+                          lambda sw=switch: sw.packets_routed,
+                          "counter", switch.name, "pkts/us")
+                sim.probe(f"{switch.name}.output_stalls",
+                          lambda sw=switch: sum(sw.output_stalls.values()),
+                          "counter", switch.name, "stalls/us")
 
         # Inter-switch trunks: a pair of channels wired into both switches.
         for t in topology.trunks:
             sw_a = self._switches[t.switch_a]
             sw_b = self._switches[t.switch_b]
-            a_out = self._make_channel(f"trunk:{t.switch_a}.{t.port_a}->{t.switch_b}")
-            b_out = self._make_channel(f"trunk:{t.switch_b}.{t.port_b}->{t.switch_a}")
+            a_out = self._make_channel(
+                f"trunk:{t.switch_a}.{t.port_a}->{t.switch_b}",
+                f"sw{t.switch_a}.p{t.port_a}",
+            )
+            b_out = self._make_channel(
+                f"trunk:{t.switch_b}.{t.port_b}->{t.switch_a}",
+                f"sw{t.switch_b}.p{t.port_b}",
+            )
             sink_at_a = sw_a.attach(t.port_a, a_out)
             sink_at_b = sw_b.attach(t.port_b, b_out)
             a_out.connect(sink_at_b)
             b_out.connect(sink_at_a)
-            self._register_channel_telemetry(f"sw{t.switch_a}.p{t.port_a}", a_out)
-            self._register_channel_telemetry(f"sw{t.switch_b}.p{t.port_b}", b_out)
 
-    def _register_channel_telemetry(self, component: str, ch: Channel) -> None:
-        """Register sampled probes for one channel under ``component``.
-
-        Components are role-aware (``sw0.p3`` for a switch output port,
-        ``nic2.tx`` for a NIC's injection link) rather than raw channel
-        names, so hotspot attribution ranks physical contention points,
-        not wiring directions.  All probes read plain attributes that
-        are maintained regardless of the metrics flag.
-        """
-        tel = self.sim.telemetry
-        if not tel.enabled:
-            return
-        # busy_us is a monotone integral of serialization time; sampled
-        # as a counter its per-interval rate is utilization in [0, 1].
-        tel.register(
-            f"{component}.util",
-            lambda c=ch: c.busy_us,
-            kind="counter",
-            component=component,
-            unit="frac",
-        )
-        tel.register(
-            f"{component}.queue",
-            lambda c=ch: float(c.queue_depth),
-            component=component,
-            unit="pkts",
-        )
-        tel.register(
-            f"{component}.inflight_bytes",
-            lambda c=ch: float(sum(p.size_bytes for p in c._queue)),
-            component=component,
-            unit="bytes",
-        )
-        tel.register(
-            f"{component}.paused",
-            lambda c=ch: 1.0 if c._paused else 0.0,
-            component=component,
-        )
-
-    def _make_channel(self, name: str) -> Channel:
+    def _make_channel(self, name: str, component: str) -> Channel:
+        """A channel named ``name`` whose probes, if any view is on, are
+        declared under its role ``component``: ``sw0.p3`` for a switch
+        output port, ``nic2.tx`` for a NIC's injection link, so hotspot
+        attribution ranks physical contention points, not wiring
+        directions."""
         ch = Channel(
             self.sim,
             self.params.bandwidth_mbps,
@@ -145,15 +113,8 @@ class Network:
             name=name,
         )
         ch.tracer = self.tracer
-        metrics = self.sim.metrics
-        if metrics.enabled:  # a disabled registry drops every probe
-            metrics.observe(f"link.{name}.bytes", lambda c=ch: c.bytes_sent)
-            metrics.observe(f"link.{name}.utilization", lambda c=ch: c.utilization())
-            metrics.observe(f"link.{name}.queue_hw", lambda c=ch: c.max_queue_depth)
-            metrics.observe(f"link.{name}.dropped", lambda c=ch: c.packets_dropped)
-            metrics.observe(
-                f"link.{name}.corrupted", lambda c=ch: c.packets_corrupted
-            )
+        if self.sim.probing:
+            ch.declare_probes(component)
         return ch
 
     # ------------------------------------------------------------------
@@ -171,21 +132,21 @@ class Network:
         except KeyError:
             raise ValueError(f"topology has no attachment for NIC {nic_id}") from None
         switch = self._switches[switch_id]
-        # Switch -> NIC direction.
-        down = self._make_channel(f"down:sw{switch_id}.{port}->nic{nic_id}")
+        # Switch -> NIC direction: this switch output port, the
+        # congestion point when many senders target one NIC.
+        down = self._make_channel(
+            f"down:sw{switch_id}.{port}->nic{nic_id}", f"sw{switch_id}.p{port}"
+        )
         down.connect(sink)
         switch_sink = switch.attach(port, down)
-        # NIC -> switch direction.
-        up = self._make_channel(f"up:nic{nic_id}->sw{switch_id}.{port}")
+        # NIC -> switch direction: the NIC's own injection link.
+        up = self._make_channel(
+            f"up:nic{nic_id}->sw{switch_id}.{port}", f"nic{nic_id}.tx"
+        )
         up.connect(switch_sink)
         self._nic_tx[nic_id] = up
         self._nic_rx[nic_id] = down
         self._attached[nic_id] = True
-        # Telemetry: the down channel is this switch output port (the
-        # congestion point when many senders target one NIC); the up
-        # channel is the NIC's own injection link.
-        self._register_channel_telemetry(f"sw{switch_id}.p{port}", down)
-        self._register_channel_telemetry(f"nic{nic_id}.tx", up)
         return up
 
     def route_for(self, src_nic: int, dst_nic: int) -> List[int]:

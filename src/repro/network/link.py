@@ -130,6 +130,35 @@ class Channel:
         """Attach the delivery target at the far end."""
         self.sink = sink
 
+    def declare_probes(self, component: str) -> None:
+        """Declare this channel's quantities in the simulator's probe
+        table: the ``link.<name>.*`` totals and levels, and the sampled
+        contention signals of its role ``component`` (``sw0.p3``,
+        ``nic2.tx``)."""
+        probe = self.sim.probe
+        link = f"link.{self.name}"
+        # busy_us is a monotone integral of serialization time; sampled
+        # as a counter its per-interval rate is utilization in [0, 1].
+        probe(f"{link}.busy_us", lambda: self.busy_us,
+              "counter", component, "frac")
+        probe(f"{link}.utilization", self.utilization,
+              "gauge", component, "frac")
+        probe(f"{link}.bytes", lambda: self.bytes_sent,
+              "counter", component, "B/us")
+        probe(f"{link}.queue_hw", lambda: self.max_queue_depth,
+              "gauge", component, "pkts")
+        probe(f"{link}.dropped", lambda: self.packets_dropped,
+              "counter", component, "pkts/us")
+        probe(f"{link}.corrupted", lambda: self.packets_corrupted,
+              "counter", component, "pkts/us")
+        probe(f"{component}.queue", lambda: self.queue_depth,
+              "gauge", component, "pkts")
+        probe(f"{component}.inflight_bytes",
+              lambda: sum(p.size_bytes for p in self._queue),
+              "gauge", component, "bytes")
+        probe(f"{component}.paused", lambda: 1.0 if self._paused else 0.0,
+              "gauge", component, "")
+
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Enqueue ``packet`` for transmission (returns immediately)."""

@@ -69,21 +69,13 @@ class FailureDetector:
         self.active_until: Optional[float] = None
         self._stopped = False
         self._tick_pending = False
-        metrics = nic.sim.metrics
-        metrics.observe(
-            f"nic{nic.node_id}.fd.suspects", lambda: len(self.suspects)
-        )
-        metrics.observe(
-            f"nic{nic.node_id}.fd.heartbeats", lambda: self.heartbeats_sent
-        )
-        tel = nic.sim.telemetry
-        if tel.enabled:
-            tel.register(
-                f"nic{nic.node_id}.fd.suspects",
-                lambda: float(len(self.suspects)),
-                component=f"nic{nic.node_id}.fd",
-                unit="peers",
-            )
+        sim = nic.sim
+        if sim.probing:
+            fd = f"nic{nic.node_id}.fd"
+            sim.probe(f"{fd}.suspects", lambda: len(self.suspects),
+                      "gauge", fd, "peers")
+            sim.probe(f"{fd}.heartbeats", lambda: self.heartbeats_sent,
+                      "counter", fd, "beats/us")
 
     # ------------------------------------------------------------------
     def arm(self, active_until: Optional[float] = None) -> None:

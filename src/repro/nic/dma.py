@@ -59,9 +59,12 @@ class DmaEngine:
         )
         metrics = sim.metrics
         prefix = name or "dma"
-        if metrics.enabled:  # a disabled registry drops every probe
-            metrics.observe(f"{prefix}.transfers", lambda: self.transfers)
-            metrics.observe(f"{prefix}.bytes", lambda: self.bytes_moved)
+        if sim.probing:
+            sim.probe(f"{prefix}.transfers", lambda: self.transfers,
+                      "counter", prefix, "xfers/us")
+            # Sampled, the monotone byte total is a transfer rate.
+            sim.probe(f"{prefix}.bytes", lambda: self.bytes_moved,
+                      "counter", prefix, "B/us")
         #: Whether the two instruments below record (else they are no-ops).
         self._timed = metrics.enabled
         #: Simulated time this engine holds the PCI bus (merged intervals).
@@ -69,17 +72,6 @@ class DmaEngine:
         #: Time spent waiting for the bus before each transfer -- the PCI
         #: contention term of the paper's Send/RDMA decomposition.
         self._pci_wait = metrics.histogram(f"{prefix}.pci_wait_us")
-        # Sampled telemetry (no-ops when disabled): the monotone byte
-        # total becomes a per-interval transfer rate.  Reads the plain
-        # attribute, never the metrics instruments above (null objects
-        # when the metrics flag is off).
-        sim.telemetry.register(
-            f"{prefix}.bytes_rate",
-            lambda: float(self.bytes_moved),
-            kind="counter",
-            component=prefix,
-            unit="B/us",
-        )
 
     def transfer_time(self, size_bytes: int) -> float:
         """Bus-occupancy time for a transfer of ``size_bytes``."""

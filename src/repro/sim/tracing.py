@@ -345,7 +345,9 @@ class Tracer:
         #: Unmatched span-record counts per (category, start, end) pairing,
         #: populated by :meth:`spans` (and therefore by the exports).
         self.unmatched_spans: Dict[Tuple[str, str, str], int] = {}
-        sim.metrics.observe("trace.unmatched_spans", self._unmatched_total)
+        if sim.probing:
+            sim.probe("trace.unmatched_spans", self._unmatched_total,
+                      "gauge", "trace", "spans")
 
     def _unmatched_total(self) -> int:
         return sum(self.unmatched_spans.values())

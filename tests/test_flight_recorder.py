@@ -24,6 +24,7 @@ from repro.sim.tracing import (
     Tracer,
     dump_flight_records,
 )
+from tests.conftest import restart_id_counters
 
 
 def doomed_config(**overrides) -> ClusterConfig:
@@ -220,20 +221,11 @@ def figure5_job_tracer(monkeypatch, nic_based: bool, trace: bool = False,
     process-global counters; they are restarted for the job, so the
     records do not depend on what ran before it in the process.
     """
-    import itertools
-
-    import repro.gm.events as gm_events
-    import repro.gm.tokens as gm_tokens
-    import repro.network.packet as net_packet
-    import repro.sim.tracing as tracing
     from repro.analysis import experiments, figure5
     from repro.analysis.calibration import LANAI_4_3_SYSTEM
     from repro.cluster.runner import default_group, spawn_group
 
-    for module, name in ((net_packet, "_packet_ids"), (gm_events, "_event_ids"),
-                         (gm_tokens, "_token_ids"), (tracing, "_trace_ids"),
-                         (tracing, "_span_ids")):
-        monkeypatch.setattr(module, name, itertools.count(1))
+    restart_id_counters(monkeypatch)
     config = LANAI_4_3_SYSTEM.cluster_config(16).with_(trace=trace)
     with build_cluster(config) as cluster:
         procs = spawn_group(

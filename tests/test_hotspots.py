@@ -86,10 +86,9 @@ class TestAttribution:
         """A real Telemetry carrying hand-fed series."""
         sim = Simulator(telemetry_enabled=True, telemetry_sample_us=1.0)
         for name, points in series_specs.items():
-            component = name.rsplit(".", 1)[0]  # "sw0.p2.util" -> "sw0.p2"
-            series = sim.telemetry.register(
-                name, lambda: 0.0, component=component
-            )
+            component = name.rsplit(".", 1)[0]  # "sw0.p2.busy_us" -> "sw0.p2"
+            sim.probe(name, lambda: 0.0, component=component)
+            series = sim.telemetry.get(name)
             for t, v in points:
                 series.append(t, v)
         return sim.telemetry
@@ -97,8 +96,8 @@ class TestAttribution:
     def test_paused_port_beats_busy_link(self):
         tel = self.telemetry_with({
             "sw0.p2.paused": [(1.0, 1.0), (2.0, 1.0)],
-            "sw0.p2.util": [(1.0, 0.2), (2.0, 0.2)],
-            "nic0.tx.util": [(1.0, 0.8), (2.0, 0.8)],
+            "sw0.p2.busy_us": [(1.0, 0.2), (2.0, 0.2)],
+            "nic0.tx.busy_us": [(1.0, 0.8), (2.0, 0.8)],
         })
         spans = barrier_round_spans([
             send(0.5, "nic0"),
@@ -111,9 +110,9 @@ class TestAttribution:
 
     def test_queue_depth_breaks_utilization_ties(self):
         tel = self.telemetry_with({
-            "sw0.p0.util": [(1.0, 1.0)],
+            "sw0.p0.busy_us": [(1.0, 1.0)],
             "sw0.p0.queue": [(1.0, 0.0)],
-            "sw0.p1.util": [(1.0, 1.0)],
+            "sw0.p1.busy_us": [(1.0, 1.0)],
             "sw0.p1.queue": [(1.0, 6.0)],
         })
         spans = barrier_round_spans([
@@ -125,7 +124,7 @@ class TestAttribution:
 
     def test_short_round_falls_back_to_last_sample_before_close(self):
         # No sample lands inside [4.0, 4.2]; the 3.0 sample carries.
-        tel = self.telemetry_with({"nic2.cpu.util": [(3.0, 0.9)]})
+        tel = self.telemetry_with({"nic2.cpu.busy_us": [(3.0, 0.9)]})
         spans = barrier_round_spans([
             send(4.0, "nic0"), send(4.1, "nic0"),
             Rec(4.2, "nic0", "barrier.complete", {"seq": 0}),
@@ -135,7 +134,7 @@ class TestAttribution:
         assert report.rounds[0].score == pytest.approx(0.9)
 
     def test_report_renders_and_summarizes(self):
-        tel = self.telemetry_with({"nic0.tx.util": [(1.0, 0.5)]})
+        tel = self.telemetry_with({"nic0.tx.busy_us": [(1.0, 0.5)]})
         spans = barrier_round_spans([
             send(0.5, "nic0"),
             Rec(2.0, "nic0", "barrier.complete", {"seq": 0}),

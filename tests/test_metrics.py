@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from repro.cluster.builder import ClusterConfig, build_cluster
+from repro.cluster.runner import run_on_group
+from repro.core.barrier import barrier
 from repro.sim.engine import Simulator
 from repro.sim.metrics import (
     NULL_INSTRUMENT,
@@ -127,12 +130,22 @@ class TestRegistry:
         assert snap["wait.mean"] == 4.0
         assert "busy" not in snap
 
-    def test_observed_callbacks_sampled_at_snapshot(self, sim):
-        reg = MetricsRegistry(sim)
+    def test_observed_callbacks_sampled_at_snapshot(self):
+        sim = Simulator(metrics_enabled=True)
         state = {"n": 0}
-        reg.observe("live", lambda: state["n"])
+        sim.probe("live", lambda: state["n"])
+        sim.probe("total", lambda: state["n"] * 2, kind="counter")
         state["n"] = 42
-        assert reg.snapshot()["live"] == 42
+        snap = sim.metrics.snapshot()
+        # A gauge shows its level, a counter its total.
+        assert snap["live"] == 42
+        assert snap["total"] == 84
+
+    def test_closed_simulator_reads_no_probe(self):
+        sim = Simulator(metrics_enabled=True)
+        sim.probe("live", lambda: 1)
+        sim.close()
+        assert "live" not in sim.metrics.snapshot()
 
     def test_rows_sorted_and_skip_zero(self, sim):
         reg = MetricsRegistry(sim)
@@ -170,10 +183,26 @@ class TestDisabledRegistry:
         assert c.busy_us == 0.0
         assert c.utilization() == 0.0
 
-    def test_observed_registrations_dropped(self, sim):
-        reg = MetricsRegistry(sim, enabled=False)
-        reg.observe("x", lambda: 1)
-        assert reg.snapshot() == {}
+    def test_observed_registrations_dropped(self):
+        # Telemetry alone reads the probe; the disabled snapshot does not.
+        sim = Simulator(telemetry_enabled=True)
+        sim.probe("x", lambda: 1)
+        assert sim.metrics.snapshot() == {}
+
+    def test_views_off_declare_no_probe_and_call_no_getter(self, monkeypatch):
+        declared = []
+        monkeypatch.setattr(
+            Simulator, "probe", lambda self, *args, **kw: declared.append(args)
+        )
+        cluster = build_cluster(ClusterConfig(num_nodes=16))
+
+        def program(ctx):
+            yield from barrier(ctx.port, ctx.group, ctx.rank, algorithm="pe")
+
+        run_on_group(cluster, program, max_events=1_000_000)
+        assert not cluster.sim.probing
+        assert declared == []
+        assert cluster.sim.probes == []
 
 
 class TestNameUniqueness:
@@ -197,25 +226,40 @@ class TestNameUniqueness:
         with pytest.raises(ValueError, match="already registered"):
             getattr(reg, second)("x")
 
-    def test_observe_claims_the_name_too(self, sim):
-        reg = MetricsRegistry(sim)
-        reg.observe("live", lambda: 1)
-        with pytest.raises(ValueError):
-            reg.counter("live")
-        with pytest.raises(ValueError):
-            reg.observe("live", lambda: 2)
+    def test_observe_claims_the_name_too(self):
+        sim = Simulator(metrics_enabled=True)
+        sim.probe("live", lambda: 1)
+        with pytest.raises(ValueError, match="already registered"):
+            sim.metrics.counter("live")
+        with pytest.raises(ValueError, match="already registered"):
+            sim.probe("live", lambda: 2)
 
-    def test_instrument_name_blocks_observe(self, sim):
-        reg = MetricsRegistry(sim)
-        reg.gauge("depth")
-        with pytest.raises(ValueError):
-            reg.observe("depth", lambda: 1)
+    def test_instrument_name_blocks_observe(self):
+        sim = Simulator(metrics_enabled=True)
+        sim.metrics.gauge("depth")
+        with pytest.raises(ValueError, match="already registered"):
+            sim.probe("depth", lambda: 1)
+
+    @pytest.mark.parametrize("views", [
+        {"metrics_enabled": True},
+        {"telemetry_enabled": True},
+        {"metrics_enabled": True, "telemetry_enabled": True},
+    ])
+    def test_probe_name_is_unique_whichever_view_is_on(self, views):
+        sim = Simulator(**views)
+        sim.probe("app.x", lambda: 0)
+        with pytest.raises(ValueError, match="already registered"):
+            sim.probe("app.x", lambda: 0, kind="counter")
+        # The engine's own probe holds its name too.
+        with pytest.raises(ValueError, match="already registered"):
+            sim.probe("engine.events_per_us", lambda: 0)
 
     def test_disabled_registry_never_raises(self, sim):
-        reg = MetricsRegistry(sim, enabled=False)
+        reg = sim.metrics
+        assert not reg.enabled
         reg.counter("x")
         reg.gauge("x")
-        reg.observe("x", lambda: 1)
+        sim.probe("x", lambda: 1)
         assert reg.snapshot() == {}
 
 
@@ -270,5 +314,5 @@ class TestChargeMetricsPinned:
 
         recorded = json.loads(CHARGE_METRICS_PATH.read_text())
         live = charge_metrics()
-        assert sum(map(len, recorded.values())) == 512
+        assert sum(map(len, recorded.values())) == 576
         assert live == recorded

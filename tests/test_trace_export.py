@@ -219,7 +219,7 @@ class TestTelemetryPlusTracingRun:
         counters = [e for e in events if e["ph"] == "C"]
         assert counters
         assert {e["name"] for e in counters} >= {
-            "nic0.cpu.util", "engine.events_per_us",
+            "nic0.cpu.busy_us", "engine.events_per_us",
         }
         # Every counter sits on a declared process row.
         meta_pids = {e["pid"] for e in events if e["ph"] == "M"}
