@@ -40,9 +40,9 @@ from repro.nic.nic import NicParams
 #: Version salt folded into every cache key.  Bump whenever a change to
 #: the simulator alters what any measurement would produce -- cached
 #: results from older code then simply stop matching.
-CODE_VERSION = "campaign-v4"  # v4: telemetry -- measurement payloads
-# grew the telemetry field and configs the telemetry/telemetry_sample_us
-# knobs, so older cached results no longer describe what a job produces
+CODE_VERSION = "campaign-v5"  # v5: one probe table -- a telemetry job's
+# summary names its series by their snapshot names and shows every
+# probe, so older cached telemetry payloads no longer describe a job
 
 #: Known cards, so configs can name a model instead of inlining its
 #: whole cycle table.

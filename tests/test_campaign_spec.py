@@ -284,7 +284,7 @@ class TestCompiledJobsPinned:
     from earlier code keeps hitting after any change to compilation."""
 
     DIGEST = (
-        "7097c42b0e46d7e2223f40c2ac8921c0f85024386952be17fc42b325b7813ee1"
+        "5bbe98827a1229bf538872c4cf0b72514edfea8ace5bfab75937fce2839668e8"
     )
 
     def test_compiled_jobs_and_cache_keys_are_unchanged(self):
