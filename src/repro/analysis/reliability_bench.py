@@ -62,8 +62,8 @@ def run_reliability_scenario(
     """Kill one node mid-barrier; measure detection and recovery.
 
     Runs one crash-family soak combination with a single post-shrink
-    barrier (the soak checks the fail-stop contract) and reads its
-    detectors and barrier timeline.  Returns ``{"detect_us": [...],
+    barrier (the soak checks the fail-stop contract) and reads its NICs'
+    suspect records and barrier timeline.  Returns ``{"detect_us": [...],
     "recover_us": [...], "shrunken_size": int, "victim": int}`` with one
     detect sample per surviving NIC and one recover sample per surviving
     rank.
@@ -81,17 +81,12 @@ def run_reliability_scenario(
         max_events=max_events,
     )
     victim = run.row.victim
-    detectors = [
-        node.nic.detector
-        for node in run.cluster.nodes
-        if node.node_id != victim and node.nic.detector is not None
-    ]
     recovered_at = run.exits[repetitions]
     return {
         "detect_us": [
-            d.suspected_at[victim] - crash_at_us
-            for d in detectors
-            if victim in d.suspected_at
+            node.nic.suspected_peers[victim] - crash_at_us
+            for node in run.cluster.nodes
+            if victim in node.nic.suspected_peers
         ],
         "recover_us": [
             recovered_at[rank] - crash_at_us for rank in sorted(recovered_at)

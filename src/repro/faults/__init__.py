@@ -28,8 +28,8 @@ simulation is bit-identical to an unfaulted build.
 one of two fault families: a seeded loss plan (the chaos soak behind
 ``report.py --faults SEED``) or a fail-stop node crash (the crash soak
 behind ``report.py --crashes SEED``).  Plans may carry
-:class:`NodeCrash` / :class:`NicCrash` rules, which arm the NIC
-heartbeat failure detectors over a bounded window around the planned
+:class:`NodeCrash` / :class:`NicCrash` rules, which build and arm the
+NIC heartbeat failure detectors over a bounded window around the planned
 crashes so survivors abort with typed :class:`PeerFailure` and shrink
 instead of hanging.
 """

@@ -27,16 +27,16 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.faults.plan import AckLoss, FaultPlan, LossRule
 from repro.network.link import Channel
 from repro.network.packet import Packet
+from repro.nic.detector import FailureDetector
 from repro.sim.rng import SimRng
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import Cluster
 
-#: Detector parameters auto-armed on every NIC when a plan carries
-#: fail-stop crashes and the NicParams did not configure a detector
-#: explicitly.  Chosen well under the soak harness's retransmission
-#: timeouts, so survivors abort via PeerFailure long before any
-#: retransmit-limit alarm could fire.
+#: The failure-detector timing every NIC gets when a plan carries
+#: fail-stop crashes (the only way a NIC gets a detector).  Chosen well
+#: under the soak harness's retransmission timeouts, so survivors abort
+#: via PeerFailure long before any retransmit-limit alarm could fire.
 CRASH_HEARTBEAT_US = 50.0
 CRASH_SUSPECT_AFTER_US = 400.0
 #: Extra active-window slack past the last possible suspicion instant,
@@ -208,7 +208,10 @@ class FaultController:
                 + CRASH_SUSPECT_AFTER_US
                 + CRASH_DETECTOR_SLACK_US
             )
-            self._ensure_detectors()
+            for node in self.nodes:
+                node.nic.detector = FailureDetector(
+                    node.nic, CRASH_HEARTBEAT_US, CRASH_SUSPECT_AFTER_US
+                )
             sim.schedule_at(min(crash_times), self._arm_detectors, horizon)
         for crash in plan.crashes:
             node = self.nodes[crash.node]
@@ -222,23 +225,8 @@ class FaultController:
             self.crashes_scheduled += 1
 
     # -- fail-stop crash machinery ---------------------------------------
-    def _ensure_detectors(self) -> None:
-        """Give every NIC a (not yet armed) heartbeat detector.
-
-        NICs whose params configured one explicitly keep theirs; the
-        rest get the crash-plan defaults.
-        """
-        from repro.nic.detector import FailureDetector
-
-        for node in self.nodes:
-            if node.nic.detector is None:
-                node.nic.detector = FailureDetector(
-                    node.nic, CRASH_HEARTBEAT_US, CRASH_SUSPECT_AFTER_US
-                )
-
     def _arm_detectors(self, active_until: float) -> None:
-        """Arm every live NIC's detector over the crash window (arming
-        only ever extends an explicitly-configured detector's window)."""
+        """Arm every live NIC's detector over the crash window."""
         for node in self.nodes:
             if not node.nic.crashed:
                 node.nic.detector.arm(active_until=active_until)

@@ -218,7 +218,7 @@ class SoakResult:
 @dataclass
 class SoakRun:
     """One finished combination: its row, its closed cluster (counters
-    and detector state stay readable, for readers such as the
+    and suspect records stay readable, for readers such as the
     reliability bench) and every rank's barrier timeline.
 
     ``enters[k][rank]`` / ``exits[k][rank]`` are the simulated times a

@@ -371,14 +371,6 @@ class Communicator:
     # ------------------------------------------------------------------
     # Fail-stop recovery (ULFM-style shrink)
     # ------------------------------------------------------------------
-    def _known_suspects(self, group_nodes: set) -> set:
-        """Group-member node ids this rank's NIC has declared failed."""
-        nic = self.port.nic
-        suspects = set(nic.suspected_peers)
-        if nic.detector is not None:
-            suspects |= nic.detector.suspects
-        return suspects & group_nodes
-
     def shrink(self):
         """ULFM-style recovery: agree on the survivor set and resume on
         the shrunken group (host generator; returns the new group).
@@ -414,7 +406,7 @@ class Communicator:
             self._nbc.abort_outstanding()
         group_nodes = {ep[0] for ep in self.group}
         own_node = self.group[self.rank][0]
-        suspects = self._known_suspects(group_nodes)
+        suspects = set(port.nic.suspected_peers) & group_nodes
         suspects.discard(own_node)
         port.acknowledge_failures(suspects)
         yield from self._prime_pool()

@@ -12,7 +12,8 @@ exactly the ``NBC_CACHE_SCHEDULE`` design of libNBC.
 Observability: hits, misses and compiles are counted both locally (the
 ``stats`` attribute, always on) and -- when the owning simulation has a
 live registry -- as ``nbc.cache.*`` metrics through
-:mod:`repro.sim.metrics`.
+:mod:`repro.sim.metrics`; the ``nbc.cache.entries`` gauge totals the
+schedules cached across all the simulation's communicators.
 
 Invalidation: a communicator reconfiguration (group membership or rank
 change) makes every cached schedule wrong, so
@@ -99,18 +100,23 @@ class ScheduleCache:
             )
         if self.enabled:
             self._entries[signature] = schedule
-            if self.metrics is not None:
-                self.metrics.gauge("nbc.cache.entries").set(len(self._entries))
+            self._add_entries(1)
         return schedule
+
+    def _add_entries(self, n: int) -> None:
+        """Move the simulation-wide ``nbc.cache.entries`` gauge, which
+        totals the schedules cached by every communicator."""
+        if self.metrics is not None:
+            gauge = self.metrics.gauge("nbc.cache.entries")
+            gauge.set(gauge.value + n)
 
     def invalidate(self) -> None:
         """Drop every entry and bump the epoch (communicator reconfigured)."""
+        self._add_entries(-len(self._entries))
         self._entries.clear()
         self.epoch += 1
         self.stats.invalidations += 1
         self._count("invalidations")
-        if self.metrics is not None:
-            self.metrics.gauge("nbc.cache.entries").set(0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

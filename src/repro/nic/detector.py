@@ -18,23 +18,23 @@ liveness component that turns hangs into prompt, typed failures:
 * **Suspicion** -- a peer not heard from within ``suspect_after`` is
   declared *suspect*, permanently (fail-stop: once suspect, always
   suspect).  Suspicion fans out through
-  :meth:`repro.nic.nic.Nic.on_peer_suspected`: reliability streams
-  toward the suspect are abandoned, in-flight barriers involving it are
-  aborted, and every open port gets a
+  :meth:`repro.nic.nic.Nic.on_peer_suspected`, which keeps the one
+  suspect record (``Nic.suspected_peers``: peer -> declared-at time):
+  reliability streams toward the suspect are abandoned, in-flight
+  barriers involving it are aborted, and every open port gets a
   :class:`~repro.gm.events.PeerFailureEvent`.
 
-Activity horizon: an armed detector keeps the event loop alive (its
-ticks and heartbeats are events), so drain-to-completion runs need it to
-go quiet eventually.  ``arm(active_until=...)`` bounds the detector's
-active window -- the fault controller derives the bound from the plan's
-last crash time -- after which the tick stops re-arming.  Arming with
-``active_until=None`` keeps the detector running forever; such runs must
-be bounded by ``until=``/``max_events=``.
+Only a crash-bearing fault plan builds detectors
+(:class:`~repro.faults.inject.FaultController`), and it arms them over
+a bounded window: an armed detector keeps the event loop alive (its
+ticks and heartbeats are events), so ``arm(active_until)`` stops the
+tick from re-arming once the window -- derived from the plan's last
+crash time -- has passed.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.network.packet import PacketType
 
@@ -59,44 +59,25 @@ class FailureDetector:
         self.last_seen: Dict[int, float] = {}
         #: peer node id -> last simulated time we injected anything to it.
         self.last_sent: Dict[int, float] = {}
-        #: Monotone suspect set (fail-stop: no rehabilitation).
-        self.suspects: Set[int] = set()
-        #: peer node id -> simulated time the suspicion was declared
-        #: (what the reliability bench reads for time-to-detect).
-        self.suspected_at: Dict[int, float] = {}
         self.heartbeats_sent = 0
         self.armed = False
         self.active_until: Optional[float] = None
-        self._stopped = False
-        self._tick_pending = False
         sim = nic.sim
         if sim.probing:
             fd = f"nic{nic.node_id}.fd"
-            sim.probe(f"{fd}.suspects", lambda: len(self.suspects),
-                      "gauge", fd, "peers")
             sim.probe(f"{fd}.heartbeats", lambda: self.heartbeats_sent,
                       "counter", fd, "beats/us")
 
     # ------------------------------------------------------------------
-    def arm(self, active_until: Optional[float] = None) -> None:
-        """Start (or extend) the detector's periodic tick.
-
-        Re-arming is idempotent; a finite ``active_until`` overrides an
-        unset one and extends a smaller one (never shortens a finite
-        window -- later crashes in a plan push the horizon out).
-        """
-        if self._stopped:
-            return
-        if active_until is not None:
-            if self.active_until is None or active_until > self.active_until:
-                self.active_until = active_until
-        if not self.armed:
-            self.armed = True
-            self._schedule_tick()
+    def arm(self, active_until: float) -> None:
+        """Start the periodic tick (once, before any crash fires); it
+        stops re-arming at ``active_until``."""
+        self.active_until = active_until
+        self.armed = True
+        self.sim.schedule(self.heartbeat_us, self._tick)
 
     def stop(self) -> None:
-        """Permanently silence the detector (its own NIC crashed)."""
-        self._stopped = True
+        """Silence the detector for good (its own NIC crashed)."""
         self.armed = False
 
     # -- piggyback hooks (plain writes; called per packet when armed) ----
@@ -109,19 +90,14 @@ class FailureDetector:
         self.last_sent[dst_node] = self.sim.now
 
     # ------------------------------------------------------------------
-    def _schedule_tick(self) -> None:
-        if not self._tick_pending:
-            self._tick_pending = True
-            self.sim.schedule(self.heartbeat_us, self._tick)
-
     def _tick(self) -> None:
-        self._tick_pending = False
-        if self._stopped or not self.armed:
+        if not self.armed:
             return
         nic = self.nic
+        suspected = nic.suspected_peers
         now = self.sim.now
         for peer in nic.network.nic_ids():
-            if peer == nic.node_id or peer in self.suspects:
+            if peer == nic.node_id or peer in suspected:
                 continue
             # Grace for peers first observed now: the suspicion window
             # starts at discovery, not at simulated time zero.
@@ -132,10 +108,10 @@ class FailureDetector:
             if now - self.last_sent.get(peer, -self.heartbeat_us) \
                     >= self.heartbeat_us:
                 self._send_heartbeat(peer)
-        if self.active_until is not None and now >= self.active_until:
+        if now >= self.active_until:
             self.armed = False
             return
-        self._schedule_tick()
+        self.sim.schedule(self.heartbeat_us, self._tick)
 
     def _send_heartbeat(self, peer: int) -> None:
         nic = self.nic
@@ -150,8 +126,6 @@ class FailureDetector:
         nic.send_queue.put((packet, False))
 
     def _suspect(self, peer: int) -> None:
-        self.suspects.add(peer)
-        self.suspected_at[peer] = self.sim.now
         nic = self.nic
         if nic.tracer is not None:
             nic.tracer.record(
@@ -165,5 +139,5 @@ class FailureDetector:
         state = "armed" if self.armed else "idle"
         return (
             f"<FailureDetector nic{self.nic.node_id} {state} "
-            f"suspects={sorted(self.suspects)}>"
+            f"heartbeats={self.heartbeats_sent}>"
         )

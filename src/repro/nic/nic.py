@@ -89,15 +89,6 @@ class NicParams:
     #: Section 3.4 optimization: barrier "messages" between two ports of
     #: the *same* NIC skip the wire and just set the local flag.
     local_barrier_optimization: bool = False
-    #: Failure-detector heartbeat period.  None (the default) builds the
-    #: NIC *without* a detector, keeping clean runs bit-identical to
-    #: pre-detector traces.  Setting it arms the detector for the whole
-    #: run (bound such runs with ``until=``/``max_events=``); fault plans
-    #: with crashes arm it automatically over a bounded window instead.
-    heartbeat_us: Optional[float] = None
-    #: Silence window after which a peer is declared failed (fail-stop).
-    #: Defaults to ``8 * heartbeat_us`` when only the heartbeat is set.
-    suspect_after: Optional[float] = None
 
     def with_(self, **changes) -> "NicParams":
         """A copy with the given fields replaced."""
@@ -209,22 +200,13 @@ class Nic:
         #: not yet on a sent list or fake-acked.  A crash kills SDMA with
         #: it in hand, and :meth:`restart` returns it to its port.
         self.sdma_token = None
-        #: Peers declared failed by the detector (monotone suspect set;
-        #: the RECV machine's epoch fence drops their late packets).
-        self.suspected_peers: set = set()
-        #: Heartbeat failure detector; None unless ``heartbeat_us`` is
-        #: configured or a crash-bearing fault plan arms one.
+        #: The one suspect record: peer node id -> simulated time it was
+        #: declared failed (monotone; the RECV machine's epoch fence
+        #: drops the suspects' late packets).
+        self.suspected_peers: Dict[int, float] = {}
+        #: Heartbeat failure detector; None unless a crash-bearing fault
+        #: plan builds one.
         self.detector = None
-        if self.params.heartbeat_us is not None:
-            from repro.nic.detector import FailureDetector
-
-            suspect_after = self.params.suspect_after
-            if suspect_after is None:
-                suspect_after = 8.0 * self.params.heartbeat_us
-            self.detector = FailureDetector(
-                self, self.params.heartbeat_us, suspect_after
-            )
-            self.detector.arm()
 
         #: Time from a packet's first transmission to its (eventual) ACK,
         #: observed only for packets that needed retransmission -- the
@@ -581,7 +563,7 @@ class Nic:
         """
         if self.crashed or peer in self.suspected_peers:
             return
-        self.suspected_peers.add(peer)
+        self.suspected_peers[peer] = self.sim.now
         if self.tracer is not None:
             self.tracer.record(
                 self.trace_category, "peer.failed", peer=peer

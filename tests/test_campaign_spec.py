@@ -284,7 +284,7 @@ class TestCompiledJobsPinned:
     from earlier code keeps hitting after any change to compilation."""
 
     DIGEST = (
-        "5bbe98827a1229bf538872c4cf0b72514edfea8ace5bfab75937fce2839668e8"
+        "2f7b5851b732d8e8b87d46a9e25d8741d9f1c1cc3d6937e9e11c37f9f059d006"
     )
 
     def test_compiled_jobs_and_cache_keys_are_unchanged(self):

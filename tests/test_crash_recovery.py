@@ -2,8 +2,11 @@
 failure detector, typed PeerFailure aborts, shrink-and-resume, and the
 clean-run bit-identity guarantee."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.analysis import reliability_bench
 from repro.analysis.reliability_bench import run_reliability_scenario
 from repro.cluster.builder import ClusterConfig, build_cluster
 from repro.cluster.runner import run_on_group, spawn_group
@@ -18,6 +21,7 @@ from repro.faults import (
 )
 from repro.faults.inject import (
     CRASH_DETECTOR_SLACK_US,
+    CRASH_HEARTBEAT_US,
     CRASH_SUSPECT_AFTER_US,
 )
 from repro.faults.soak import (
@@ -65,28 +69,38 @@ class TestCrashPlans:
 
 
 class TestFailureDetector:
-    def test_nic_params_build_and_arm_a_detector(self):
-        cluster = build_cluster(ClusterConfig(
-            num_nodes=2, nic_params=NicParams(heartbeat_us=50.0),
-        ))
-        detector = cluster.nodes[0].nic.detector
-        assert detector is not None and detector.armed
-        assert detector.suspect_after == 400.0  # default 8 x heartbeat
+    @staticmethod
+    def crash_cluster(num_nodes=3, victim=2, at_us=300.0):
+        plan = FaultPlan(seed=1, crashes=[NodeCrash(node=victim, at_us=at_us)])
+        return build_cluster(ClusterConfig(num_nodes=num_nodes, fault_plan=plan))
 
-    def test_without_heartbeat_there_is_no_detector(self):
-        cluster = build_cluster(ClusterConfig(num_nodes=2))
-        assert all(node.nic.detector is None for node in cluster.nodes)
+    def test_crash_plan_builds_and_arms_every_detector(self):
+        """One NodeCrash gives every NIC a detector with the crash-plan
+        timing, idle until the first crash instant and armed from it."""
+        cluster = self.crash_cluster()
+        detectors = [node.nic.detector for node in cluster.nodes]
+        for detector in detectors:
+            assert detector.heartbeat_us == CRASH_HEARTBEAT_US
+            assert detector.suspect_after == CRASH_SUSPECT_AFTER_US
+        cluster.run(until=299.0)
+        assert not any(detector.armed for detector in detectors)
+        cluster.run(until=300.0)
+        horizon = 300.0 + CRASH_SUSPECT_AFTER_US + CRASH_DETECTOR_SLACK_US
+        for detector in detectors[:2]:
+            assert detector.armed and detector.active_until == horizon
+        assert not detectors[2].armed  # the victim's stopped with its NIC
 
     def test_idle_heartbeats_keep_peers_alive(self):
         """With nothing else running, the heartbeat mesh alone must keep
-        every detector suspicion-free."""
-        cluster = build_cluster(ClusterConfig(
-            num_nodes=3, nic_params=NicParams(heartbeat_us=50.0),
-        ))
-        cluster.run(until=2_000.0)
-        for node in cluster.nodes:
-            assert node.nic.detector.heartbeats_sent > 0
-            assert not node.nic.detector.suspects
+        the survivors from suspecting each other across the armed
+        window; each suspects only the crashed node."""
+        cluster = self.crash_cluster(num_nodes=4)
+        cluster.run()
+        for node in cluster.nodes[:2] + cluster.nodes[3:]:
+            detector = node.nic.detector
+            assert detector.heartbeats_sent > 0
+            assert not detector.armed  # the window closed; the run drained
+            assert list(node.nic.suspected_peers) == [2]
 
     def test_parameter_validation(self):
         cluster = build_cluster(ClusterConfig(num_nodes=2))
@@ -332,6 +346,16 @@ class TestSenderRestart:
         assert b.port.messages_received == numbered == 7
         assert a.port.send_tokens_free == a.port.send_tokens_total
         assert cluster.sim.now <= 250.1
+
+
+class TestReliabilityBenchPinned:
+    def test_regenerated_artifact_is_byte_identical(self, tmp_path):
+        """Detection and recovery timing, pinned: the bench's CLI
+        rewrites the committed BENCH_reliability.json byte for byte."""
+        out = tmp_path / "BENCH_reliability.json"
+        assert reliability_bench.main(["--out", str(out)]) == 0
+        committed = Path(__file__).resolve().parents[1] / "BENCH_reliability.json"
+        assert out.read_bytes() == committed.read_bytes()
 
 
 class TestSendToSuspect:

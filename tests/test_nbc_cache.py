@@ -98,9 +98,11 @@ class TestWarmCacheZeroCompiles:
             assert stats["compiles"] == 1
             assert stats["hits"] == 5
         snap = cluster.metrics.snapshot()
-        # 4 ranks x 1 compile; 4 ranks x 5 warm calls.
+        # 4 ranks x 1 compile; 4 ranks x 5 warm calls; the entries
+        # gauge totals every rank's one cached schedule.
         assert snap["nbc.cache.compiles"] == 4
         assert snap["nbc.cache.hits"] == 20
+        assert snap["nbc.cache.entries"] == 4
 
     def test_distinct_collectives_get_distinct_entries(self):
         def program(comm):

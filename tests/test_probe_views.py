@@ -132,7 +132,7 @@ class TestProbeViewsPinned:
         snap = self.golden["snapshot"]
         for name in ("faults.drops", "faults.corruptions", "faults.flaps",
                      "faults.stalls", "faults.pauses", "faults.crashes",
-                     "nic1.retransmits", "nic0.fd.suspects",
+                     "nic1.retransmits", "nic0.peers_suspected",
                      "nic0.fd.heartbeats"):
             assert snap[name] > 0, name
 
